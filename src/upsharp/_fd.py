@@ -11,7 +11,6 @@ Two schemes are supported:
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .errors import UsageError
 
@@ -94,35 +93,3 @@ def _cd2_values(f: np.ndarray, grid: np.ndarray, order: int) -> np.ndarray:
         w = fornberg_weights(grid[i], grid[lo : lo + 3], order)
         d[i] = w @ f[lo : lo + 3]
     return d
-
-
-def diff_matrix(grid: np.ndarray, order: int, scheme: str = "cd4") -> sparse.csr_array:
-    """Sparse differentiation matrix D with (D f)_i ~ f^(order)(r_i)."""
-    if scheme not in SCHEMES:
-        raise UsageError(f"unknown differentiation scheme {scheme!r}")
-    n = len(grid)
-    mat = sparse.lil_array((n, n))
-    if scheme == "cd4":
-        h = _require_uniform(grid)
-        if order == 1:
-            c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-            for i in range(2, n - 2):
-                mat[i, i - 2 : i + 3] = c
-            mat[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-            mat[1, :3] = np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
-            mat[n - 2, n - 3 :] = np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
-            mat[n - 1, n - 3 :] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-        else:
-            h2 = h * h
-            c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h2)
-            for i in range(2, n - 2):
-                mat[i, i - 2 : i + 3] = c
-            mat[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h2
-            mat[1, :3] = np.array([1.0, -2.0, 1.0]) / h2
-            mat[n - 2, n - 3 :] = np.array([1.0, -2.0, 1.0]) / h2
-            mat[n - 1, n - 4 :] = np.array([-1.0, 4.0, -5.0, 2.0]) / h2
-    else:
-        for i in range(n):
-            lo = min(max(i - 1, 0), n - 3)
-            mat[i, lo : lo + 3] = fornberg_weights(grid[i], grid[lo : lo + 3], order)
-    return mat.tocsr()

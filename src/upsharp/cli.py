@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .constants import PrincipleId, scan_infimum, sharp_constant
@@ -54,22 +52,6 @@ def parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("UPSHARP_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_jobs(fn, jobs):
-    """Order-preserving map, fanned out when UPSHARP_WORKERS > 1."""
-    workers = _workers()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Flag > config-file value > hard default."""
     config = {}
@@ -96,8 +78,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dims = parse_int_range(str(opts["n"]))
     betas = parse_float_list(str(opts["beta"]))
     modes = ("closed_form", "quadrature") if opts["mode"] == "both" else (opts["mode"],)
-    jobs = [(n, beta, mode) for n in dims for beta in betas for mode in modes]
-    reports = _map_jobs(lambda job: extremal_quotient(principle, *job[:2], mode=job[2]), jobs)
+    reports = [
+        extremal_quotient(principle, n, beta, mode=mode)
+        for n in dims
+        for beta in betas
+        for mode in modes
+    ]
 
     failures = []
     for rep in reports:
@@ -137,7 +123,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     )
     formula = args.formula
     dims = parse_int_range(str(opts["n"]))
-    results = _map_jobs(lambda n: scan_infimum(formula, n, int(opts["k_max"])), dims)
+    results = [scan_infimum(formula, n, int(opts["k_max"])) for n in dims]
 
     mismatches = []
     annotated = []

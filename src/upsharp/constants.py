@@ -72,11 +72,28 @@ def sharp_constant(principle: PrincipleId | str, dimension: int) -> SharpConstan
     return SharpConstant(Fraction((n + 1) ** 2, 4), PROVED if n >= 5 else CONJECTURAL)
 
 
+def hardy_correction_factor(quotient: str, dimension: int, degree: int) -> Fraction:
+    """Multiplier coupling a per-mode product constant into the global bound.
+
+    ``hup2``: 1 - 8k/(N+2k)^2; ``hyup2``: ((N+2k-3)^2 / ((N+2k-3)^2 + 4k))^2,
+    which is 1 at degree 0 (no Hardy step).
+    """
+    n, k = int(dimension), int(degree)
+    if quotient == "hup2":
+        return 1 - Fraction(8 * k, (n + 2 * k) ** 2)
+    if quotient == "hyup2":
+        if k == 0:
+            return Fraction(1)
+        t2 = (n + 2 * k - 3) ** 2
+        return Fraction(t2, t2 + 4 * k) ** 2
+    raise UsageError(f"unknown combined quotient {quotient!r}")
+
+
 def hup2_mode_bound(dimension: int, degree: int) -> Fraction:
     """Exact S(N, k); the factored and expanded forms are checked against each other."""
     n, k = _check_nk(dimension, degree)
     t = Fraction(n + 2 * k)
-    factored = (1 - Fraction(8 * k) / t**2) * Fraction((n + 2 * k + 2) ** 2, 4)
+    factored = hardy_correction_factor("hup2", n, k) * Fraction((n + 2 * k + 2) ** 2, 4)
     expanded = (
         Fraction(n * n, 4)
         + n
@@ -94,13 +111,7 @@ def hup2_mode_bound(dimension: int, degree: int) -> Fraction:
 def hyup2_mode_bound(dimension: int, degree: int) -> Fraction:
     """Exact f(N, k); degree 0 carries no Hardy correction and equals (N+1)^2/4."""
     n, k = _check_nk(dimension, degree)
-    if k == 0:
-        return Fraction((n + 1) ** 2, 4)
-    t = n + 2 * k - 3
-    den = t * t + 4 * k
-    if den == 0:
-        raise ArithmeticError(f"mode bound pole at N={n}, k={k}")
-    return Fraction((n + 2 * k + 1) ** 2, 4) * Fraction(t**4, den**2)
+    return hardy_correction_factor("hyup2", n, k) * Fraction((n + 2 * k + 1) ** 2, 4)
 
 
 def _check_nk(dimension: int, degree: int) -> tuple[int, int]:

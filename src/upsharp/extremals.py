@@ -1,10 +1,12 @@
 """Closed-form uncertainty-principle quotients on the extremal families.
 
 Each principle pairs two energy integrals against the square of a middle
-term; on its extremal family the quotient equals the sharp constant exactly,
-independent of the rate beta and the amplitude. Quotients are assembled from
-exact Gamma/factorial moments (``closed_form``) or recomputed numerically
-(``quadrature``); the two routes are kept fully independent.
+term, read as raw degree-0 mode functionals from the seminorm term table
+(``seminorms.PRINCIPLE_FUNCTIONALS``); on its extremal family the quotient
+equals the sharp constant exactly, independent of the rate beta and the
+amplitude. Quotients are assembled from exact Gamma/factorial moments
+(``closed_form``) or recomputed numerically (``quadrature``); the two routes
+are kept fully independent.
 
 The sphere-measure factor |S^{N-1}| multiplies every integral and cancels in
 every quotient; it is reported informationally only.
@@ -15,18 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONJECTURAL, PrincipleId, sharp_constant
 from .errors import UsageError
-from .profiles import AnalyticProfile, KernelTerms
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    closed_form_weighted_square,
-    default_r_max,
-    panel_integrate,
-)
+from .profiles import AnalyticProfile, make_mode
+from .quadrature import CLOSED_FORM, DEFAULT_CONFIG, QuadratureConfig
+from .seminorms import PRINCIPLE_FUNCTIONALS, Form, eval_mode_functional
 
 EXTREMAL_FAMILY = {
     PrincipleId.HUP: "gaussian",
@@ -45,33 +40,6 @@ _MIN_DIMENSION = {
     PrincipleId.HYUP2: 2,
     PrincipleId.HYUP2_RADIAL: 2,
 }
-
-# (label, deriv, power offset from N) for the A, B, C integrals; deriv "R2"
-# marks the radial-Laplacian square.
-_STRUCTURE = {
-    PrincipleId.HUP: (("grad_energy", 1, -1), ("weighted_l2", 0, 1), ("l2_norm", 0, -1)),
-    PrincipleId.HYUP: (("grad_energy", 1, -1), ("l2_norm", 0, -1), ("coulomb_l2", 0, -2)),
-    PrincipleId.HUP2: (
-        ("laplacian_energy", "R2", -1),
-        ("weighted_grad_energy", 1, 1),
-        ("grad_energy", 1, -1),
-    ),
-    PrincipleId.HYUP2: (
-        ("laplacian_energy", "R2", -1),
-        ("grad_energy", 1, -1),
-        ("coulomb_grad_energy", 1, -2),
-    ),
-}
-_STRUCTURE[PrincipleId.HUP2_RADIAL] = (
-    ("radial_laplacian_energy", "R2", -1),
-    ("weighted_radial_grad_energy", 1, 1),
-    ("radial_grad_energy", 1, -1),
-)
-_STRUCTURE[PrincipleId.HYUP2_RADIAL] = (
-    ("radial_laplacian_energy", "R2", -1),
-    ("radial_grad_energy", 1, -1),
-    ("coulomb_radial_grad_energy", 1, -2),
-)
 
 
 def sphere_area(dimension: int) -> float:
@@ -121,27 +89,6 @@ class QuotientReport:
         )
 
 
-def _radial_laplacian_terms(profile: AnalyticProfile, dimension: int) -> KernelTerms:
-    """Kernel terms of u'' + (N-1) u'/r (no singular exponents arise for the
-    extremal families: u' always carries a leading factor of r)."""
-    kt1 = profile.kernel_terms(1)
-    kt2 = profile.kernel_terms(2)
-    extra = tuple(((dimension - 1) * c, e - 1.0, b) for c, e, b in kt1.terms)
-    return KernelTerms(kt2.kernel, kt2.terms + extra)
-
-
-def _integral(profile: AnalyticProfile, deriv, power: int, dimension: int, mode: str, cfg: QuadratureConfig) -> float:
-    if deriv == "R2":
-        kt = _radial_laplacian_terms(profile, dimension)
-    else:
-        kt = profile.kernel_terms(deriv)
-    if mode == "closed_form":
-        return closed_form_weighted_square(kt, float(power))
-    r_max = cfg.r_max if cfg.r_max is not None else default_r_max(profile)
-    value, _ = panel_integrate(lambda r: np.asarray(kt(r)) ** 2 * r ** float(power), r_max, cfg)
-    return value
-
-
 def extremal_quotient(
     principle: PrincipleId | str,
     dimension: int,
@@ -167,10 +114,12 @@ def extremal_quotient(
         raise UsageError(f"{p.value} requires dimension >= {_MIN_DIMENSION[p]}")
     constant = sharp_constant(p, n)
     profile = AnalyticProfile(EXTREMAL_FAMILY[p], amplitude, beta)
-    (la, da, pa), (lb, db, pb), (lc, dc, pc) = _STRUCTURE[p]
-    a = _integral(profile, da, n + pa, n, mode, cfg)
-    b = _integral(profile, db, n + pb, n, mode, cfg)
-    c = _integral(profile, dc, n + pc, n, mode, cfg)
+    ids = PRINCIPLE_FUNCTIONALS[p]
+    radial = make_mode(n, 0)
+    quad_cfg = CLOSED_FORM if mode == "closed_form" else cfg
+    a, b, c = (
+        eval_mode_functional(fid, radial, profile, Form.RAW, quad_cfg).value for fid in ids
+    )
     quotient = a * b / c**2
     predicted = float(constant.value)
     status = constant.status
@@ -182,7 +131,7 @@ def extremal_quotient(
         family=profile.family,
         rate=beta,
         amplitude=amplitude,
-        numerator_terms={la: a, lb: b},
+        numerator_terms={ids[0].value: a, ids[1].value: b},
         denominator=c,
         quotient=quotient,
         predicted=predicted,

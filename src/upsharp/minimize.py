@@ -20,6 +20,10 @@ spurious discrete minima far below the continuum constants. The default grid
 is geometric, so the local spacing is proportional to r and a concentration
 at any radius pays its full derivative energy by self-similarity (a uniform
 grid cannot resolve bumps sitting at radii comparable to its spacing).
+
+The (coef, deriv, power) rows of A, B and C are read from the seminorm term
+table through each kind's principle (``seminorms.PRINCIPLE_FUNCTIONALS``);
+only the truncation charges at the grid ends are written here.
 """
 
 from __future__ import annotations
@@ -35,7 +39,13 @@ from scipy import optimize as _sopt
 from scipy import sparse
 
 from ._fd import fornberg_weights
-from .constants import hup2_mode_bound, hyup2_mode_bound, scan_infimum
+from .constants import (
+    PrincipleId,
+    hardy_correction_factor,
+    hup2_mode_bound,
+    hyup2_mode_bound,
+    scan_infimum,
+)
 from .errors import SolverError, UsageError
 from .profiles import (
     AnalyticProfile,
@@ -47,6 +57,7 @@ from .profiles import (
     profile_to_json,
 )
 from .quadrature import CLOSED_FORM, WeightedSeminorm, integrate
+from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _hardy_rows, _term_table
 
 
 class QuotientKind(str, Enum):
@@ -84,64 +95,53 @@ class GridSpec:
         )
 
 
+#: Principle, form and product flag behind each quotient kind. A product kind
+#: is its reduced quotient written in w = v': it keeps the rows with deriv >= 1,
+#: one order lower; the dropped zero-order rows are what the Hardy correction
+#: factor accounts for.
+_KIND_QUOTIENT = {
+    QuotientKind.PRODUCT_HUP2: (PrincipleId.HUP2, Form.REDUCED, True),
+    QuotientKind.PRODUCT_HYUP2: (PrincipleId.HYUP2, Form.REDUCED, True),
+    QuotientKind.CLASSIC_HUP: (PrincipleId.HUP, Form.RAW, False),
+    QuotientKind.CLASSIC_HYUP: (PrincipleId.HYUP, Form.RAW, False),
+    QuotientKind.MODE_HYUP2_FULL: (PrincipleId.HYUP2, Form.REDUCED, False),
+}
+
+
 def _kind_forms(kind: QuotientKind, mode: Mode):
-    """(A, B, C) term lists as (coef, deriv, power); zero coefs dropped."""
-    N, k, ck = mode.dimension, mode.degree, mode.eigenvalue
+    """(A, B, C) term lists: table rows as (coef, deriv, power) with zero coefs
+    dropped, then the truncation charges as (name, coef, power)."""
+    if kind is QuotientKind.HARDY_1D:
+        num, den = _hardy_rows(mode)
+        forms = ([num], [den], [den])
+    else:
+        principle, form, product = _KIND_QUOTIENT[kind]
+        forms = [_term_table(fid, form, mode) for fid in PRINCIPLE_FUNCTIONALS[principle]]
+        if product:
+            forms = [[(c, d - 1, p) for c, d, p in rows if d >= 1] for rows in forms]
+    A, B, C = ([row for row in rows if row[0] != 0] for rows in forms)
+    p = mode.dimension + 2 * mode.degree - 1
     # The "left_value"/"left_slope" entries charge the minimal admissible
     # extension of the unknown below r_min (cost r_min^{p-1} |w(r_min)|^2 for
     # the derivative-plus-penalty forms, by the Euler equation); without them
     # the truncated domain admits edge-hugging modes below the half-line
     # constants in low dimensions.
-    if kind is QuotientKind.PRODUCT_HUP2:
-        A = [
-            (1.0, 1, N + 2 * k - 1),
-            (N - 1 + 2 * k, 0, N + 2 * k - 3),
-            ("left_value", 1.0, N + 2 * k - 2),
-        ]
-        B = [(1.0, 0, N + 2 * k + 1)]
-        C = [(1.0, 0, N + 2 * k - 1)]
-    elif kind is QuotientKind.PRODUCT_HYUP2:
-        A = [
-            (1.0, 1, N + 2 * k - 1),
-            (N - 1 + 2 * k, 0, N + 2 * k - 3),
-            ("left_value", 1.0, N + 2 * k - 2),
-        ]
-        B = [(1.0, 0, N + 2 * k - 1)]
-        C = [(1.0, 0, N + 2 * k - 2)]
-    elif kind is QuotientKind.CLASSIC_HUP:
-        A = [(1.0, 1, N - 1), (float(ck), 0, N - 3)]
-        B = [(1.0, 0, N + 1)]
-        C = [(1.0, 0, N - 1)]
-    elif kind is QuotientKind.CLASSIC_HYUP:
-        A = [(1.0, 1, N - 1), (float(ck), 0, N - 3)]
-        B = [(1.0, 0, N - 1)]
-        C = [(1.0, 0, N - 2)]
-    elif kind is QuotientKind.HARDY_1D:
-        A = [(1.0, 1, N + 2 * k + 1)]
-        B = [(1.0, 0, N + 2 * k - 1)]
-        C = [(1.0, 0, N + 2 * k - 1)]
-    else:  # MODE_HYUP2_FULL
-        # ∫ r^p |v'' + p v'/r|^2 with p = N+2k-1 equals the two-term form plus
-        # the boundary flux p [r^{p-1}|v'|^2] between the domain ends. On a
-        # truncated grid neither pure form is safe: dropping the right flux
-        # opens a ramp-shaped spurious minimum, while the raw operator square
-        # vanishes on the (left-singular) kernel r^{-(p-1)} that truncation
-        # re-admits. Two-term assembly plus the explicit right-end slope term
-        # shields both ends and is exact for admissible decaying profiles.
-        # The left-end slope term charges the minimal admissible extension of
-        # v' below r_min (Euler solution is linear, cost r_min^{p-1}|v'|^2);
-        # without it, half-bumps hugging the cut recover the tail saving and
-        # sit below the half-line infimum in low dimensions.
-        A = [
-            (1.0, 2, N + 2 * k - 1),
-            (N + 2 * k - 1, 1, N + 2 * k - 3),
-            ("right_slope", N + 2 * k - 1, N + 2 * k - 2),
-            ("left_slope", 1.0, N + 2 * k - 2),
-        ]
-        B = [(1.0, 1, N + 2 * k - 1)]
-        C = [(1.0, 1, N + 2 * k - 2), (float(k), 0, N + 2 * k - 4)]
-    drop = lambda terms: [t for t in terms if t[0] != 0.0]
-    return drop(A), drop(B), drop(C)
+    if kind in (QuotientKind.PRODUCT_HUP2, QuotientKind.PRODUCT_HYUP2):
+        A.append(("left_value", 1.0, p - 1))
+    elif kind is QuotientKind.MODE_HYUP2_FULL:
+        # ∫ r^p |v'' + p v'/r|^2 equals the two-term form plus the boundary
+        # flux p [r^{p-1}|v'|^2] between the domain ends. On a truncated grid
+        # neither pure form is safe: dropping the right flux opens a
+        # ramp-shaped spurious minimum, while the raw operator square vanishes
+        # on the (left-singular) kernel r^{-(p-1)} that truncation re-admits.
+        # Two-term assembly plus the explicit right-end slope term shields both
+        # ends and is exact for admissible decaying profiles. The left-end
+        # slope term charges the minimal admissible extension of v' below r_min
+        # (Euler solution is linear, cost r_min^{p-1}|v'|^2); without it,
+        # half-bumps hugging the cut recover the tail saving and sit below the
+        # half-line infimum in low dimensions.
+        A += [("right_slope", p, p - 1), ("left_slope", 1.0, p - 1)]
+    return A, B, C
 
 
 def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
@@ -528,19 +528,6 @@ def eigen_crosscheck(problem: VariationalProblem, t_window: float = 5.0) -> floa
         options={"xatol": 1e-7},
     )
     return (res.fun / 2.0) ** 2
-
-
-def hardy_correction_factor(quotient: str, dimension: int, degree: int) -> Fraction:
-    """Multiplier coupling a per-mode product constant into the global bound."""
-    n, k = int(dimension), int(degree)
-    if quotient == "hup2":
-        return 1 - Fraction(8 * k, (n + 2 * k) ** 2)
-    if quotient == "hyup2":
-        if k == 0:
-            return Fraction(1)
-        t2 = (n + 2 * k - 3) ** 2
-        return Fraction(t2, t2 + 4 * k) ** 2
-    raise UsageError(f"unknown combined quotient {quotient!r}")
 
 
 @dataclass

@@ -74,6 +74,9 @@ class QuadratureConfig:
             raise UsageError("tolerances must be positive")
         if self.r_max is not None and not self.r_max > 0:
             raise UsageError("r_max must be positive")
+        if self.panels < 5:
+            # _graded_edges keeps at least 4 uniform panels and needs one graded one.
+            raise UsageError("panels must be at least 5")
         if self.panels * self.points_per_panel < 32:
             raise UsageError("panels * points_per_panel must be at least 32")
 
@@ -166,15 +169,20 @@ def closed_form_weighted_square(kt: KernelTerms, power: float) -> float:
     return math.fsum(c * moment(b, e) for c, e, b in _squared_pairs(kt, power) if c != 0.0)
 
 
-def default_r_max(profile: AnalyticProfile | MixtureProfile) -> float:
-    """Truncation radius making the tail negligible at working precision."""
+def default_r_max(profile: AnalyticProfile | MixtureProfile, power: float = 0.0) -> float:
+    """Truncation radius making the tail negligible at working precision.
+
+    ``power`` is the total radial power q of an integrand r^q K^2. For the
+    exponential kernel r^q e^{-2 rate r} peaks at q / (2 rate), so the radius
+    grows with q; up to q = 15 it stays at 40 / rate.
+    """
     if isinstance(profile, MixtureProfile):
         rate = min(c.rate for c in profile.components)
     else:
         rate = profile.rate
     if profile.kernel == GAUSS_KERNEL:
         return 12.0 / math.sqrt(rate)
-    return 40.0 / rate
+    return max(40.0, power + 25.0) / rate
 
 
 @lru_cache(maxsize=32)
@@ -255,7 +263,10 @@ def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEF
         return closed_form_weighted_square(kt, float(s.power))
 
     _check_origin_convergence(kt, float(s.power))
-    r_max = cfg.r_max if cfg.r_max is not None else default_r_max(profile)
+    if cfg.r_max is not None:
+        r_max = cfg.r_max
+    else:
+        r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
     fn = _integrand(profile, s)
     if cfg.rule == "adaptive":
         value, err = _sciint.quad(

@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .constants import PrincipleId
 from .errors import (
     DegenerateProfileError,
     DivergentIntegralError,
@@ -52,6 +53,8 @@ class FunctionalId(str, Enum):
     COULOMB_RADIAL_GRAD_ENERGY = "coulomb_radial_grad_energy"
     RADIAL_LAPLACIAN_ENERGY = "radial_laplacian_energy"  # ∫ |∂_rr u + (N-1)/r ∂_r u|^2
     L2_NORM = "l2_norm"                                  # ∫ |u|^2
+    WEIGHTED_L2 = "weighted_l2"                          # ∫ |x|^2 |u|^2 (raw form only)
+    COULOMB_L2 = "coulomb_l2"                            # ∫ |u|^2 / |x| (raw form only)
 
 
 class Form(str, Enum):
@@ -59,8 +62,40 @@ class Form(str, Enum):
     REDUCED = "reduced"  # integrals of v_k = u_k / r^k
 
 
+_RAW_ONLY = (
+    FunctionalId.RADIAL_LAPLACIAN_ENERGY,
+    FunctionalId.WEIGHTED_L2,
+    FunctionalId.COULOMB_L2,
+)
+
 #: Functionals that have both a raw and a reduced expression.
-BOTH_FORMS = tuple(f for f in FunctionalId if f is not FunctionalId.RADIAL_LAPLACIAN_ENERGY)
+BOTH_FORMS = tuple(f for f in FunctionalId if f not in _RAW_ONLY)
+
+#: (A, B, C) functionals of each principle's quotient A·B/C².
+PRINCIPLE_FUNCTIONALS = {
+    PrincipleId.HUP: (FunctionalId.GRAD_ENERGY, FunctionalId.WEIGHTED_L2, FunctionalId.L2_NORM),
+    PrincipleId.HYUP: (FunctionalId.GRAD_ENERGY, FunctionalId.L2_NORM, FunctionalId.COULOMB_L2),
+    PrincipleId.HUP2: (
+        FunctionalId.LAPLACIAN_ENERGY,
+        FunctionalId.WEIGHTED_GRAD_ENERGY,
+        FunctionalId.GRAD_ENERGY,
+    ),
+    PrincipleId.HYUP2: (
+        FunctionalId.LAPLACIAN_ENERGY,
+        FunctionalId.GRAD_ENERGY,
+        FunctionalId.COULOMB_GRAD_ENERGY,
+    ),
+    PrincipleId.HUP2_RADIAL: (
+        FunctionalId.RADIAL_LAPLACIAN_ENERGY,
+        FunctionalId.WEIGHTED_RADIAL_GRAD_ENERGY,
+        FunctionalId.RADIAL_GRAD_ENERGY,
+    ),
+    PrincipleId.HYUP2_RADIAL: (
+        FunctionalId.RADIAL_LAPLACIAN_ENERGY,
+        FunctionalId.RADIAL_GRAD_ENERGY,
+        FunctionalId.COULOMB_RADIAL_GRAD_ENERGY,
+    ),
+}
 
 
 def _term_table(fid: FunctionalId, form: Form, mode: Mode):
@@ -82,6 +117,8 @@ def _term_table(fid: FunctionalId, form: Form, mode: Mode):
         # correct two-term expression there as well.
         FunctionalId.RADIAL_LAPLACIAN_ENERGY: [(1, 2, N - 1), (N - 1, 1, N - 3)],
         FunctionalId.L2_NORM: [(1, 0, N - 1)],
+        FunctionalId.WEIGHTED_L2: [(1, 0, N + 1)],
+        FunctionalId.COULOMB_L2: [(1, 0, N - 2)],
     }
     reduced = {
         FunctionalId.GRAD_ENERGY: [(1, 1, N + 2 * k - 1)],
@@ -218,14 +255,18 @@ def full_space_value(mode_values: list[ModeFunctionalValue]) -> float:
     return math.fsum(mv.value for mv in ordered)
 
 
+def _hardy_rows(mode: Mode):
+    """Numerator and denominator rows of the weighted 1-d Hardy quotient."""
+    p = mode.dimension + 2 * mode.degree
+    return (1, 1, p + 1), (1, 0, p - 1)
+
+
 def hardy_1d_ratio(mode: Mode, v: Profile, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Weighted 1-d Hardy quotient ∫ r^{N+2k+1}|v'|^2 / ∫ r^{N+2k-1}|v|^2.
 
     For any admissible profile the continuum value is at least (N+2k)^2/4.
     """
-    N, k = mode.dimension, mode.degree
-    num = integrate(v, WeightedSeminorm(1, N + 2 * k + 1), cfg)
-    den = integrate(v, WeightedSeminorm(0, N + 2 * k - 1), cfg)
+    num, den = (integrate(v, WeightedSeminorm(d, p), cfg) for _, d, p in _hardy_rows(mode))
     if den < cfg.abs_tol:
         raise DegenerateProfileError("profile norm below tolerance in the Hardy quotient")
     return num / den

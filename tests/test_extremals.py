@@ -4,12 +4,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from upsharp.constants import CONJECTURAL, PROVED
-from upsharp.errors import UsageError
+from upsharp.errors import QuadratureConvergenceError, UsageError
 from upsharp.extremals import (
     extremal_quotient,
     radial_extremal_quotient,
     sphere_area,
 )
+from upsharp.quadrature import QuadratureConfig
 
 BETAS = (0.25, 1.0, 4.0)
 
@@ -74,6 +75,12 @@ def test_quadrature_mode_agreement():
             closed = extremal_quotient(principle, n, 1.0, "closed_form").quotient
             quad = extremal_quotient(principle, n, 1.0, "quadrature").quotient
             assert abs(closed - quad) / closed < 1e-9, (principle, n)
+
+
+def test_quadrature_mode_reports_unresolved_integrals():
+    coarse = QuadratureConfig(panels=6, points_per_panel=6)
+    with pytest.raises(QuadratureConvergenceError):
+        extremal_quotient("hup2", 3, 1.0, "quadrature", cfg=coarse)
 
 
 def test_baseline_ordering():

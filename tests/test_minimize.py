@@ -15,8 +15,10 @@ from upsharp.minimize import (
     minimize_quotient,
     mode_combined_bound,
     n1_quotient_check,
+    _kind_forms,
 )
 from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
+from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
 from fractions import Fraction
 
 
@@ -72,6 +74,29 @@ def test_descent_agrees_with_eigen_pencil(kind, n, k):
     eig = eigen_crosscheck(p)
     assert res.converged
     assert abs(res.min_value - eig) / eig < 0.01
+
+
+@pytest.mark.parametrize("kind", list(QuotientKind))
+def test_discrete_forms_match_table_rows(kind):
+    # Each discrete form, on a sampled Gaussian-kernel profile, reproduces the
+    # closed-form integrals of the kind's table rows. The 512-node grid is
+    # kept: mode_hyup2_full's A form at N=2, k=0 drifts as the grid refines.
+    product = kind in (QuotientKind.PRODUCT_HUP2, QuotientKind.PRODUCT_HYUP2)
+    classic = kind in (QuotientKind.CLASSIC_HUP, QuotientKind.CLASSIC_HYUP)
+    for n in (2, 3, 5):
+        for k in (0, 1, 2):
+            # w = r e^{-r^2}, u = r^k e^{-r^2}, or v = e^{-r^2}
+            power = 1.0 if product else float(k) if classic else 0.0
+            profile = AnalyticProfile("monomial_cutoff", 1.0, 1.0, power=power)
+            dq = problem(kind, n, k, size=512).assemble()
+            parts = dq.parts(dq.init_from_profile(profile))
+            for rows, got in zip(_kind_forms(dq.problem.kind, dq.problem.mode), parts):
+                exact = math.fsum(
+                    c * integrate(profile, WeightedSeminorm(d, p), CLOSED_FORM)
+                    for c, d, p in rows
+                    if not isinstance(c, str)  # truncation charges are not table rows
+                )
+                assert abs(got - exact) <= 5e-3 * abs(exact), (n, k)
 
 
 def test_per_mode_product_constants(rng):
