@@ -16,13 +16,7 @@ from pathlib import Path
 from .constants import PrincipleId, scan_infimum, sharp_constant
 from .errors import UpsharpError, UsageError
 from .extremals import extremal_quotient
-from .minimize import (
-    QuotientKind,
-    VariationalProblem,
-    eigen_crosscheck,
-    explore_conjecture,
-    minimize_quotient,
-)
+from .minimize import QuotientKind, VariationalProblem, explore_conjecture, minimize_quotient
 from .profiles import AnalyticProfile, shift_power
 from .quadrature import DEFAULT_CONFIG
 from .reports import RunManifest, render_csv, render_json, write_report
@@ -34,22 +28,29 @@ DECOMPOSE_GATE = 1e-6
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_COMPUTE = 0, 1, 2, 3
 
 
+def _parse_list(text: str, convert) -> list:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise UsageError(f"empty list {text!r}")
+    try:
+        return [convert(part) for part in parts]
+    except ValueError:
+        raise UsageError(f"malformed number in {text!r}") from None
+
+
 def parse_int_range(text: str) -> list[int]:
     """'2..10' -> [2..10]; '3' -> [3]; '2,4,7' -> [2, 4, 7]."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
-    return [int(text)]
+        bounds = _parse_list(text.replace("..", ",", 1), int)
+        if len(bounds) != 2 or bounds[1] < bounds[0]:
+            raise UsageError(f"empty or malformed range {text!r}")
+        return list(range(bounds[0], bounds[1] + 1))
+    return _parse_list(text, int)
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return _parse_list(text, float)
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -172,8 +173,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     opts = _merge_config(
         args,
         {"n": "3", "k": 0, "m": 512, "r_min": None, "r_max": None, "seed": 0,
-         "restarts": 5, "budget": 5000, "band": 0.02, "eigen": True, "out": None,
-         "format": "json"},
+         "band": 0.02, "out": None, "format": "json"},
     )
     kind = QuotientKind(args.quotient)
     dims = parse_int_range(str(opts["n"]))
@@ -183,21 +183,16 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         kind, dims[0], int(opts["k"]), size=int(opts["m"]),
         r_min=opts["r_min"], r_max=opts["r_max"],
     )
-    result = minimize_quotient(
-        problem, budget=int(opts["budget"]), seed=int(opts["seed"]),
-        restarts=int(opts["restarts"]),
-    )
-    eigen = eigen_crosscheck(problem) if opts["eigen"] else None
+    result = minimize_quotient(problem)
     manifest = RunManifest.create(
         "minimize",
-        {"quotient": kind.value, "n": dims[0], "k": int(opts["k"]), "m": int(opts["m"]),
-         "restarts": int(opts["restarts"]), "budget": int(opts["budget"])},
+        {"quotient": kind.value, "n": dims[0], "k": int(opts["k"]), "m": int(opts["m"])},
         int(opts["seed"]),
     )
     payload = {
         "manifest": manifest.to_json(),
         "result": result.to_json(),
-        "eigen_crosscheck": eigen,
+        "eigen_crosscheck": result.pencil_value,
         "tolerance_band": float(opts["band"]),
     }
     if opts["format"] == "csv":
@@ -208,7 +203,10 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         text = render_json(payload)
     write_report(text, opts["out"])
     if not result.converged:
-        sys.stderr.write("solver did not converge within budget (best-so-far reported)\n")
+        sys.stderr.write(
+            "pencil minimization did not converge: t* not bracketed, refine failed, "
+            "or the pencil value disagrees with the argmin quotient\n"
+        )
         return EXIT_COMPUTE
     if result.target is not None:
         if abs(result.min_value - result.target) > float(opts["band"]) * result.target:
@@ -223,8 +221,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 def cmd_conjecture(args: argparse.Namespace) -> int:
     opts = _merge_config(
         args,
-        {"n": "5", "k_max": 4, "ladder": "128,256,512", "seed": 0, "restarts": 3,
-         "budget": 4000, "trials": 200, "out": None, "format": "json"},
+        {"n": "5", "k_max": 4, "ladder": "128,256,512", "seed": 0, "out": None,
+         "format": "json"},
     )
     dims = parse_int_range(str(opts["n"]))
     if len(dims) != 1:
@@ -232,17 +230,11 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     n = dims[0]
     if n not in (2, 3, 4, 5):
         raise UsageError("conjecture explorer covers dimensions 2..4 (5 as calibration)")
-    resolutions = tuple(int(x) for x in parse_float_list(str(opts["ladder"])))
-    report = explore_conjecture(
-        n, k_max=int(opts["k_max"]), resolutions=resolutions, seed=int(opts["seed"]),
-        restarts=int(opts["restarts"]), budget=int(opts["budget"]),
-        trials=int(opts["trials"]),
-    )
+    resolutions = tuple(_parse_list(str(opts["ladder"]), int))
+    report = explore_conjecture(n, k_max=int(opts["k_max"]), resolutions=resolutions)
     manifest = RunManifest.create(
         "conjecture",
-        {"n": n, "k_max": int(opts["k_max"]), "ladder": list(resolutions),
-         "restarts": int(opts["restarts"]), "budget": int(opts["budget"]),
-         "trials": int(opts["trials"])},
+        {"n": n, "k_max": int(opts["k_max"]), "ladder": list(resolutions)},
         int(opts["seed"]),
     )
     if opts["format"] == "csv":
@@ -351,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
 
+    def ignored(p: argparse.ArgumentParser, *flags: str) -> None:
+        # Options of the retired descent solver, still accepted by old scripts.
+        for flag in flags:
+            p.add_argument(flag, type=int, default=None, help="ignored by the pencil solver")
+
     p = sub.add_parser("verify", help="extremal quotients against predicted constants")
     p.add_argument("principle", choices=[x.value for x in PrincipleId])
     p.add_argument("--n", default=None, help="dimension range, e.g. 1..10")
@@ -373,10 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="grid size")
     p.add_argument("--r-min", dest="r_min", type=float, default=None)
     p.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    ignored(p, "--restarts", "--budget")
     p.add_argument("--band", type=float, default=None, help="relative tolerance band")
-    p.add_argument("--no-eigen", dest="eigen", action="store_false", default=None)
     common(p)
     p.set_defaults(fn=cmd_minimize)
 
@@ -384,9 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default=None)
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
     p.add_argument("--ladder", default=None, help="comma-separated grid sizes")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    ignored(p, "--restarts", "--budget", "--trials")
     common(p)
     p.set_defaults(fn=cmd_conjecture)
 

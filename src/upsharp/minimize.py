@@ -1,44 +1,46 @@
 """Discrete variational minimization of the per-mode Rayleigh quotients.
 
-The quotients here have the form Q(x) = A[x] B[x] / C[x]^2 with A, B, C
-quadratic forms on grid values. Because the numerator is a *product* of two
-quadratic forms, this is not a generalized eigenproblem; the primary solver is
-projected gradient descent on the normalization slice C[x] = 1 with
-backtracking line search. An independent cross-check converts the product to
-a family of single quadratic forms via
+The quotients here have the form Q(v) = A[v] B[v] / C[v]^2, where A, B and C
+are sums of weighted radial integrals ∫ r^p |v^(d)|² dr. Their
+(coef, deriv, power) rows are read from the seminorm term table through each
+kind's principle (``seminorms.PRINCIPLE_FUNCTIONALS``).
 
-    inf_x sqrt(A B) / C = inf_{t>0} (1/2) * lambda_min(t A + B / t ; C),
+Discretization. Rayleigh–Ritz on cubic B-splines in s = ln r, with the grid
+nodes as breakpoints. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
+∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s; it is
+computed with 6 Gauss–Legendre points per interval. The right end is clamped
+(v = v' = 0). Below r_min the function continues as the constant v(r_min),
+with v'(r_min) = 0 when a row has a second derivative, and each zero-order
+row gains its exact integral over (0, r_min). When a zero-order weight is not
+integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned instead, together with
+v'(r_min) = 0 for second-order kinds. Every discrete function is therefore an
+admissible function on (0, ∞), so a discrete minimum can never sit below a
+proved constant.
 
-so inf Q = (inf_t lambda_min(t)/2)^2, each inner problem being a symmetric
-generalized eigenvalue computation.
+Solver. The numerator is a product of two quadratic forms, so this is not an
+eigenproblem as it stands, but by AM–GM
 
-Discretization notes. First-derivative energies use staggered midpoint cells
-(the piecewise-linear finite-element form) and second-derivative energies use
-interior 3-point rows: collocated central differences would assign near-zero
-derivative energy to grid-scale oscillations and single-node spikes, creating
-spurious discrete minima far below the continuum constants. The default grid
-is geometric, so the local spacing is proportional to r and a concentration
-at any radius pays its full derivative energy by self-similarity (a uniform
-grid cannot resolve bumps sitting at radii comparable to its spacing).
+    inf_v sqrt(A B) / C = inf_{t>0} (1/2) * lambda_min(t A + B / t ; C).
 
-The (coef, deriv, power) rows of A, B and C are read from the seminorm term
-table through each kind's principle (``seminorms.PRINCIPLE_FUNCTIONALS``);
-only the truncation charges at the grid ends are written here.
+A log-t sweep followed by a bounded refine finds t*; each lambda_min is a
+shift-invert Lanczos solve of the Jacobi-scaled pencil. The eigenvector at t*
+is the argmin, and its quotient, evaluated from the factored forms, is the
+reported minimum; (lambda*/2)^2 is reported beside it as the pencil value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy import linalg as _sla
 from scipy import optimize as _sopt
 from scipy import sparse
+from scipy.interpolate import BSpline
+from scipy.sparse.linalg import eigsh, spsolve
 
-from ._fd import fornberg_weights
 from .constants import (
     PrincipleId,
     hardy_correction_factor,
@@ -109,8 +111,7 @@ _KIND_QUOTIENT = {
 
 
 def _kind_forms(kind: QuotientKind, mode: Mode):
-    """(A, B, C) term lists: table rows as (coef, deriv, power) with zero coefs
-    dropped, then the truncation charges as (name, coef, power)."""
+    """(A, B, C) table rows as (coef, deriv, power), zero coefficients dropped."""
     if kind is QuotientKind.HARDY_1D:
         num, den = _hardy_rows(mode)
         forms = ([num], [den], [den])
@@ -119,29 +120,7 @@ def _kind_forms(kind: QuotientKind, mode: Mode):
         forms = [_term_table(fid, form, mode) for fid in PRINCIPLE_FUNCTIONALS[principle]]
         if product:
             forms = [[(c, d - 1, p) for c, d, p in rows if d >= 1] for rows in forms]
-    A, B, C = ([row for row in rows if row[0] != 0] for rows in forms)
-    p = mode.dimension + 2 * mode.degree - 1
-    # The "left_value"/"left_slope" entries charge the minimal admissible
-    # extension of the unknown below r_min (cost r_min^{p-1} |w(r_min)|^2 for
-    # the derivative-plus-penalty forms, by the Euler equation); without them
-    # the truncated domain admits edge-hugging modes below the half-line
-    # constants in low dimensions.
-    if kind in (QuotientKind.PRODUCT_HUP2, QuotientKind.PRODUCT_HYUP2):
-        A.append(("left_value", 1.0, p - 1))
-    elif kind is QuotientKind.MODE_HYUP2_FULL:
-        # ∫ r^p |v'' + p v'/r|^2 equals the two-term form plus the boundary
-        # flux p [r^{p-1}|v'|^2] between the domain ends. On a truncated grid
-        # neither pure form is safe: dropping the right flux opens a
-        # ramp-shaped spurious minimum, while the raw operator square vanishes
-        # on the (left-singular) kernel r^{-(p-1)} that truncation re-admits.
-        # Two-term assembly plus the explicit right-end slope term shields both
-        # ends and is exact for admissible decaying profiles. The left-end
-        # slope term charges the minimal admissible extension of v' below r_min
-        # (Euler solution is linear, cost r_min^{p-1}|v'|^2); without it,
-        # half-bumps hugging the cut recover the tail saving and sit below the
-        # half-line infimum in low dimensions.
-        A += [("right_slope", p, p - 1), ("left_slope", 1.0, p - 1)]
-    return A, B, C
+    return tuple([row for row in rows if row[0] != 0] for rows in forms)
 
 
 def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
@@ -165,25 +144,6 @@ def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
     return (N + 1) ** 2 / 4.0 if k == 0 else None
 
 
-def _default_init(kind: QuotientKind, mode: Mode, r: np.ndarray) -> np.ndarray:
-    k = mode.degree
-    if kind is QuotientKind.PRODUCT_HUP2:
-        return r * np.exp(-(r**2))
-    if kind is QuotientKind.PRODUCT_HYUP2:
-        return r * np.exp(-r)
-    if kind is QuotientKind.CLASSIC_HUP:
-        return r**k * np.exp(-(r**2))
-    if kind is QuotientKind.CLASSIC_HYUP:
-        return r**k * np.exp(-r)
-    if kind is QuotientKind.HARDY_1D:
-        # Near-extremal power profile, windowed at both grid ends: the Hardy
-        # infimum is approached by log-spread mass, never attained.
-        N2k = mode.dimension + 2 * k
-        window = np.exp(-3.0 * r[0] / r) * np.exp(-((r / (0.5 * r[-1])) ** 6))
-        return r ** (-N2k / 2.0) * window
-    return (1.0 + r) * np.exp(-r)
-
-
 @dataclass(frozen=True)
 class VariationalProblem:
     mode: Mode
@@ -203,114 +163,99 @@ class VariationalProblem:
         spacing: str = "geometric",
     ) -> "VariationalProblem":
         kind = QuotientKind(kind)
-        default_r_max = 14.0 if kind in _GAUSS_KINDS else 24.0
-        grid = GridSpec(r_min or 1e-3, r_max or default_r_max, size, spacing)
+        r_min = 1e-3 if r_min is None else r_min
+        if r_max is None:
+            r_max = 14.0 if kind in _GAUSS_KINDS else 24.0
+        grid = GridSpec(r_min, r_max, size, spacing)
         return cls(make_mode(dimension, degree), kind, grid)
 
     def assemble(self) -> "DiscreteQuotient":
         return DiscreteQuotient(self)
 
 
-def _zero_order_matrix(r: np.ndarray, w: np.ndarray, p: float) -> sparse.csr_array:
-    return sparse.csr_array(sparse.diags_array(w * r**p))
-
-
-def _first_order_matrix(r: np.ndarray, p: float) -> sparse.csr_array:
-    # Staggered midpoint cells: sum_j dr_j * r_mid^p * ((x_{j+1}-x_j)/dr_j)^2.
-    n = len(r)
-    dr = np.diff(r)
-    rm = 0.5 * (r[1:] + r[:-1])
+def _derivative_map(knots: np.ndarray, degree: int) -> sparse.csr_array:
+    """Coefficients of a spline -> coefficients of its derivative on knots[1:-1]."""
+    n = len(knots) - degree - 1
+    scale = degree / (knots[degree + 1 : degree + n] - knots[1:n])
     idx = np.arange(n - 1)
-    g = sparse.csr_array(
-        (
-            np.concatenate([-1.0 / dr, 1.0 / dr]),
-            (np.concatenate([idx, idx]), np.concatenate([idx, idx + 1])),
-        ),
-        shape=(n - 1, n),
-    )
-    return (g.T @ sparse.diags_array(dr * rm**p) @ g).tocsr()
+    rows, cols = np.concatenate([idx, idx]), np.concatenate([idx, idx + 1])
+    return sparse.csr_array((np.concatenate([-scale, scale]), (rows, cols)), shape=(n - 1, n))
 
 
-def _second_order_matrix(r: np.ndarray, w: np.ndarray, p: float) -> sparse.csr_array:
-    # Interior 3-point second-difference rows; no boundary extrapolation rows.
-    n = len(r)
-    rows, cols, data = [], [], []
-    for i in range(1, n - 1):
-        wts = fornberg_weights(r[i], r[i - 1 : i + 2], 2)
-        rows.extend([i - 1] * 3)
-        cols.extend([i - 1, i, i + 1])
-        data.extend(wts.tolist())
-    d2 = sparse.csr_array((data, (rows, cols)), shape=(n - 2, n))
-    return (d2.T @ sparse.diags_array((w * r**p)[1:-1]) @ d2).tocsr()
-
-
-def _edge_slope_matrix(r: np.ndarray, coef: float, p: float, left: bool) -> sparse.csr_array:
-    # coef * r_edge^p * |v'(r_edge)|^2 with the slope taken over the edge cell.
-    n = len(r)
-    i, j = (0, 1) if left else (n - 2, n - 1)
-    dr = r[j] - r[i]
-    val = coef * (r[0] if left else r[-1]) ** p / dr**2
-    m = sparse.lil_array((n, n))
-    m[i, i] = val
-    m[j, j] = val
-    m[i, j] = -val
-    m[j, i] = -val
-    return m.tocsr()
+def _spline_design(x: np.ndarray, knots: np.ndarray) -> list[sparse.csr_array]:
+    """Values and first two derivatives of the cubic B-splines on ``knots`` at x."""
+    out = []
+    for d in range(3):
+        m = BSpline.design_matrix(x, knots[d : len(knots) - d], 3 - d)
+        for j in range(d, 0, -1):
+            m = m @ _derivative_map(knots[j - 1 : len(knots) - j + 1], 4 - j)
+        out.append(m.tocsr())
+    return out
 
 
 class DiscreteQuotient:
-    """Grid realization of one product quotient (forms on free node values).
+    """Rayleigh–Ritz realization of one quotient on cubic B-splines in ln r.
 
-    The right endpoint is always pinned to zero (compact-support model); the
-    left endpoint is pinned for the one-dimensional product problems at
-    degree >= 1, mirroring the r^k vanishing order at the origin.
+    ``x`` holds the coefficients of the free splines (see the module
+    docstring for the end conditions). ``parts`` evaluates the three forms
+    factored, row by row; ``A``, ``B`` and ``C`` are the assembled sparse
+    matrices that the pencil works on.
     """
 
     def __init__(self, problem: VariationalProblem):
         self.problem = problem
-        kind, mode, grid = problem.kind, problem.mode, problem.grid
-        r = grid.nodes()
-        w = np.empty_like(r)
-        w[0] = 0.5 * (r[1] - r[0])
-        w[-1] = 0.5 * (r[-1] - r[-2])
-        w[1:-1] = 0.5 * (r[2:] - r[:-2])
-        terms_abc = _kind_forms(kind, mode)
+        r = problem.grid.nodes()
+        s = np.log(r)
+        forms = _kind_forms(problem.kind, problem.mode)
+        rows = [row for form in forms for row in form]
+        second = any(d == 2 for _, d, _ in rows)
+        pin = any(d == 0 and p <= -1 for _, d, p in rows)
 
-        def build(terms):
-            m = sparse.csr_array((len(r), len(r)))
-            for coef, d, p in terms:
-                if coef in ("right_slope", "left_slope"):
-                    m = m + _edge_slope_matrix(r, float(d), float(p), coef == "left_slope")
-                    continue
-                if coef == "left_value":
-                    extra = sparse.lil_array((len(r), len(r)))
-                    extra[0, 0] = float(d) * r[0] ** float(p)
-                    m = m + extra.tocsr()
-                    continue
-                if d == 0:
-                    part = _zero_order_matrix(r, w, float(p))
-                elif d == 1:
-                    part = _first_order_matrix(r, float(p))
-                else:
-                    part = _second_order_matrix(r, w, float(p))
-                m = m + coef * part
-            return m
-
-        A, B, C = (build(t) for t in terms_abc)
-        pin_left = (
-            kind in (QuotientKind.PRODUCT_HUP2, QuotientKind.PRODUCT_HYUP2)
-            and mode.degree >= 1
+        # Free coefficients -> all n coefficients. The clamped knot vector
+        # makes v(end) the end coefficient and v_s(end) a multiple of the
+        # difference of the two end coefficients.
+        n = len(s) + 2
+        first = (2 if second else 1) if pin else 0
+        full = np.arange(first, n - 2)
+        free = full - first
+        if second and not pin:  # v_s(s_0) = 0: the first two coefficients agree
+            free = np.maximum(full - 1, 0)
+        embed = sparse.csr_array(
+            (np.ones(len(full)), (full, free)), shape=(n, free[-1] + 1)
         )
-        free = np.arange(1 if pin_left else 0, len(r) - 1)
-        self.r, self.w, self.free = r, w, free
-        self.geometric = grid.spacing == "geometric"
-        self.A = A[free][:, free].tocsr()
-        self.B = B[free][:, free].tocsr()
-        self.C = C[free][:, free].tocsr()
-        self.target = continuum_target(kind, mode)
+
+        gx, gw = np.polynomial.legendre.leggauss(6)
+        half = 0.5 * np.diff(s)
+        sq = ((s[:-1] + half)[:, None] + half[:, None] * gx).ravel()
+        wq = (half[:, None] * gw).ravel()
+        knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
+        f0, f1, f2 = (m @ embed for m in _spline_design(sq, knots))
+        design = (f0, f1, (f2 - f1).tocsr())
+        edge = embed[[0]]  # v(r_min)
+
+        # Each form is a list of (coef, design matrix, weights) terms; the
+        # value is sum coef * sum weights * (design @ x)^2.
+        self._terms = []
+        for form in forms:
+            terms = []
+            for c, d, p in form:
+                terms.append((c, design[d], wq * np.exp((p + 1 - 2 * d) * sq)))
+                if d == 0 and not pin:
+                    terms.append((c, edge, np.array([r[0] ** (p + 1) / (p + 1)])))
+            self._terms.append(terms)
+        self.A, self.B, self.C = (
+            sum(c * (m.T @ sparse.diags_array(w) @ m) for c, m, w in terms).tocsr()
+            for terms in self._terms
+        )
+        self.r, self._embed, self._knots = r, embed, knots
+        self._projection = (f0, wq, np.exp(sq))
+        self.target = continuum_target(problem.kind, problem.mode)
 
     def parts(self, x: np.ndarray) -> tuple[float, float, float]:
-        return float(x @ (self.A @ x)), float(x @ (self.B @ x)), float(x @ (self.C @ x))
+        return tuple(
+            math.fsum(coef * float(w @ np.square(m @ x)) for coef, m, w in terms)
+            for terms in self._terms
+        )
 
     def value(self, x: np.ndarray) -> float:
         a, b, c = self.parts(x)
@@ -318,18 +263,18 @@ class DiscreteQuotient:
             raise SolverError("normalization term collapsed")
         return a * b / (c * c)
 
-    def default_init(self, dilation: float = 1.0) -> np.ndarray:
-        full = _default_init(self.problem.kind, self.problem.mode, dilation * self.r)
-        return full[self.free]
-
     def init_from_profile(self, profile: Profile) -> np.ndarray:
-        return np.asarray(profile.value(self.r[self.free], 0), dtype=float)
+        """L2(ds) projection of the profile onto the free splines."""
+        f0, wq, rq = self._projection
+        gram = (f0.T @ sparse.diags_array(wq) @ f0).tocsc()
+        rhs = f0.T @ (wq * np.asarray(profile.value(rq, 0), dtype=float))
+        return spsolve(gram, rhs)
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
-        full = np.zeros_like(self.r)
-        full[self.free] = x
+        """Node values of the spline with coefficients x."""
+        spline = BSpline(self._knots, self._embed @ x, 3)
         scheme = "cd4" if self.problem.grid.spacing == "uniform" else "cd2"
-        return SampledProfile(self.r, full, scheme)
+        return SampledProfile(self.r, spline(np.log(self.r)), scheme)
 
 
 @dataclass
@@ -337,12 +282,13 @@ class MinimizationResult:
     problem: VariationalProblem
     min_value: float
     argmin: SampledProfile
-    iterations: int
-    converged: bool
-    history: list[float]
+    iterations: int  # pencil evaluations
+    converged: bool  # sweep bracketed t*, refine converged, pencil agrees with min_value
+    history: list[float]  # running minimum of (lambda(t)/2)^2
     target: float | None
-    seed: int
-    restarts: int
+    t_star: float
+    pencil_value: float
+    eigen_residual: float
 
     def to_json(self) -> dict:
         return {
@@ -358,183 +304,91 @@ class MinimizationResult:
             "target": self.target,
             "iterations": self.iterations,
             "converged": self.converged,
-            "seed": self.seed,
-            "restarts": self.restarts,
+            "t_star": self.t_star,
+            "pencil_value": self.pencil_value,
+            "eigen_residual": self.eigen_residual,
             "history": list(self.history),
             "argmin": profile_to_json(self.argmin),
         }
 
 
-def _descend(dq: DiscreteQuotient, x0: np.ndarray, budget: int):
-    c0 = float(x0 @ (dq.C @ x0))
-    if not np.isfinite(c0) or c0 <= 1e-280:
-        raise SolverError("degenerate initial profile: middle term below tolerance")
-    x = x0 / math.sqrt(c0)
-    q = dq.value(x)
-    history = [q]
-    eta = None
-    x_prev = g_prev = None
-    stall = 0
-    iterations = 0
-    converged = False
-    for iterations in range(1, budget + 1):
-        a, b, _ = dq.parts(x)
-        g = 2.0 * (b * (dq.A @ x) + a * (dq.B @ x) - 2.0 * a * b * (dq.C @ x))
-        gg = float(g @ g)
-        # |g| carries units of Q * |x|; compare scale-free.
-        if gg * float(x @ x) <= 1e-18 * q * q:
-            converged = True
-            break
-        # Barzilai-Borwein trial step, safeguarded by Armijo backtracking below.
-        if x_prev is not None:
-            s = x - x_prev
-            ydiff = g - g_prev
-            sy = float(s @ ydiff)
-            if sy > 0.0:
-                eta = float(s @ s) / sy
-        if eta is None:
-            eta = 0.01 * math.sqrt(float(x @ x) / gg)
-        eta = float(min(max(eta, 1e-18), 1e12))
-        x_prev, g_prev = x, g
-        accepted = False
-        for _ in range(60):
-            y = x - eta * g
-            cy = float(y @ (dq.C @ y))
-            if cy > 0.0 and np.isfinite(cy):
-                y = y / math.sqrt(cy)
-                qy = dq.value(y)
-                if qy <= q - 1e-4 * eta * gg or qy < q * (1.0 - 1e-15):
-                    accepted = True
-                    break
-            eta *= 0.5
-        if not accepted:
-            converged = True  # no descent direction left at float resolution
-            break
-        drop = q - qy
-        x, q = y, qy
-        history.append(q)
-        # On geometric grids an index shift is a dilation: probe the
-        # quasi-invariant direction occasionally to escape wrong-scale states.
-        if dq.geometric and iterations % 50 == 0:
-            shifted = _best_shift(dq, x, q)
-            if shifted is not None:
-                x, q = shifted
-                history.append(q)
-                x_prev = g_prev = None
-        stall = stall + 1 if drop < 1e-12 * max(q, 1.0) else 0
-        if stall >= 30:
-            converged = True
-            break
-        # Flat-valley exit: creeping tails improve the value by a few parts
-        # in 1e6 per 500 iterations, far inside every tolerance band used
-        # downstream; treat that as converged.
-        if len(history) > 500 and history[-501] - q < 3e-6 * abs(q):
-            converged = True
-            break
-    return x, q, history, iterations, converged
+#: Points of the coarse log-t sweep, and the relative agreement between the
+#: pencil value and the argmin's quotient that counts as converged.
+_SWEEP_POINTS = 16
+_AGREEMENT = 1e-6
 
 
-def _best_shift(dq: DiscreteQuotient, x: np.ndarray, q: float):
-    best = None
-    for j in (-8, -3, -1, 1, 3, 8):
-        y = np.zeros_like(x)
-        if j > 0:
-            y[j:] = x[:-j]
-        else:
-            y[:j] = x[-j:]
-        cy = float(y @ (dq.C @ y))
-        if cy <= 1e-280 or not np.isfinite(cy):
-            continue
-        y = y / math.sqrt(cy)
-        qy = dq.value(y)
-        if qy < q * (1.0 - 1e-12) and (best is None or qy < best[1]):
-            best = (y, qy)
-    return best
+def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
+    """Minimize the discrete quotient exactly through the t-pencil.
 
-
-def minimize_quotient(
-    problem: VariationalProblem,
-    init: Profile | None = None,
-    budget: int = 6000,
-    seed: int = 0,
-    restarts: int = 5,
-    noise: float = 0.1,
-) -> MinimizationResult:
-    """Minimize the discrete quotient by normalized gradient descent.
-
-    The first restart starts from the family extremal (or the given init); the
-    others cycle through dilations of it and add multiplicative noise. The
-    best run is returned; its history is nonincreasing by construction.
-    """
-    if restarts < 1:
-        raise UsageError("need at least one restart")
-    dq = problem.assemble()
-    dilations = (1.0, 0.6, 1.7, 3.0, 0.35)
-    rng = np.random.default_rng(seed)
-    best = None
-    for attempt in range(restarts):
-        if init is not None:
-            base = dq.init_from_profile(init)
-        else:
-            base = dq.default_init(dilations[attempt % len(dilations)])
-        if not np.any(base):
-            raise SolverError("degenerate initial profile: identically zero")
-        x0 = base if attempt == 0 else base * (1.0 + noise * rng.standard_normal(base.shape))
-        x, q, history, iterations, converged = _descend(dq, x0, budget)
-        if best is None or q < best[1]:
-            best = (x, q, history, iterations, converged)
-    x, q, history, iterations, converged = best
-    return MinimizationResult(
-        problem=problem,
-        min_value=q,
-        argmin=dq.to_profile(x),
-        iterations=iterations,
-        converged=converged,
-        history=history,
-        target=dq.target,
-        seed=seed,
-        restarts=restarts,
-    )
-
-
-def eigen_crosscheck(problem: VariationalProblem, t_window: float = 5.0) -> float:
-    """Product-quotient infimum via the t-parameterized eigenvalue pencil.
-
-    Independent of the descent path: for each t the smallest generalized
-    eigenvalue of (t A + B/t, C) is computed after a Jacobi rescaling, and the
-    infimum over t is taken by bounded scalar minimization on log t.
+    Each lambda(t) = lambda_min(t A + B/t; C) is one shift-invert solve of the
+    Jacobi-scaled pencil, read off as the Rayleigh quotient of its
+    eigenvector in the factored forms (an upper bound that the assembled
+    matrices, which cancel badly near r_min, would not give). The coarse
+    log-t sweep spans the local scales of the splines, widened upward by
+    ln(size) for profiles much wider than one spline; lambda(t) can have
+    several local minima, and the sweep picks the basin that a bounded Brent
+    search between the neighbours of its best point then refines.
     """
     dq = problem.assemble()
-    A, B, C = dq.A.toarray(), dq.B.toarray(), dq.C.toarray()
-    s = 1.0 / np.sqrt(np.diag(C))
-    A = A * s[:, None] * s[None, :]
-    B = B * s[:, None] * s[None, :]
-    C = C * s[:, None] * s[None, :]
+    scale = 1.0 / np.sqrt(dq.C.diagonal())
+    jacobi = sparse.diags_array(scale)
+    A, B, C = ((jacobi @ m @ jacobi).tocsc() for m in (dq.A, dq.B, dq.C))
+    evaluations: list[tuple[float, float, np.ndarray]] = []
 
     def lam(log_t: float) -> float:
         t = math.exp(log_t)
-        m = t * A + B / t
-        return float(
-            _sla.eigh(m, C, eigvals_only=True, subset_by_index=[0, 0])[0]
-        )
+        # Lanczos starts from the previous eigenvector (ones at first), so
+        # every run of the same problem takes the same path.
+        v0 = evaluations[-1][2] if evaluations else np.ones(A.shape[0])
+        _, vecs = eigsh(t * A + B / t, k=1, M=C, sigma=0.0, v0=v0)
+        y = vecs[:, 0]
+        a, b, c = dq.parts(scale * y)
+        evaluations.append((log_t, (t * a + b / t) / c, y))
+        return evaluations[-1][1]
 
-    x0 = dq.default_init()
-    a0, b0, _ = dq.parts(x0)
-    center = 0.5 * math.log(b0 / a0)
-    res = _sopt.minimize_scalar(
+    local = 0.5 * np.log(B.diagonal() / A.diagonal())
+    sweep = np.linspace(local.min(), local.max() + math.log(problem.grid.size), _SWEEP_POINTS)
+    best = int(np.argmin([lam(g) for g in sweep]))
+    bracketed = 0 < best < len(sweep) - 1
+    refine = _sopt.minimize_scalar(
         lam,
-        bounds=(center - t_window, center + t_window),
+        bounds=(sweep[max(best - 1, 0)], sweep[min(best + 1, len(sweep) - 1)]),
         method="bounded",
-        options={"xatol": 1e-7},
+        options={"xatol": 1e-4},
     )
-    return (res.fun / 2.0) ** 2
+    log_t, lam_star, y = min(evaluations, key=lambda e: e[1])
+    t = math.exp(log_t)
+    residual = float(np.linalg.norm((t * A + B / t) @ y - lam_star * (C @ y)))
+    x = scale * y
+    min_value = dq.value(x)
+    pencil = (lam_star / 2.0) ** 2
+    agrees = pencil - min_value <= _AGREEMENT * pencil
+    history = np.minimum.accumulate([(e[1] / 2.0) ** 2 for e in evaluations])
+    return MinimizationResult(
+        problem=problem,
+        min_value=min_value,
+        argmin=dq.to_profile(x),
+        iterations=len(evaluations),
+        converged=bracketed and bool(refine.success) and agrees,
+        history=history.tolist(),
+        target=dq.target,
+        t_star=t,
+        pencil_value=pencil,
+        eigen_residual=residual,
+    )
+
+
+def eigen_crosscheck(problem: VariationalProblem) -> float:
+    """Pencil value (lambda*/2)^2 of the problem's t-pencil minimization."""
+    return minimize_quotient(problem).pencil_value
 
 
 @dataclass
 class ModeBoundRow:
     degree: int
     min_value: float
-    eigen_value: float | None
+    eigen_value: float
     continuum: float
     factor: Fraction
     bound: float
@@ -591,10 +445,6 @@ def mode_combined_bound(
     dimension: int,
     k_max: int = 6,
     size: int = 512,
-    seed: int = 0,
-    restarts: int = 3,
-    budget: int = 4000,
-    eigen_check: bool = True,
 ) -> CombinedBound:
     """Per-mode product minima times the Hardy-correction factors.
 
@@ -612,14 +462,13 @@ def mode_combined_bound(
     rows: list[ModeBoundRow] = []
     for k in range(k_max + 1):
         problem = VariationalProblem.for_mode(kind, dimension, k, size=size)
-        res = minimize_quotient(problem, budget=budget, seed=seed + k, restarts=restarts)
-        eig = eigen_crosscheck(problem) if eigen_check else None
+        res = minimize_quotient(problem)
         factor = hardy_correction_factor(quotient, dimension, k)
         rows.append(
             ModeBoundRow(
                 degree=k,
                 min_value=res.min_value,
-                eigen_value=eig,
+                eigen_value=res.pencil_value,
                 continuum=continuum_target(kind, problem.mode),
                 factor=factor,
                 bound=float(factor) * res.min_value,
@@ -657,7 +506,6 @@ class ConjectureReport:
     estimated_infimum: float
     argmin_degree: int
     counterexample: dict | None
-    multi_mode_trials: dict
     status: str
 
     def to_json(self) -> dict:
@@ -671,7 +519,6 @@ class ConjectureReport:
             "estimated_infimum": self.estimated_infimum,
             "argmin_degree": self.argmin_degree,
             "counterexample": self.counterexample,
-            "multi_mode_trials": self.multi_mode_trials,
             "status": self.status,
         }
 
@@ -682,43 +529,26 @@ class ConjectureReport:
         ]
 
 
-def _random_multimode_trial(rng, quotients: list[DiscreteQuotient]) -> float:
-    """Full-space quotient of one random multi-mode profile (totals over modes)."""
-    a = b = c = 0.0
-    for dq in quotients:
-        r = dq.r[dq.free]
-        centers = rng.uniform(1.0, 6.0, size=2)
-        rates = rng.uniform(0.3, 1.0, size=2)
-        amps = rng.uniform(-1.0, 1.0, size=2)
-        x = sum(
-            amp * np.exp(-rate * (r - c0) ** 2)
-            for amp, rate, c0 in zip(amps, rates, centers)
-        )
-        ak, bk, ck = dq.parts(x)
-        a, b, c = a + ak, b + bk, c + ck
-    if c <= 0.0:
-        return math.inf
-    return a * b / (c * c)
-
-
 def explore_conjecture(
     dimension: int,
     k_max: int = 4,
     resolutions: tuple[int, ...] = (128, 256, 512),
-    seed: int = 0,
-    restarts: int = 3,
-    budget: int = 4000,
-    trials: int = 200,
 ) -> ConjectureReport:
     """Numerical evidence for the open 2 <= N <= 4 range of the second-order
     hydrogen principle (N = 5 runs the same pipeline as a proved calibration).
 
-    The true per-mode quotient is minimized on a resolution ladder (single
-    modes exhaust the full-space infimum for product quotients), the combined
-    per-mode bound pipeline runs at the finest resolution, and random
-    multi-mode trials confirm nothing dips below the single-mode minima. A
-    trial below conjectured*(1 - 3 * discretization budget) is flagged as a
+    The true per-mode quotient is minimized on a resolution ladder, and the
+    combined per-mode bound pipeline runs at the finest resolution. A minimum
+    below conjectured*(1 - 3 * discretization budget) is flagged as a
     counterexample candidate; no claim is made in either direction.
+
+    Single modes exhaust the full-space infimum. Orthogonal modes add their
+    A, B and C, so by Cauchy–Schwarz a mixture with per-mode values
+    (a_k, b_k, c_k) and quotients q_k = a_k b_k / c_k^2 satisfies
+
+        (sum a_k)(sum b_k) >= (sum sqrt(a_k b_k))^2 >= min_k q_k (sum c_k)^2,
+
+    so no mode mixture goes below the best single mode.
     """
     n = int(dimension)
     if n < 2:
@@ -728,26 +558,21 @@ def explore_conjecture(
     finest = max(resolutions)
     counterexample = None
     per_mode_finest: dict[int, float] = {}
-    quotients_finest: list[DiscreteQuotient] = []
     for size in sorted(resolutions):
         for k in range(k_max + 1):
             problem = VariationalProblem.for_mode(
                 QuotientKind.MODE_HYUP2_FULL, n, k, size=size
             )
-            res = minimize_quotient(
-                problem, budget=budget, seed=seed + 31 * k + size, restarts=restarts
-            )
-            entry = {
+            res = minimize_quotient(problem)
+            ladder.append({
                 "degree": k,
                 "size": size,
                 "min_value": res.min_value,
+                "eigen_value": res.pencil_value,
                 "converged": res.converged,
-            }
+            })
             if size == finest:
-                entry["eigen_value"] = eigen_crosscheck(problem)
                 per_mode_finest[k] = res.min_value
-                quotients_finest.append(problem.assemble())
-            ladder.append(entry)
             if res.min_value < conjectured * (1.0 - 3.0 * DISCRETIZATION_BUDGET):
                 cand = {
                     "degree": k,
@@ -758,12 +583,7 @@ def explore_conjecture(
                 if counterexample is None or cand["min_value"] < counterexample["min_value"]:
                     counterexample = cand
 
-    combined = mode_combined_bound(
-        "hyup2", n, k_max=max(k_max, 4), size=finest, seed=seed, restarts=restarts,
-        budget=budget, eigen_check=False,
-    )
-    rng = np.random.default_rng(seed + 7919)
-    trial_values = [_random_multimode_trial(rng, quotients_finest) for _ in range(trials)]
+    combined = mode_combined_bound("hyup2", n, k_max=max(k_max, 4), size=finest)
     argmin_degree = min(per_mode_finest, key=per_mode_finest.get)
     return ConjectureReport(
         dimension=n,
@@ -775,7 +595,6 @@ def explore_conjecture(
         estimated_infimum=per_mode_finest[argmin_degree],
         argmin_degree=argmin_degree,
         counterexample=counterexample,
-        multi_mode_trials={"count": trials, "min_quotient": float(min(trial_values))},
         status="numerical evidence only; nothing here proves or refutes the open range",
     )
 

@@ -207,7 +207,7 @@ def test_criterion_08_variational_recovery():
     ok = True
     for kind, n, k, target in runs:
         problem = VariationalProblem.for_mode(kind, n, k, size=512)
-        res = minimize_quotient(problem, budget=6000, seed=7, restarts=3)
+        res = minimize_quotient(problem)
         rel = abs(res.min_value - target) / target
         worst = max(worst, rel)
         ok &= rel < 0.02 and res.converged
@@ -218,7 +218,7 @@ def test_criterion_09_combined_bounds():
     ok = True
     details = []
     for quotient, n, target in (("hup2", 2, 4.0), ("hup2", 4, 9.0), ("hyup2", 5, 9.0)):
-        cb = mode_combined_bound(quotient, n, k_max=6, size=512, restarts=2, budget=5000)
+        cb = mode_combined_bound(quotient, n, k_max=6, size=512)
         rel = abs(cb.combined - target) / target
         scan_match = abs(cb.combined - float(cb.exact_combined)) / float(cb.exact_combined)
         ok &= rel < 0.03 and scan_match < 0.03 and cb.argmin_degree == 0
@@ -244,14 +244,14 @@ def test_criterion_10_vector_field_equivalence():
 def test_criterion_11_conjecture_explorer():
     ladder = (128, 256, 512)
     calibration = explore_conjecture(
-        5, k_max=3, resolutions=ladder, seed=0, restarts=2, budget=3500, trials=100
+        5, k_max=3, resolutions=ladder
     )
     cal_gap = abs(calibration.estimated_infimum - 9.0) / 9.0
     ok = cal_gap < 0.03 and calibration.counterexample is None
     details = [f"N=5 calibration {calibration.estimated_infimum:.4f} (gap {cal_gap:.2%})"]
     for n in (2, 3, 4):
         report = explore_conjecture(
-            n, k_max=3, resolutions=ladder, seed=0, restarts=2, budget=3500, trials=100
+            n, k_max=3, resolutions=ladder
         )
         complete = (
             len(report.ladder) == len(ladder) * 4

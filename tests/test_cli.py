@@ -22,6 +22,16 @@ def test_range_parsing():
         parse_int_range("5..2")
 
 
+def test_malformed_numbers_are_usage_errors(capsys):
+    for args in (
+        ["verify", "hup", "--n", "x"],
+        ["conjecture", "--n", "5", "--ladder", ","],
+        ["conjecture", "--n", "5", "--ladder", "96.7"],
+    ):
+        rc, _ = run_cli(capsys, args)
+        assert rc == 2, args
+
+
 def test_verify_sweep_passes(capsys):
     rc, out = run_cli(capsys, ["verify", "hup2", "--n", "1..10"])
     data = json.loads(out)
