@@ -58,7 +58,7 @@ from .profiles import (
     make_mode,
     profile_to_json,
 )
-from .quadrature import CLOSED_FORM, WeightedSeminorm, integrate
+from .quadrature import CLOSED_FORM, WeightedSeminorm, gauss_panels, integrate
 from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _hardy_rows, _term_table
 
 
@@ -149,7 +149,6 @@ class VariationalProblem:
     mode: Mode
     kind: QuotientKind
     grid: GridSpec
-    normalization: float = 1.0
 
     @classmethod
     def for_mode(
@@ -224,10 +223,7 @@ class DiscreteQuotient:
             (np.ones(len(full)), (full, free)), shape=(n, free[-1] + 1)
         )
 
-        gx, gw = np.polynomial.legendre.leggauss(6)
-        half = 0.5 * np.diff(s)
-        sq = ((s[:-1] + half)[:, None] + half[:, None] * gx).ravel()
-        wq = (half[:, None] * gw).ravel()
+        sq, wq = (a.ravel() for a in gauss_panels(s, 6))
         knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
         f0, f1, f2 = (m @ embed for m in _spline_design(sq, knots))
         design = (f0, f1, (f2 - f1).tocsr())
@@ -271,10 +267,16 @@ class DiscreteQuotient:
         return spsolve(gram, rhs)
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
-        """Node values of the spline with coefficients x."""
+        """The spline with coefficients x, sampled at the grid nodes.
+
+        The returned profile is the cubic spline in r through those samples,
+        zero outside the grid. The discrete function itself continues below
+        r_min as the constant v(r_min) (unless v(r_min) is pinned to 0), so
+        its quotient adds c * r_min^(p+1) / (p+1) * v(r_min)^2 to every
+        zero-order row (c, 0, p) of ``integrate`` on this profile.
+        """
         spline = BSpline(self._knots, self._embed @ x, 3)
-        scheme = "cd4" if self.problem.grid.spacing == "uniform" else "cd2"
-        return SampledProfile(self.r, spline(np.log(self.r)), scheme)
+        return SampledProfile(self.r, spline(np.log(self.r)))
 
 
 @dataclass

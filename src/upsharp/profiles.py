@@ -4,8 +4,9 @@ Every functional in the package is evaluated on one of two profile kinds:
 
 * :class:`AnalyticProfile` — a closed-form family member with exact derivative
   formulas (and exact weighted moments, see :mod:`upsharp.quadrature`);
-* :class:`SampledProfile` — node values on a strictly positive grid with a
-  finite-difference scheme, treated as zero beyond the last node.
+* :class:`SampledProfile` — node values on a strictly positive grid, read as
+  the not-a-knot cubic spline through them and treated as zero outside the
+  grid.
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
-from ._fd import SCHEME_ORDER, SCHEMES, diff_values
 from .errors import UsageError
 
 GAUSS_KERNEL = "gauss"  # decay factor e^{-rate * r^2}
@@ -128,8 +129,7 @@ class AnalyticProfile:
         return FAMILY_KERNELS[self.family]
 
     def kernel_terms(self, deriv: int = 0) -> KernelTerms:
-        if deriv not in (0, 1, 2):
-            raise UsageError("derivative order must be 0, 1 or 2")
+        _check_deriv(deriv)
         a, b = self.amplitude, self.rate
         if self.family == "gaussian":
             base = KernelTerms(GAUSS_KERNEL, ((a, 0.0, b),))
@@ -187,13 +187,13 @@ class MixtureProfile:
 class SampledProfile:
     """Node values on a strictly increasing positive grid.
 
-    Values beyond the last node are treated as zero (compact-support model);
-    the grid must start strictly above zero so that negative radial weights
-    stay finite. Derivatives come from the configured scheme and are cached.
+    The profile is the not-a-knot cubic spline in r through the nodes, and
+    zero outside the grid (compact-support model); the grid must start
+    strictly above zero so that negative radial weights stay finite.
     Instances are immutable after construction.
     """
 
-    def __init__(self, grid, values, scheme: str = "cd4"):
+    def __init__(self, grid, values):
         grid = np.ascontiguousarray(grid, dtype=float)
         values = np.ascontiguousarray(values, dtype=float)
         if grid.ndim != 1 or values.shape != grid.shape:
@@ -206,41 +206,64 @@ class SampledProfile:
             raise UsageError("grid must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise UsageError("profile values must be finite")
-        if scheme not in SCHEMES:
-            raise UsageError(f"unknown differentiation scheme {scheme!r}")
         grid.flags.writeable = False
         values.flags.writeable = False
         self.grid = grid
         self.values = values
-        self.scheme = scheme
-        self._deriv_cache: dict[int, np.ndarray] = {}
-
-    @property
-    def scheme_order(self) -> int:
-        return SCHEME_ORDER[self.scheme]
+        self._spline = CubicSpline(grid, values)
+        self._rule: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._squares: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def derivative_values(self, deriv: int) -> np.ndarray:
-        """Node values of the deriv-th derivative (deriv in {0, 1, 2})."""
+        """Node values of the spline's deriv-th derivative (deriv in {0, 1, 2})."""
         if deriv == 0:
             return self.values
-        if deriv not in (1, 2):
-            raise UsageError("derivative order must be 0, 1 or 2")
-        if deriv not in self._deriv_cache:
-            d = diff_values(self.values, self.grid, deriv, self.scheme)
-            d.flags.writeable = False
-            self._deriv_cache[deriv] = d
-        return self._deriv_cache[deriv]
+        _check_deriv(deriv)
+        return self._spline(self.grid, deriv)
 
     def value(self, r: np.ndarray | float, deriv: int = 0) -> np.ndarray | float:
-        """Linear interpolation of the (derivative) node values; 0 outside the grid."""
-        arr = self.derivative_values(deriv)
+        """The spline's deriv-th derivative at r; 0 outside the grid."""
+        _check_deriv(deriv)
         r = np.asarray(r, dtype=float)
-        out = np.interp(r, self.grid, arr, left=0.0, right=0.0)
+        out = self._spline(r, deriv)
         outside = (r < self.grid[0]) | (r > self.grid[-1])
         return np.where(outside, 0.0, out) if out.ndim else (0.0 if outside else float(out))
 
+    def gauss_squares(self, deriv: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ln r, w |f^(d)(r)|^2) at the Gauss nodes r of every grid interval.
+
+        Evaluated once per derivative order, by Horner on the spline pieces.
+        """
+        if deriv not in self._squares:
+            _check_deriv(deriv)
+            t, w, log_r = self._gauss_rule()
+            coeffs = self._spline.derivative(deriv).c if deriv else self._spline.c
+            f = coeffs[0][:, None]
+            for c in coeffs[1:]:
+                f = f * t + c[:, None]
+            self._squares[deriv] = (log_r, (w * f * f).ravel())
+        return self._squares[deriv]
+
+    def _gauss_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Offsets from the left node, weights and ln r of the Gauss nodes."""
+        if self._rule is None:
+            # Imported here because quadrature imports this module.
+            from .quadrature import SAMPLED_POINTS, gauss_panels
+
+            r, w = gauss_panels(self.grid, SAMPLED_POINTS)
+            self._rule = (r - self.grid[:-1, None], w, np.log(r).ravel())
+        return self._rule
+
     def with_values(self, values) -> "SampledProfile":
-        return SampledProfile(self.grid, values, self.scheme)
+        """Same grid, new values; the Gauss rule on the grid is shared."""
+        out = SampledProfile(self.grid, values)
+        out._rule = self._gauss_rule()
+        return out
+
+
+def _check_deriv(deriv: int) -> None:
+    if deriv not in (0, 1, 2):
+        raise UsageError("derivative order must be 0, 1 or 2")
 
 
 Profile = Union[AnalyticProfile, MixtureProfile, SampledProfile]
@@ -248,8 +271,7 @@ Profile = Union[AnalyticProfile, MixtureProfile, SampledProfile]
 
 def eval_profile(p: Profile, r, deriv: int = 0):
     """Evaluate f, f' or f'' at r > 0; sampled profiles vanish outside their grid."""
-    if deriv not in (0, 1, 2):
-        raise UsageError("derivative order must be 0, 1 or 2")
+    _check_deriv(deriv)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise UsageError("profiles are defined for r > 0 only")
@@ -284,7 +306,7 @@ def shift_power(p: AnalyticProfile | MixtureProfile, delta: float):
 
 def profile_to_json(p: Profile) -> dict:
     if isinstance(p, SampledProfile):
-        return {"grid": p.grid.tolist(), "values": p.values.tolist(), "scheme": p.scheme}
+        return {"grid": p.grid.tolist(), "values": p.values.tolist()}
     if isinstance(p, MixtureProfile):
         return {"mixture": [profile_to_json(c) for c in p.components]}
     params: dict[str, float] = {"amplitude": p.amplitude, "rate": p.rate}
@@ -297,7 +319,7 @@ def profile_from_json(obj: dict | str) -> Profile:
     if isinstance(obj, str):
         obj = json.loads(obj)
     if "grid" in obj:
-        return SampledProfile(obj["grid"], obj["values"], obj.get("scheme", "cd4"))
+        return SampledProfile(obj["grid"], obj["values"])
     if "mixture" in obj:
         return MixtureProfile(tuple(profile_from_json(c) for c in obj["mixture"]))
     params = dict(obj.get("params", {}))

@@ -9,8 +9,9 @@ Three routes:
   error estimate;
 * ``adaptive`` — scipy's adaptive quadrature, used as an independent oracle.
 
-Sampled profiles integrate on their own grid (composite Simpson), with values
-beyond the last node treated as zero.
+Sampled profiles integrate their cubic spline exactly over their own grid:
+``SAMPLED_POINTS``-point Gauss-Legendre on every grid interval, with the
+profile zero outside the grid.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ _GRADING_EPS = 1e-30
 # Coefficients smaller than this (relative) are treated as exact cancellations
 # when locating the leading exponent near the origin.
 _CANCEL_TOL = 1e-12
+#: Gauss-Legendre points per grid interval for sampled profiles; exact for
+#: the squared derivatives of their cubic pieces times polynomial weights
+#: up to degree 1.
+SAMPLED_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -207,14 +212,18 @@ def _graded_edges(r_max: float, panels: int) -> np.ndarray:
     return np.concatenate([[0.0], geo, uniform])
 
 
+def gauss_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``points``-point Gauss-Legendre on every interval
+    of ``edges``, one row per interval."""
+    xi, om = _gl_nodes(points)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return mid + half * xi, half * om
+
+
 def panel_nodes(r_max: float, panels: int, points: int) -> tuple[np.ndarray, np.ndarray, int]:
     """All Gauss-Legendre nodes/weights of the graded composite rule."""
-    xi, om = _gl_nodes(points)
-    edges = _graded_edges(r_max, panels)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = mid + half * xi[None, :]
-    weights = half * om[None, :]
+    nodes, weights = gauss_panels(_graded_edges(r_max, panels), points)
     return nodes.ravel(), weights.ravel(), points
 
 
@@ -245,16 +254,14 @@ def _integrand(profile: Profile, s: WeightedSeminorm):
 def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Evaluate ∫ r^p |f^(d)|^2 dr per the configured rule.
 
-    Sampled profiles integrate over their grid by composite Simpson regardless
-    of the rule (their support ends at the last node). Analytic profiles are
-    checked for origin divergence first; the panel rule raises when its
-    refinement estimate misses the configured tolerance.
+    Sampled profiles integrate their spline over their grid by Gauss-Legendre
+    per interval regardless of the rule (their support is the grid). Analytic
+    profiles are checked for origin divergence first; the panel rule raises
+    when its refinement estimate misses the configured tolerance.
     """
     if isinstance(profile, SampledProfile):
-        if s.deriv > profile.scheme_order:
-            raise UsageError("derivative order exceeds the sampled scheme order")
-        y = profile.derivative_values(s.deriv) ** 2 * profile.grid ** float(s.power)
-        return float(_sciint.simpson(y, x=profile.grid))
+        log_r, squares = profile.gauss_squares(s.deriv)
+        return float(squares @ np.exp(s.power * log_r))
 
     kt = profile.kernel_terms(s.deriv)
     if not any(c != 0.0 for c, _, _ in kt.terms):

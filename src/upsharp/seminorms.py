@@ -38,7 +38,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     WeightedSeminorm,
-    _gl_nodes,
+    gauss_panels,
     integrate,
 )
 
@@ -316,12 +316,8 @@ def vector_equiv_check_2d(
 
     # Uniform panels: the integrand is smooth, and avoiding tiny radii keeps
     # the 1/r^2 cancellations in the Cartesian assembly benign.
-    xi, om = _gl_nodes(points_per_panel)
     edges = np.linspace(0.0, r_max, n_r_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    r = (mid + half * xi[None, :]).ravel()
-    w_r = (half * om[None, :]).ravel()
+    r, w_r = (a.ravel() for a in gauss_panels(edges, points_per_panel))
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     w_theta = 2.0 * np.pi / n_theta
 

@@ -25,20 +25,8 @@ def interior_values(rng, grid, scale_power=None):
     return grid**power * vals
 
 
-def interior_profile(rng, grid=IDENTITY_GRID, scheme="cd4"):
-    return SampledProfile(grid, interior_values(rng, grid), scheme)
-
-
-def decaying_profile(rng, grid, degree=0):
-    """Random admissible sampled profile: bounded at the grid start (vanishing
-    to the mode order after the monomial is attached), decayed by the end."""
-    amps = rng.uniform(-1.0, 1.0, 3)
-    rates = rng.uniform(0.4, 1.5, 3)
-    centers = rng.uniform(0.0, 3.0, 3)
-    vals = sum(a * np.exp(-b * (grid - c) ** 2) for a, b, c in zip(amps, rates, centers))
-    if np.max(np.abs(vals)) < 0.05:
-        vals = vals + np.exp(-0.5 * grid**2)
-    return SampledProfile(grid, vals, "cd4")
+def interior_profile(rng, grid=IDENTITY_GRID):
+    return SampledProfile(grid, interior_values(rng, grid))
 
 
 def gaussian_mixture(rng, degree=0, components=2):

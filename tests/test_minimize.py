@@ -43,7 +43,7 @@ def test_solver_soundness_and_history(rng):
     p = problem("product_hup2", 3, 0)
     dq = p.assemble()
     init_vals = (dq.r + 0.3) * np.exp(-0.7 * dq.r**2)
-    init = SampledProfile(dq.r, init_vals, "cd2")
+    init = SampledProfile(dq.r, init_vals)
     res = minimize_quotient(p)
     q_init = dq.value(dq.init_from_profile(init))
     assert res.min_value <= q_init
@@ -54,7 +54,7 @@ def test_solver_soundness_and_history(rng):
 
 def test_degenerate_init_raises():
     dq = problem("product_hup2", 3, 0).assemble()
-    zeros = SampledProfile(dq.r, np.zeros(256), "cd2")
+    zeros = SampledProfile(dq.r, np.zeros(256))
     with pytest.raises(SolverError):
         dq.value(dq.init_from_profile(zeros))
 
@@ -124,7 +124,7 @@ def test_calibration_from_random_init(rng):
         amps = rng.uniform(0.2, 1.0, 3)
         rates = rng.uniform(0.3, 2.0, 3)
         vals = sum(a * np.exp(-b * r**2) for a, b in zip(amps, rates))
-        return SampledProfile(r, vals, "cd2")
+        return SampledProfile(r, vals)
 
     for kind, dims, target_fn in (
         ("classic_hup", (1, 2, 3, 5), lambda n: n * n / 4),
@@ -170,7 +170,7 @@ def test_lower_bound_and_shrinking_excess(rng):
         vals = sum(a * np.exp(-b * dq.r**2) for a, b in zip(amps, rates))
         if np.max(np.abs(vals)) < 0.05:
             continue
-        x = dq.init_from_profile(SampledProfile(dq.r, vals, "cd2"))
+        x = dq.init_from_profile(SampledProfile(dq.r, vals))
         assert dq.value(x) >= target * (1 - 0.02)
 
     excesses = []
@@ -287,7 +287,6 @@ def test_minimization_result_json():
     assert blob["mode"] == {"N": 3, "k": 1}
     assert blob["grid"]["size"] == 128
     assert blob["target"] == pytest.approx(49 / 4)
-    assert blob["argmin"]["scheme"] == "cd2"
     assert len(blob["history"]) >= 1
     assert blob["pencil_value"] == pytest.approx(blob["min_value"], rel=1e-6)
     assert blob["t_star"] > 0 and blob["eigen_residual"] >= 0
@@ -311,6 +310,30 @@ def test_minima_never_below_proved_constants(size):
             assert res.min_value >= res.target * (1 - 1e-9), (kind, n, k)
             assert abs(res.pencil_value - res.min_value) <= 1e-6 * res.min_value, (kind, n, k)
             assert res.converged, (kind, n, k)
+
+
+@pytest.mark.parametrize(
+    "kind", ["product_hup2", "product_hyup2", "classic_hup", "classic_hyup", "mode_hyup2_full"]
+)
+def test_argmin_reproduces_min_value(kind):
+    # The exported argmin integrates back to the reported minimum: the kind's
+    # table rows over the grid, plus the constant continuation below r_min
+    # for every zero-order row (absent where v(r_min) is pinned to 0). The
+    # export is cubic in r, the minimizer's spline cubic in ln r; at 512 nodes
+    # their quotients differ by at most 1.2e-8 (mode_hyup2_full, N=5).
+    for n in (2, 3, 5):
+        for k in (0, 1, 2) if kind.startswith("product") else (0,):
+            res = minimize_quotient(problem(kind, n, k, size=512))
+            v, r_min = res.argmin, res.argmin.grid[0]
+            forms = _kind_forms(res.problem.kind, res.problem.mode)
+            pinned = any(d == 0 and p <= -1 for rows in forms for _, d, p in rows)
+
+            def row_value(coef, d, p):
+                head = 0.0 if d or pinned else r_min ** (p + 1) / (p + 1) * v.values[0] ** 2
+                return coef * (integrate(v, WeightedSeminorm(d, p)) + head)
+
+            a, b, c = (math.fsum(row_value(*row) for row in rows) for rows in forms)
+            assert a * b / (c * c) == pytest.approx(res.min_value, rel=2e-8), (n, k)
 
 
 def test_radial_hydrogen_n2_robust_across_sizes():

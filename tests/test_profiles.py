@@ -102,18 +102,16 @@ def test_eval_rejects_bad_inputs():
         AnalyticProfile("no_such_family", 1.0, 1.0)
 
 
-@pytest.mark.parametrize("scheme,max_degree", [("cd4", 4), ("cd2", 2)])
-def test_sampled_polynomial_differentiation_exact(scheme, max_degree):
-    grid = np.linspace(0.5, 6.0, 101)
-    coeffs = [0.3, -1.2, 0.7, 0.05, -0.01][: max_degree + 1]
-    poly = np.polynomial.Polynomial(coeffs)
-    p = SampledProfile(grid, poly(grid), scheme)
-    interior = slice(2, -2)
+@pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+def test_sampled_polynomial_differentiation_exact(spacing):
+    # The not-a-knot spline reproduces a cubic, so its node derivatives are exact.
+    grid = np.linspace(0.5, 6.0, 101) if spacing == "uniform" else np.geomspace(0.5, 6.0, 101)
+    poly = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.05])
+    p = SampledProfile(grid, poly(grid))
     for d in (1, 2):
         exact = poly.deriv(d)(grid)
         got = p.derivative_values(d)
-        scale = np.max(np.abs(exact)) or 1.0
-        assert np.max(np.abs(got - exact)[interior]) / scale < 1e-10
+        assert np.max(np.abs(got - exact)) / np.max(np.abs(exact)) < 1e-10
 
 
 def test_sampled_validation():
@@ -126,8 +124,6 @@ def test_sampled_validation():
         SampledProfile(grid[::-1], np.ones(64))  # decreasing
     with pytest.raises(UsageError):
         SampledProfile(grid, np.full(64, np.nan))
-    with pytest.raises(UsageError):
-        SampledProfile(grid, np.ones(64), scheme="cd9")
 
 
 def test_sampled_outside_grid_is_zero():
@@ -176,9 +172,8 @@ def test_json_round_trip():
         assert_allclose(back.value(r, 1), p.value(r, 1), rtol=1e-15)
 
     grid = np.linspace(0.1, 5, 64)
-    sp = SampledProfile(grid, np.exp(-grid), "cd2")
+    sp = SampledProfile(grid, np.exp(-grid))
     back = profile_from_json(profile_to_json(sp))
-    assert back.scheme == "cd2"
     assert_allclose(back.values, sp.values)
 
 

@@ -152,6 +152,22 @@ def test_sampled_profile_integration():
     assert_allclose(got, exact, rtol=1e-6)
 
 
+@pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+def test_sampled_integration_exact_on_cubic_data(spacing):
+    # A sampled cubic is its own spline, so every seminorm with a polynomial
+    # weight of degree <= 1 is integrated exactly over the grid.
+    grid = np.linspace(0.2, 5.0, 64) if spacing == "uniform" else np.geomspace(0.2, 5.0, 64)
+    q = np.polynomial.Polynomial([0.4, -1.1, 0.6, -0.07])
+    p = SampledProfile(grid, q(grid))
+    r = np.polynomial.Polynomial([0.0, 1.0])
+    for d in (0, 1, 2):
+        for power in (0, 1):
+            exact = (q.deriv(d) ** 2 * r**power).integ()
+            want = exact(grid[-1]) - exact(grid[0])
+            got = integrate(p, WeightedSeminorm(d, power))
+            assert_allclose(got, want, rtol=1e-12)
+
+
 def test_closed_form_requires_analytic():
     grid = np.linspace(0.1, 5, 64)
     p = SampledProfile(grid, np.exp(-grid))
@@ -161,7 +177,7 @@ def test_closed_form_requires_analytic():
 
 def test_config_validation_and_json():
     with pytest.raises(UsageError):
-        QuadratureConfig(rule="simpson")
+        QuadratureConfig(rule="trapezoid")
     with pytest.raises(UsageError):
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(UsageError):
