@@ -6,7 +6,10 @@ Every functional in the package is evaluated on one of two profile kinds:
   formulas (and exact weighted moments, see :mod:`upsharp.quadrature`);
 * :class:`SampledProfile` — node values on a strictly positive grid, read as
   the not-a-knot cubic spline through them and treated as zero outside the
-  grid.
+  grid. The work that depends on the grid alone (the factored spline system,
+  the Gauss rule of the grid intervals, its weights times r^p) is done once
+  per distinct grid and shared by every profile on it, so a new profile
+  costs one tridiagonal back-substitution.
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -17,10 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg import lapack
 
 from .errors import UsageError
 
@@ -190,75 +195,144 @@ class SampledProfile:
     The profile is the not-a-knot cubic spline in r through the nodes, and
     zero outside the grid (compact-support model); the grid must start
     strictly above zero so that negative radial weights stay finite.
-    Instances are immutable after construction.
+    Instances are immutable after construction and keep private copies of
+    the grid and the values. Everything that depends on the grid alone is
+    built once per distinct grid and shared (see :func:`_grid_rule`).
     """
 
     def __init__(self, grid, values):
-        grid = np.ascontiguousarray(grid, dtype=float)
-        values = np.ascontiguousarray(values, dtype=float)
+        grid = np.asarray(grid, dtype=float)
+        values = np.array(values, dtype=float)
         if grid.ndim != 1 or values.shape != grid.shape:
             raise UsageError("grid and values must be 1-d arrays of equal length")
-        if len(grid) < 8:
-            raise UsageError("sampled profiles need at least 8 nodes")
-        if grid[0] <= 0.0:
-            raise UsageError("grid must start strictly above 0")
-        if np.any(np.diff(grid) <= 0.0):
-            raise UsageError("grid must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise UsageError("profile values must be finite")
-        grid.flags.writeable = False
         values.flags.writeable = False
-        self.grid = grid
+        self._rule = _grid_rule(grid.tobytes())
+        self.grid = self._rule.grid
         self.values = values
-        self._spline = CubicSpline(grid, values)
-        self._rule: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._squares: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._coeffs, self._slopes = self._rule.spline(values)
+        self._ppoly: PPoly | None = None
+        self._squares: dict[int, np.ndarray] = {}
 
     def derivative_values(self, deriv: int) -> np.ndarray:
         """Node values of the spline's deriv-th derivative (deriv in {0, 1, 2})."""
         if deriv == 0:
             return self.values
         _check_deriv(deriv)
-        return self._spline(self.grid, deriv)
+        if deriv == 1:
+            return self._slopes
+        c, h = self._coeffs, self._rule.steps[-1]
+        return np.append(2.0 * c[1], 6.0 * c[0, -1] * h + 2.0 * c[1, -1])
 
     def value(self, r: np.ndarray | float, deriv: int = 0) -> np.ndarray | float:
         """The spline's deriv-th derivative at r; 0 outside the grid."""
         _check_deriv(deriv)
+        if self._ppoly is None:
+            self._ppoly = PPoly(self._coeffs, self.grid)
         r = np.asarray(r, dtype=float)
-        out = self._spline(r, deriv)
+        out = self._ppoly(r, deriv)
         outside = (r < self.grid[0]) | (r > self.grid[-1])
         return np.where(outside, 0.0, out) if out.ndim else (0.0 if outside else float(out))
 
-    def gauss_squares(self, deriv: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ln r, w |f^(d)(r)|^2) at the Gauss nodes r of every grid interval.
+    def gauss_squares(self, deriv: int) -> np.ndarray:
+        """|f^(d)|^2 at the Gauss nodes of every grid interval, unweighted.
 
-        Evaluated once per derivative order, by Horner on the spline pieces.
+        Evaluated once per derivative order, by Horner on the spline pieces;
+        :meth:`gauss_weights` holds the matching weights.
         """
         if deriv not in self._squares:
             _check_deriv(deriv)
-            t, w, log_r = self._gauss_rule()
-            coeffs = self._spline.derivative(deriv).c if deriv else self._spline.c
-            f = coeffs[0][:, None]
-            for c in coeffs[1:]:
-                f = f * t + c[:, None]
-            self._squares[deriv] = (log_r, (w * f * f).ravel())
+            coeffs = self._coeffs[: 4 - deriv] * _FALLING_FACTORIALS[deriv][:, None]
+            t = self._rule.offsets
+            f = coeffs[0][:, None] * t
+            for c in coeffs[1:-1]:
+                f += c[:, None]
+                f *= t
+            f += coeffs[-1][:, None]
+            f *= f
+            self._squares[deriv] = f.ravel()
         return self._squares[deriv]
 
-    def _gauss_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Offsets from the left node, weights and ln r of the Gauss nodes."""
-        if self._rule is None:
-            # Imported here because quadrature imports this module.
-            from .quadrature import SAMPLED_POINTS, gauss_panels
+    def gauss_weights(self, power: int) -> np.ndarray:
+        """Gauss weights times r^power at the nodes of :meth:`gauss_squares`."""
+        return self._rule.weights(power)
 
-            r, w = gauss_panels(self.grid, SAMPLED_POINTS)
-            self._rule = (r - self.grid[:-1, None], w, np.log(r).ravel())
-        return self._rule
 
-    def with_values(self, values) -> "SampledProfile":
-        """Same grid, new values; the Gauss rule on the grid is shared."""
-        out = SampledProfile(self.grid, values)
-        out._rule = self._gauss_rule()
-        return out
+#: d-th derivative of the cubic pieces: c_j (t^(3-j))^(d) has the factor
+#: (3-j)!/(3-j-d)! on the coefficient c_j, highest power first.
+_FALLING_FACTORIALS = (np.ones(4), np.array([3.0, 2.0, 1.0]), np.array([6.0, 2.0]))
+
+
+class _GridRule:
+    """What a sampled profile needs from its grid alone.
+
+    ``lu`` is the LU factorization (LAPACK ``gttrf``) of the not-a-knot
+    tridiagonal system in the node slopes, the system that
+    ``scipy.interpolate.CubicSpline`` solves; ``offsets`` are the Gauss nodes
+    of every grid interval measured from its left node, and
+    :meth:`weights` tabulates the Gauss weights times r^p per power p.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        # Imported here because quadrature imports this module.
+        from .quadrature import SAMPLED_POINTS, gauss_panels
+
+        if len(grid) < 8:
+            raise UsageError("sampled profiles need at least 8 nodes")
+        if not np.all(np.isfinite(grid)):
+            raise UsageError("grid nodes must be finite")
+        if grid[0] <= 0.0:
+            raise UsageError("grid must start strictly above 0")
+        h = np.diff(grid)
+        if np.any(h <= 0.0):
+            raise UsageError("grid must be strictly increasing")
+        self.grid, self.steps = grid, h
+        self.ends = (grid[2] - grid[0], grid[-1] - grid[-3])
+        diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
+        upper = np.concatenate([[self.ends[0]], h[:-1]])
+        lower = np.concatenate([h[1:], [self.ends[1]]])
+        *self.lu, info = lapack.dgttrf(lower, diag, upper)
+        if info != 0:
+            raise UsageError("grid spacing too uneven for a cubic spline")
+        r, w = gauss_panels(grid, SAMPLED_POINTS)
+        self.offsets = r - grid[:-1, None]
+        self._nodes, self._weights = r.ravel(), w.ravel()
+        self._by_power: dict[int, np.ndarray] = {}
+
+    def spline(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Piecewise-cubic coefficients (highest power first, one column per
+        interval) and node slopes of the not-a-knot spline through y.
+
+        Same formulas as ``CubicSpline``, so the same spline to rounding.
+        """
+        h, (d0, d1) = self.steps, self.ends
+        slope = np.diff(y) / h
+        b = np.empty(len(y))
+        b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
+        b[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        b[-1] = (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+        s, _ = lapack.dgttrs(*self.lu, b)
+        s.flags.writeable = False
+        t = (s[:-1] + s[1:] - 2 * slope) / h
+        return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1])), s
+
+    def weights(self, power: int) -> np.ndarray:
+        if power not in self._by_power:
+            table = self._weights * self._nodes ** float(power)
+            table.flags.writeable = False
+            self._by_power[power] = table
+        return self._by_power[power]
+
+
+@lru_cache(maxsize=8)
+def _grid_rule(key: bytes) -> _GridRule:
+    """The rule of the grid whose float64 bytes are ``key``, built once.
+
+    Keyed by contents, so equal grids built as separate arrays share a rule;
+    the grid it holds is a read-only view of the key.
+    """
+    return _GridRule(np.frombuffer(key))
 
 
 def _check_deriv(deriv: int) -> None:
@@ -282,14 +356,14 @@ def reduce_profile(mode: Mode, u: SampledProfile) -> SampledProfile:
     """Strip the leading monomial of a degree-k coefficient: v(r) = u(r) / r^k."""
     if mode.degree == 0:
         return u
-    return u.with_values(u.values / u.grid ** mode.degree)
+    return SampledProfile(u.grid, u.values / u.grid ** mode.degree)
 
 
 def unreduce_profile(mode: Mode, v: SampledProfile) -> SampledProfile:
     """Restore the leading monomial: u(r) = r^k v(r). Inverse of reduce_profile."""
     if mode.degree == 0:
         return v
-    return v.with_values(v.values * v.grid ** mode.degree)
+    return SampledProfile(v.grid, v.values * v.grid ** mode.degree)
 
 
 def shift_power(p: AnalyticProfile | MixtureProfile, delta: float):

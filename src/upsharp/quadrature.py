@@ -9,9 +9,11 @@ Three routes:
   error estimate;
 * ``adaptive`` — scipy's adaptive quadrature, used as an independent oracle.
 
-Sampled profiles integrate their cubic spline exactly over their own grid:
+Sampled profiles integrate their cubic spline over their own grid:
 ``SAMPLED_POINTS``-point Gauss-Legendre on every grid interval, with the
-profile zero outside the grid.
+profile zero outside the grid. The profile supplies the squared derivative at
+the Gauss nodes and its grid's cached table of weights times r^p, so a
+sampled integral is one dot product.
 """
 
 from __future__ import annotations
@@ -221,10 +223,17 @@ def gauss_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray
     return mid + half * xi, half * om
 
 
+@lru_cache(maxsize=16)
 def panel_nodes(r_max: float, panels: int, points: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """All Gauss-Legendre nodes/weights of the graded composite rule."""
+    """All Gauss-Legendre nodes/weights of the graded composite rule.
+
+    Cached (every seminorm of one profile shares its radius), so the arrays
+    are read-only.
+    """
     nodes, weights = gauss_panels(_graded_edges(r_max, panels), points)
-    return nodes.ravel(), weights.ravel(), points
+    nodes, weights = nodes.ravel(), weights.ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights, points
 
 
 def panel_integrate(fn, r_max: float, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -260,8 +269,7 @@ def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEF
     when its refinement estimate misses the configured tolerance.
     """
     if isinstance(profile, SampledProfile):
-        log_r, squares = profile.gauss_squares(s.deriv)
-        return float(squares @ np.exp(s.power * log_r))
+        return float(profile.gauss_squares(s.deriv) @ profile.gauss_weights(s.power))
 
     kt = profile.kernel_terms(s.deriv)
     if not any(c != 0.0 for c, _, _ in kt.terms):

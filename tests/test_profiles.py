@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicSpline
 
 from upsharp.errors import UsageError
 from upsharp.profiles import (
     AnalyticProfile,
     MixtureProfile,
     SampledProfile,
+    _grid_rule,
     eval_profile,
     make_mode,
     profile_from_json,
@@ -18,6 +20,7 @@ from upsharp.profiles import (
     shift_power,
     unreduce_profile,
 )
+from upsharp.quadrature import SAMPLED_POINTS, WeightedSeminorm, integrate
 
 
 def test_mode_eigenvalues():
@@ -124,6 +127,14 @@ def test_sampled_validation():
         SampledProfile(grid[::-1], np.ones(64))  # decreasing
     with pytest.raises(UsageError):
         SampledProfile(grid, np.full(64, np.nan))
+    nan_node = grid.copy()
+    nan_node[10] = np.nan
+    with pytest.raises(UsageError):
+        SampledProfile(nan_node, np.ones(64))
+    inf_last = grid.copy()
+    inf_last[-1] = np.inf
+    with pytest.raises(UsageError):
+        SampledProfile(inf_last, np.ones(64))
 
 
 def test_sampled_outside_grid_is_zero():
@@ -140,6 +151,69 @@ def test_sampled_immutable():
         p.values[0] = 3.0
     with pytest.raises(ValueError):
         p.grid[0] = 0.7
+
+
+def test_sampled_copies_caller_arrays():
+    grid = np.linspace(0.5, 5, 64)
+    values = np.exp(-grid)
+    kept_grid, kept_values = grid.copy(), values.copy()
+    p = SampledProfile(grid, values)
+    assert grid.flags.writeable and values.flags.writeable
+    grid[3] = 9.0
+    values[3] = 7.0
+    assert np.array_equal(p.grid, kept_grid) and np.array_equal(p.values, kept_values)
+
+
+def _oracle_grid(spacing, size, rng):
+    if spacing == "uniform":
+        return np.linspace(0.05, 6.0, size)
+    if spacing == "geometric":
+        return np.geomspace(0.05, 6.0, size)
+    h = 5.95 / (size - 1)
+    return np.linspace(0.05, 6.0, size) + rng.uniform(-0.3, 0.3, size) * h
+
+
+@pytest.mark.parametrize("size", [8, 101, 4096])
+@pytest.mark.parametrize("spacing", ["uniform", "geometric", "jittered"])
+def test_sampled_matches_cubic_spline(spacing, size, rng):
+    # scipy's not-a-knot CubicSpline is the reference: node derivatives,
+    # values anywhere and the 4-point Gauss integrals of every seminorm.
+    grid = _oracle_grid(spacing, size, rng)
+    values = np.exp(-grid) * np.sin(3.0 * grid) + 0.1 * rng.standard_normal(size)
+    p, cs = SampledProfile(grid, values), CubicSpline(grid, values)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    radii = rng.uniform(grid[0], grid[-1], 500)
+    xi, om = np.polynomial.legendre.leggauss(SAMPLED_POINTS)
+    mid, half = 0.5 * (grid[1:] + grid[:-1]), 0.5 * np.diff(grid)
+    r = (mid[:, None] + half[:, None] * xi).ravel()
+    w = (half[:, None] * om).ravel()
+    for d in (0, 1, 2):
+        assert close(p.derivative_values(d), cs(grid, d))
+        assert close(p.value(radii, d), cs(radii, d))
+        squares = w * cs(r, d) ** 2
+        for power in range(-5, 22):
+            want = math.fsum(squares * r**power)
+            got = integrate(p, WeightedSeminorm(d, power))
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_grid_rule_is_shared_by_contents():
+    grid = np.linspace(0.5, 5, 64)
+    a = SampledProfile(grid, np.ones(64))
+    b = SampledProfile(np.linspace(0.5, 5, 64), np.exp(-grid))
+    assert a._rule is b._rule
+    moved = grid.copy()
+    moved[20] = np.nextafter(moved[20], np.inf)
+    c = SampledProfile(moved, np.ones(64))
+    assert c._rule is not a._rule
+    assert c.grid[20] != a.grid[20]
+    maxsize = _grid_rule.cache_info().maxsize
+    for i in range(maxsize + 5):
+        SampledProfile(np.linspace(0.5, 5.0 + i, 64), np.ones(64))
+    assert _grid_rule.cache_info().currsize <= maxsize
 
 
 def test_reduce_unreduce_identity_and_roundtrip(rng):

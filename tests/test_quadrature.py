@@ -13,6 +13,7 @@ from upsharp.quadrature import (
     WeightedSeminorm,
     gamma_moment,
     integrate,
+    panel_nodes,
 )
 
 PANELS = QuadratureConfig()
@@ -166,6 +167,17 @@ def test_sampled_integration_exact_on_cubic_data(spacing):
             want = exact(grid[-1]) - exact(grid[0])
             got = integrate(p, WeightedSeminorm(d, power))
             assert_allclose(got, want, rtol=1e-12)
+
+
+def test_panel_nodes_are_cached_read_only():
+    nodes, weights, points = panel_nodes(7.5, 48, 24)
+    again = panel_nodes(7.5, 48, 24)
+    assert again[0] is nodes and again[1] is weights and points == 24
+    assert nodes.shape == weights.shape == (48 * 24,)
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
 
 
 def test_closed_form_requires_analytic():
