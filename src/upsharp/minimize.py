@@ -22,10 +22,16 @@ eigenproblem as it stands, but by AM–GM
 
     inf_v sqrt(A B) / C = inf_{t>0} (1/2) * lambda_min(t A + B / t ; C).
 
-A log-t sweep followed by a bounded refine finds t*; each lambda_min is a
-shift-invert Lanczos solve of the Jacobi-scaled pencil. The eigenvector at t*
-is the argmin, and its quotient, evaluated from the factored forms, is the
-reported minimum; (lambda*/2)^2 is reported beside it as the pencil value.
+A log-t sweep followed by a bounded refine finds t*. The Jacobi-scaled forms
+are banded (half-bandwidth 3), and each lambda_min comes from banded Cholesky
+factorizations: inverse iteration on t A + B/t, then a ladder of shifts s
+below the Rayleigh quotient. By Sylvester's law of inertia, a Cholesky of
+t A + B/t - s C that succeeds proves s < lambda_min, so every solve ends with
+a certified bracket; the largest such shift is the next inverse step's
+shift. The eigenvector at t* is the argmin, and its quotient, evaluated from
+the factored forms, is the reported minimum; (lambda*/2)^2 is reported beside
+it as the pencil value, and (sigma/2)^2 of the bracket's lower end at t* as
+the pencil's lower bound.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ import numpy as np
 from scipy import optimize as _sopt
 from scipy import sparse
 from scipy.interpolate import BSpline
-from scipy.sparse.linalg import eigsh, spsolve
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .constants import (
     PrincipleId,
@@ -181,6 +188,25 @@ def _derivative_map(knots: np.ndarray, degree: int) -> sparse.csr_array:
     return sparse.csr_array((np.concatenate([-scale, scale]), (rows, cols)), shape=(n - 1, n))
 
 
+#: Half-bandwidth of every assembled form: a cubic B-spline overlaps the
+#: three splines on either side of it.
+_BANDS = 3
+
+
+def _upper_band(m: sparse.csr_array) -> np.ndarray:
+    """LAPACK upper band storage of a symmetric matrix of half-bandwidth 3."""
+    coo = m.tocoo()
+    if np.any((np.abs(coo.row - coo.col) > _BANDS) & (coo.data != 0)):
+        raise SolverError(f"a form is wider than {_BANDS} bands")
+    return np.array([np.pad(m.diagonal(k), (k, 0)) for k in range(_BANDS, -1, -1)])
+
+
+def _cholesky(band: np.ndarray) -> np.ndarray | None:
+    """Upper banded Cholesky factor, or None when the matrix is not positive definite."""
+    factor, info = dpbtrf(band)
+    return None if info else factor
+
+
 def _spline_design(x: np.ndarray, knots: np.ndarray) -> list[sparse.csr_array]:
     """Values and first two derivatives of the cubic B-splines on ``knots`` at x."""
     out = []
@@ -262,9 +288,11 @@ class DiscreteQuotient:
     def init_from_profile(self, profile: Profile) -> np.ndarray:
         """L2(ds) projection of the profile onto the free splines."""
         f0, wq, rq = self._projection
-        gram = (f0.T @ sparse.diags_array(wq) @ f0).tocsc()
+        factor = _cholesky(_upper_band(f0.T @ sparse.diags_array(wq) @ f0))
+        if factor is None:
+            raise SolverError("spline Gram matrix is not positive definite")
         rhs = f0.T @ (wq * np.asarray(profile.value(rq, 0), dtype=float))
-        return spsolve(gram, rhs)
+        return dpbtrs(factor, rhs)[0]
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
         """The spline with coefficients x, sampled at the grid nodes.
@@ -281,6 +309,18 @@ class DiscreteQuotient:
 
 @dataclass
 class MinimizationResult:
+    """Outcome of one t-pencil minimization.
+
+    ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
+    Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
+    discrete pencil's (lambda_min(t*)/2)^2 from below, up to the backward
+    error of that factorization (machine precision times the norm of the
+    scaled forms). It is not a bound on the continuum infimum, nor on the
+    minimum over t. Where the assembled forms cancel near r_min, the
+    assembled lambda_min can sit above the factored-form ``pencil_value``,
+    and so can this bound.
+    """
+
     problem: VariationalProblem
     min_value: float
     argmin: SampledProfile
@@ -290,6 +330,7 @@ class MinimizationResult:
     target: float | None
     t_star: float
     pencil_value: float
+    pencil_lower: float
     eigen_residual: float
 
     def to_json(self) -> dict:
@@ -308,6 +349,7 @@ class MinimizationResult:
             "converged": self.converged,
             "t_star": self.t_star,
             "pencil_value": self.pencil_value,
+            "pencil_lower": self.pencil_lower,
             "eigen_residual": self.eigen_residual,
             "history": list(self.history),
             "argmin": profile_to_json(self.argmin),
@@ -319,37 +361,102 @@ class MinimizationResult:
 _SWEEP_POINTS = 16
 _AGREEMENT = 1e-6
 
+#: Shift ladder of one pencil solve: the first relative gap below the
+#: Rayleigh quotient, the bracket width that ends it, and its step cap.
+_FIRST_GAP = 1e-2
+_BRACKET = 1e-12
+_LADDER_CAP = 200
+
+
+def _lowest_eigenpair(
+    K: np.ndarray, C: np.ndarray, y: np.ndarray
+) -> tuple[float | None, np.ndarray]:
+    """Certified lower shift and eigenvector of the lowest eigenpair of (K; C).
+
+    K and C are upper band storage. Inverse iteration starts from y; each
+    shift s that a Cholesky of K - sC accepts is below lambda_min (Sylvester's
+    law of inertia), so the returned shift is a lower bound of the assembled
+    pencil's lambda_min up to the factorization's backward error, while the
+    Rayleigh quotient of the returned vector bounds it from above. When K
+    itself does not factor, nothing is certified: the shift is None and y is
+    returned unchanged.
+    """
+    factor = _cholesky(K)
+    if factor is None:
+        return None, y
+
+    def inverse_step(factor: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+        z = dpbtrs(factor, dsbmv(_BANDS, 1.0, C, y))[0]
+        z /= math.sqrt(z @ dsbmv(_BANDS, 1.0, C, z))
+        return z, float(z @ dsbmv(_BANDS, 1.0, K, z))
+
+    y, _ = inverse_step(factor, y)
+    y, hi = inverse_step(factor, y)
+    lo, gap = 0.0, _FIRST_GAP
+    for _ in range(_LADDER_CAP):
+        s = max(lo, hi * (1.0 - gap))
+        shifted = _cholesky(K - s * C)
+        if shifted is None:
+            gap *= 10.0
+        else:
+            lo, factor, gap = s, shifted, gap / 1e3
+        y, rho = inverse_step(factor, y)
+        if rho < hi:
+            hi = rho
+        elif shifted is None:
+            # The quotient stopped falling (the rounding floor of the
+            # assembled forms, which cancel near r_min for some kinds) and
+            # no higher shift is certified.
+            return lo, y
+        if hi - lo <= _BRACKET * hi:
+            return lo, y
+    raise SolverError("the shift ladder of the pencil solve did not converge")
+
+
+def _scaled_bands(dq: DiscreteQuotient) -> tuple[np.ndarray, ...]:
+    """Jacobi scale 1/sqrt(diag C), then the scaled A, B and C in band storage."""
+    scale = 1.0 / np.sqrt(dq.C.diagonal())
+    jacobi = sparse.diags_array(scale)
+    return (scale, *(_upper_band(jacobi @ m @ jacobi) for m in (dq.A, dq.B, dq.C)))
+
 
 def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     """Minimize the discrete quotient exactly through the t-pencil.
 
-    Each lambda(t) = lambda_min(t A + B/t; C) is one shift-invert solve of the
-    Jacobi-scaled pencil, read off as the Rayleigh quotient of its
-    eigenvector in the factored forms (an upper bound that the assembled
-    matrices, which cancel badly near r_min, would not give). The coarse
-    log-t sweep spans the local scales of the splines, widened upward by
-    ln(size) for profiles much wider than one spline; lambda(t) can have
-    several local minima, and the sweep picks the basin that a bounded Brent
-    search between the neighbours of its best point then refines.
+    Each lambda(t) = lambda_min(t A + B/t; C) comes from the Jacobi-scaled
+    forms in band storage: K = t A + B/t is factored by banded Cholesky, two
+    inverse-iteration steps start from the previous evaluation's eigenvector
+    (ones at the first), and a ladder of shifts below the Rayleigh quotient
+    follows. A shift whose Cholesky of K - sC succeeds is a certified lower
+    bound of lambda_min(t) and shifts the next inverse step; the ladder ends
+    when that bound and the Rayleigh quotient agree to 1e-12, or when the
+    quotient stops falling and a higher shift fails. lambda(t) is then read
+    as the Rayleigh quotient of the eigenvector in the factored forms (an
+    upper bound that the assembled matrices, which cancel badly near r_min,
+    would not give). Where that cancellation leaves K itself numerically
+    indefinite (large t for mode_hyup2_full at N=2 or tiny r_min), lambda(t)
+    is the factored quotient of the previous eigenvector, still an upper
+    bound; SolverError if that happens at t*. The coarse log-t sweep spans
+    the local scales of the splines, widened upward by ln(size) for profiles
+    much wider than one spline; lambda(t) can have several local minima, and
+    the sweep picks the basin that a bounded Brent search between the
+    neighbours of its best point then refines.
     """
     dq = problem.assemble()
-    scale = 1.0 / np.sqrt(dq.C.diagonal())
-    jacobi = sparse.diags_array(scale)
-    A, B, C = ((jacobi @ m @ jacobi).tocsc() for m in (dq.A, dq.B, dq.C))
-    evaluations: list[tuple[float, float, np.ndarray]] = []
+    scale, A, B, C = _scaled_bands(dq)
+    evaluations: list[tuple[float, float, np.ndarray, float | None]] = []
 
     def lam(log_t: float) -> float:
         t = math.exp(log_t)
-        # Lanczos starts from the previous eigenvector (ones at first), so
-        # every run of the same problem takes the same path.
-        v0 = evaluations[-1][2] if evaluations else np.ones(A.shape[0])
-        _, vecs = eigsh(t * A + B / t, k=1, M=C, sigma=0.0, v0=v0)
-        y = vecs[:, 0]
+        # Inverse iteration starts from the previous eigenvector (ones at
+        # first), so every run of the same problem takes the same path.
+        y0 = evaluations[-1][2] if evaluations else np.ones(A.shape[1])
+        lower, y = _lowest_eigenpair(t * A + B / t, C, y0)
         a, b, c = dq.parts(scale * y)
-        evaluations.append((log_t, (t * a + b / t) / c, y))
+        evaluations.append((log_t, (t * a + b / t) / c, y, lower))
         return evaluations[-1][1]
 
-    local = 0.5 * np.log(B.diagonal() / A.diagonal())
+    local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
     sweep = np.linspace(local.min(), local.max() + math.log(problem.grid.size), _SWEEP_POINTS)
     best = int(np.argmin([lam(g) for g in sweep]))
     bracketed = 0 < best < len(sweep) - 1
@@ -359,9 +466,13 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         method="bounded",
         options={"xatol": 1e-4},
     )
-    log_t, lam_star, y = min(evaluations, key=lambda e: e[1])
+    log_t, lam_star, y, lower = min(evaluations, key=lambda e: e[1])
+    if lower is None:
+        raise SolverError("t A + B/t is not positive definite at t*")
     t = math.exp(log_t)
-    residual = float(np.linalg.norm((t * A + B / t) @ y - lam_star * (C @ y)))
+    residual = float(np.linalg.norm(
+        dsbmv(_BANDS, 1.0, t * A + B / t, y) - lam_star * dsbmv(_BANDS, 1.0, C, y)
+    ))
     x = scale * y
     min_value = dq.value(x)
     pencil = (lam_star / 2.0) ** 2
@@ -377,6 +488,7 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         target=dq.target,
         t_star=t,
         pencil_value=pencil,
+        pencil_lower=(lower / 2.0) ** 2,
         eigen_residual=residual,
     )
 
