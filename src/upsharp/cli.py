@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -179,6 +180,9 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     dims = parse_int_range(str(opts["n"]))
     if len(dims) != 1:
         raise UsageError("minimize takes a single dimension")
+    band = float(opts["band"])
+    if not 0 <= band < math.inf:
+        raise UsageError("--band must be finite and >= 0")
     problem = VariationalProblem.for_mode(
         kind, dims[0], int(opts["k"]), size=int(opts["m"]),
         r_min=opts["r_min"], r_max=opts["r_max"],
@@ -193,7 +197,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         "manifest": manifest.to_json(),
         "result": result.to_json(),
         "eigen_crosscheck": result.pencil_value,
-        "tolerance_band": float(opts["band"]),
+        "tolerance_band": band,
     }
     if opts["format"] == "csv":
         text = render_csv(
@@ -209,9 +213,9 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         )
         return EXIT_COMPUTE
     if result.target is not None:
-        if abs(result.min_value - result.target) > float(opts["band"]) * result.target:
+        if abs(result.min_value - result.target) > band * result.target:
             sys.stderr.write(
-                f"minimum {result.min_value:.6g} outside +-{float(opts['band']):.0%} "
+                f"minimum {result.min_value:.6g} outside +-{band:.0%} "
                 f"of target {result.target:.6g}\n"
             )
             return EXIT_VERIFY

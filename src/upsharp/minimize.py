@@ -5,6 +5,11 @@ are sums of weighted radial integrals ∫ r^p |v^(d)|² dr. Their
 (coef, deriv, power) rows are read from the seminorm term table through each
 kind's principle (``seminorms.PRINCIPLE_FUNCTIONALS``).
 
+Order reduction. When no row is zero-order (after a product kind drops its
+own), the quotient is solved in w = v', every deriv one lower, with the
+admissible v = −∫_r^{r_max} w behind it. In v, constants would lie in the
+kernel of every form and the second-order row would cancel near r_min.
+
 Discretization. Rayleigh–Ritz on cubic B-splines in s = ln r, with the grid
 nodes as breakpoints. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
 ∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s; it is
@@ -12,10 +17,10 @@ computed with 6 Gauss–Legendre points per interval. The right end is clamped
 (v = v' = 0). Below r_min the function continues as the constant v(r_min),
 with v'(r_min) = 0 when a row has a second derivative, and each zero-order
 row gains its exact integral over (0, r_min). When a zero-order weight is not
-integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned instead, together with
-v'(r_min) = 0 for second-order kinds. Every discrete function is therefore an
-admissible function on (0, ∞), so a discrete minimum can never sit below a
-proved constant.
+integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned instead (no such kind has a
+second-order row). Every discrete function is therefore an admissible
+function on (0, ∞), so a discrete minimum can never sit below a proved
+constant.
 
 Solver. The numerator is a product of two quadratic forms, so this is not an
 eigenproblem as it stands, but by AM–GM
@@ -86,28 +91,22 @@ class GridSpec:
     r_min: float = 1e-3
     r_max: float = 14.0
     size: int = 512
-    spacing: str = "geometric"
 
     def __post_init__(self) -> None:
-        if not 0 < self.r_min < self.r_max:
-            raise UsageError("need 0 < r_min < r_max")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise UsageError("need 0 < r_min < r_max < inf")
         if self.size < 64:
             raise UsageError("grids below 64 nodes are too coarse to be meaningful")
-        if self.spacing not in ("uniform", "geometric"):
-            raise UsageError(f"unknown spacing rule {self.spacing!r}")
 
     def nodes(self) -> np.ndarray:
-        if self.spacing == "uniform":
-            return np.linspace(self.r_min, self.r_max, self.size)
         return self.r_min * (self.r_max / self.r_min) ** (
             np.arange(self.size) / (self.size - 1)
         )
 
 
 #: Principle, form and product flag behind each quotient kind. A product kind
-#: is its reduced quotient written in w = v': it keeps the rows with deriv >= 1,
-#: one order lower; the dropped zero-order rows are what the Hardy correction
-#: factor accounts for.
+#: drops the zero-order rows of its reduced quotient; they are what the Hardy
+#: correction factor accounts for.
 _KIND_QUOTIENT = {
     QuotientKind.PRODUCT_HUP2: (PrincipleId.HUP2, Form.REDUCED, True),
     QuotientKind.PRODUCT_HYUP2: (PrincipleId.HYUP2, Form.REDUCED, True),
@@ -118,16 +117,18 @@ _KIND_QUOTIENT = {
 
 
 def _kind_forms(kind: QuotientKind, mode: Mode):
-    """(A, B, C) table rows as (coef, deriv, power), zero coefficients dropped."""
+    """Nonzero (A, B, C) rows (coef, deriv, power) of the function the kind is
+    solved in: w = v', every deriv one lower, when no row is zero-order."""
     if kind is QuotientKind.HARDY_1D:
         num, den = _hardy_rows(mode)
         forms = ([num], [den], [den])
     else:
         principle, form, product = _KIND_QUOTIENT[kind]
-        forms = [_term_table(fid, form, mode) for fid in PRINCIPLE_FUNCTIONALS[principle]]
-        if product:
-            forms = [[(c, d - 1, p) for c, d, p in rows if d >= 1] for rows in forms]
-    return tuple([row for row in rows if row[0] != 0] for rows in forms)
+        tables = (_term_table(fid, form, mode) for fid in PRINCIPLE_FUNCTIONALS[principle])
+        forms = [[(c, d, p) for c, d, p in t if c != 0 and (d or not product)] for t in tables]
+    if all(d >= 1 for rows in forms for _, d, _ in rows):
+        forms = [[(c, d - 1, p) for c, d, p in rows] for rows in forms]
+    return tuple(forms)
 
 
 def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
@@ -166,13 +167,12 @@ class VariationalProblem:
         size: int = 512,
         r_min: float | None = None,
         r_max: float | None = None,
-        spacing: str = "geometric",
     ) -> "VariationalProblem":
         kind = QuotientKind(kind)
         r_min = 1e-3 if r_min is None else r_min
         if r_max is None:
             r_max = 14.0 if kind in _GAUSS_KINDS else 24.0
-        grid = GridSpec(r_min, r_max, size, spacing)
+        grid = GridSpec(r_min, r_max, size)
         return cls(make_mode(dimension, degree), kind, grid)
 
     def assemble(self) -> "DiscreteQuotient":
@@ -238,13 +238,11 @@ class DiscreteQuotient:
 
         # Free coefficients -> all n coefficients. The clamped knot vector
         # makes v(end) the end coefficient and v_s(end) a multiple of the
-        # difference of the two end coefficients.
+        # difference of the two end coefficients, so the last two are dropped;
+        # a pin drops the first, and v_s(s_0) = 0 makes the first two agree.
         n = len(s) + 2
-        first = (2 if second else 1) if pin else 0
-        full = np.arange(first, n - 2)
-        free = full - first
-        if second and not pin:  # v_s(s_0) = 0: the first two coefficients agree
-            free = np.maximum(full - 1, 0)
+        full = np.arange(int(pin), n - 2)
+        free = np.maximum(full - 1, 0) if pin or second else full
         embed = sparse.csr_array(
             (np.ones(len(full)), (full, free)), shape=(n, free[-1] + 1)
         )
@@ -295,13 +293,13 @@ class DiscreteQuotient:
         return dpbtrs(factor, rhs)[0]
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
-        """The spline with coefficients x, sampled at the grid nodes.
+        """The spline with coefficients x (w = v' for reduced rows), sampled at the nodes.
 
         The returned profile is the cubic spline in r through those samples,
-        zero outside the grid. The discrete function itself continues below
-        r_min as the constant v(r_min) (unless v(r_min) is pinned to 0), so
-        its quotient adds c * r_min^(p+1) / (p+1) * v(r_min)^2 to every
-        zero-order row (c, 0, p) of ``integrate`` on this profile.
+        zero outside the grid. The discrete function continues below r_min as
+        its value f(r_min) (unless pinned to 0), so its quotient adds
+        c * r_min^(p+1) / (p+1) * f(r_min)^2 to every zero-order row (c, 0, p)
+        of ``integrate`` on this profile.
         """
         spline = BSpline(self._knots, self._embed @ x, 3)
         return SampledProfile(self.r, spline(np.log(self.r)))
@@ -311,14 +309,17 @@ class DiscreteQuotient:
 class MinimizationResult:
     """Outcome of one t-pencil minimization.
 
+    ``argmin`` is w = v' for the product kinds and the degree-0
+    mode_hyup2_full (``_kind_forms`` reduces their rows), v otherwise.
+
     ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
     Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
     discrete pencil's (lambda_min(t*)/2)^2 from below, up to the backward
     error of that factorization (machine precision times the norm of the
     scaled forms). It is not a bound on the continuum infimum, nor on the
-    minimum over t. Where the assembled forms cancel near r_min, the
-    assembled lambda_min can sit above the factored-form ``pencil_value``,
-    and so can this bound.
+    minimum over t. Where that backward error exceeds the bracket, it can sit
+    above the factored-form ``pencil_value``: seen on mode_hyup2_full at
+    N = 2, k = 1 and N = 4, k = 2 on 2048-node grids.
     """
 
     problem: VariationalProblem
@@ -341,7 +342,6 @@ class MinimizationResult:
                 "r_min": self.problem.grid.r_min,
                 "r_max": self.problem.grid.r_max,
                 "size": self.problem.grid.size,
-                "spacing": self.problem.grid.spacing,
             },
             "min_value": self.min_value,
             "target": self.target,
@@ -370,20 +370,19 @@ _LADDER_CAP = 200
 
 def _lowest_eigenpair(
     K: np.ndarray, C: np.ndarray, y: np.ndarray
-) -> tuple[float | None, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Certified lower shift and eigenvector of the lowest eigenpair of (K; C).
 
     K and C are upper band storage. Inverse iteration starts from y; each
     shift s that a Cholesky of K - sC accepts is below lambda_min (Sylvester's
     law of inertia), so the returned shift is a lower bound of the assembled
     pencil's lambda_min up to the factorization's backward error, while the
-    Rayleigh quotient of the returned vector bounds it from above. When K
-    itself does not factor, nothing is certified: the shift is None and y is
-    returned unchanged.
+    Rayleigh quotient of the returned vector bounds it from above.
+    SolverError when K itself is not positive definite.
     """
     factor = _cholesky(K)
     if factor is None:
-        return None, y
+        raise SolverError("t A + B/t is not positive definite")
 
     def inverse_step(factor: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         z = dpbtrs(factor, dsbmv(_BANDS, 1.0, C, y))[0]
@@ -404,9 +403,8 @@ def _lowest_eigenpair(
         if rho < hi:
             hi = rho
         elif shifted is None:
-            # The quotient stopped falling (the rounding floor of the
-            # assembled forms, which cancel near r_min for some kinds) and
-            # no higher shift is certified.
+            # The quotient stopped falling (its rounding floor) and no
+            # higher shift is certified.
             return lo, y
         if hi - lo <= _BRACKET * hi:
             return lo, y
@@ -431,12 +429,8 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     bound of lambda_min(t) and shifts the next inverse step; the ladder ends
     when that bound and the Rayleigh quotient agree to 1e-12, or when the
     quotient stops falling and a higher shift fails. lambda(t) is then read
-    as the Rayleigh quotient of the eigenvector in the factored forms (an
-    upper bound that the assembled matrices, which cancel badly near r_min,
-    would not give). Where that cancellation leaves K itself numerically
-    indefinite (large t for mode_hyup2_full at N=2 or tiny r_min), lambda(t)
-    is the factored quotient of the previous eigenvector, still an upper
-    bound; SolverError if that happens at t*. The coarse log-t sweep spans
+    as the Rayleigh quotient of the eigenvector in the factored forms, an
+    upper bound; SolverError when K does not factor. The coarse log-t sweep spans
     the local scales of the splines, widened upward by ln(size) for profiles
     much wider than one spline; lambda(t) can have several local minima, and
     the sweep picks the basin that a bounded Brent search between the
@@ -444,7 +438,7 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     """
     dq = problem.assemble()
     scale, A, B, C = _scaled_bands(dq)
-    evaluations: list[tuple[float, float, np.ndarray, float | None]] = []
+    evaluations: list[tuple[float, float, np.ndarray, float]] = []
 
     def lam(log_t: float) -> float:
         t = math.exp(log_t)
@@ -467,8 +461,6 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         options={"xatol": 1e-4},
     )
     log_t, lam_star, y, lower = min(evaluations, key=lambda e: e[1])
-    if lower is None:
-        raise SolverError("t A + B/t is not positive definite at t*")
     t = math.exp(log_t)
     residual = float(np.linalg.norm(
         dsbmv(_BANDS, 1.0, t * A + B / t, y) - lam_star * dsbmv(_BANDS, 1.0, C, y)

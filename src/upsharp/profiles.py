@@ -19,6 +19,7 @@ a scalar multiple of a real profile.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Union
@@ -124,8 +125,8 @@ class AnalyticProfile:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_KERNELS:
             raise UsageError(f"unknown analytic family {self.family!r}")
-        if not self.rate > 0:
-            raise UsageError("rate must be > 0")
+        if not (0 < self.rate < math.inf and math.isfinite(self.amplitude)):
+            raise UsageError("rate must be finite and > 0, amplitude finite")
         if self.family != "monomial_cutoff" and self.power != 0.0:
             raise UsageError("power is only meaningful for the monomial_cutoff family")
 

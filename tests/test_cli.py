@@ -27,6 +27,12 @@ def test_malformed_numbers_are_usage_errors(capsys):
         ["verify", "hup", "--n", "x"],
         ["conjecture", "--n", "5", "--ladder", ","],
         ["conjecture", "--n", "5", "--ladder", "96.7"],
+        ["minimize", "product_hup2", "--n", "3", "--r-max", "inf"],
+        ["minimize", "product_hup2", "--n", "3", "--band", "nan"],
+        ["minimize", "product_hup2", "--n", "3", "--band", "-1"],
+        ["minimize", "product_hup2", "--n", "3", "--band", "inf"],
+        ["verify", "hup", "--n", "3", "--beta", "inf"],
+        ["decompose-check", "--n", "3", "--amplitude", "nan"],
     ):
         rc, _ = run_cli(capsys, args)
         assert rc == 2, args

@@ -37,8 +37,8 @@ def test_grid_spec_validation():
     with pytest.raises(UsageError):
         GridSpec(size=32)
     with pytest.raises(UsageError):
-        GridSpec(spacing="random")
-    nodes = GridSpec(0.001, 10.0, 128, "geometric").nodes()
+        GridSpec(r_max=math.inf)
+    nodes = GridSpec(0.001, 10.0, 128).nodes()
     assert nodes[0] == pytest.approx(0.001) and nodes[-1] == pytest.approx(10.0)
     assert np.all(np.diff(np.log(nodes)) > 0)
 
@@ -97,8 +97,10 @@ def test_discrete_forms_match_table_rows(kind):
     for size in (512, 2048):
         for n in (2, 3, 5):
             for k in (0, 1, 2):
-                # w = r e^{-r^2}, u = r^k e^{-r^2}, or v = e^{-r^2}
-                power = 1.0 if product else float(k) if classic else 0.0
+                # w = r e^{-r^2} where the rows are reduced to w = v',
+                # u = r^k e^{-r^2}, or v = e^{-r^2}
+                reduced = product or (kind is QuotientKind.MODE_HYUP2_FULL and k == 0)
+                power = 1.0 if reduced else float(k) if classic else 0.0
                 profile = AnalyticProfile("monomial_cutoff", 1.0, 1.0, power=power)
                 dq = problem(kind, n, k, size=size).assemble()
                 parts = dq.parts(dq.init_from_profile(profile))
@@ -148,11 +150,9 @@ def test_dilation_invariance():
     base = VariationalProblem(
         mode=problem("classic_hup", 3).mode,
         kind=QuotientKind.CLASSIC_HUP,
-        grid=GridSpec(1e-3, 14.0, 256, "geometric"),
+        grid=GridSpec(1e-3, 14.0, 256),
     )
-    halved = VariationalProblem(
-        mode=base.mode, kind=base.kind, grid=GridSpec(5e-4, 7.0, 256, "geometric")
-    )
+    halved = VariationalProblem(mode=base.mode, kind=base.kind, grid=GridSpec(5e-4, 7.0, 256))
     values = {}
     for prob, beta in ((base, 1.0), (halved, 4.0)):
         dq = prob.assemble()
@@ -305,12 +305,6 @@ _PROVED = [
 ] + [("classic_hup", 0), ("classic_hyup", 0), ("mode_hyup2_full", 0)]
 
 
-#: At N=2, k=0 the assembled mode_hyup2_full forms cancel near r_min, and at
-#: 512 nodes the assembled pencil's lambda_min(t*) sits 3.6e-5 above the
-#: factored-form lambda*, so its certified lower bound does too.
-_CANCELLING = ("mode_hyup2_full", 2, 0, 512)
-
-
 @pytest.mark.parametrize("size", [96, 512])
 def test_minima_never_below_proved_constants(size):
     # Every discrete function is admissible, so neither the argmin's quotient
@@ -322,15 +316,7 @@ def test_minima_never_below_proved_constants(size):
             assert res.min_value >= res.target * (1 - 1e-9), (kind, n, k)
             assert abs(res.pencil_value - res.min_value) <= 1e-6 * res.min_value, (kind, n, k)
             assert res.converged, (kind, n, k)
-            if (kind, n, k, size) != _CANCELLING:
-                assert res.pencil_lower <= res.pencil_value * (1 + 1e-9), (kind, n, k)
-
-
-@pytest.mark.xfail(strict=True, reason="assembled mode_hyup2_full forms cancel near r_min")
-def test_pencil_lower_on_cancelling_forms():
-    kind, n, k, size = _CANCELLING
-    res = minimize_quotient(problem(kind, n, k, size=size))
-    assert res.pencil_lower <= res.pencil_value * (1 + 1e-9)
+            assert res.pencil_lower <= res.pencil_value * (1 + 1e-9), (kind, n, k)
 
 
 @pytest.mark.parametrize("kind", list(QuotientKind))
@@ -354,10 +340,7 @@ def test_banded_solve_matches_dense_eigh(kind):
             banded = y @ (t * dense_a + dense_b / t) @ y / (y @ dense_c @ y)
             dense = linalg.eigh(t * dense_a + dense_b / t, dense_c, eigvals_only=True)[0]
             assert lower <= dense * (1 + 1e-12), (n, t)
-            # The cancelling mode_hyup2_full forms at N=2 and 3 fix their
-            # assembled lambda_min only to 6.3e-6 and 1.3e-9.
-            if kind is not QuotientKind.MODE_HYUP2_FULL or n == 5:
-                assert banded == pytest.approx(dense, rel=5e-12), (n, t)
+            assert banded == pytest.approx(dense, rel=5e-12), (n, t)
 
 
 def test_pencil_errors_are_typed(monkeypatch):
@@ -415,21 +398,33 @@ def test_argmin_reproduces_min_value(kind):
 
 
 def test_radial_hydrogen_n2_robust_across_sizes():
-    for size in (96, 160, 256, 512, 768):
-        res = minimize_quotient(problem("mode_hyup2_full", 2, 0, size=size))
-        assert 9 / 4 * (1 - 1e-9) <= res.min_value <= 9 / 4 * 1.03, size
+    # The degree-0 hydrogen quotient is solved in w = v', on exactly the rows
+    # of product_hyup2 at k = 0: refining the grid enlarges the trial space,
+    # so the minimum never rises, and both kinds give the same result.
+    for n in (2, 3, 4):
+        target = (n + 1) ** 2 / 4
+        previous = math.inf
+        for size in (96, 160, 256, 512, 768, 1024, 2048, 4096):
+            res = minimize_quotient(problem("mode_hyup2_full", n, 0, size=size))
+            assert target * (1 - 1e-9) <= res.min_value <= target * 1.03, (n, size)
+            assert res.min_value <= previous * (1 + 1e-12), (n, size)
+            assert res.converged and res.eigen_residual <= 1e-9, (n, size)
+            blob = res.to_json()
+            twin = minimize_quotient(problem("product_hyup2", n, 0, size=size)).to_json()
+            assert {**blob, "kind": None} == {**twin, "kind": None}, (n, size)
+            previous = res.min_value
 
 
 def test_radial_hydrogen_n2_survives_indefinite_assembly():
-    # At 2048 nodes, or with r_min = 1e-9, the cancelling assembled forms
-    # leave t A + B/t numerically indefinite at the large-t end of the sweep;
-    # those t fall back to an upper bound and the minimum stays conforming.
-    # (Whether pencil and argmin agree to 1e-6 there depends on rounding,
-    # down to the BLAS thread count, so `converged` is not asserted.)
-    for size, r_min in ((2048, None), (512, 1e-9)):
-        p = VariationalProblem.for_mode("mode_hyup2_full", 2, 0, size=size, r_min=r_min)
+    # Fine grids and tiny r_min: forms in v would cancel near r_min and leave
+    # t A + B/t numerically indefinite; in w = v' they factor and converge.
+    cases = [(2, 2048, None)] + [(n, 512, r_min) for n in (2, 3) for r_min in (1e-9, 1e-12)]
+    for n, size, r_min in cases:
+        p = VariationalProblem.for_mode("mode_hyup2_full", n, 0, size=size, r_min=r_min)
         res = minimize_quotient(p)
-        assert 9 / 4 * (1 - 1e-9) <= res.min_value <= 9 / 4 * 1.03, size
+        target = (n + 1) ** 2 / 4
+        assert target * (1 - 1e-9) <= res.min_value <= target * 1.03, (n, size, r_min)
+        assert res.converged, (n, size, r_min)
 
 
 def test_minimization_is_bit_reproducible():
