@@ -18,8 +18,8 @@ from .constants import PrincipleId, scan_infimum, sharp_constant
 from .errors import UpsharpError, UsageError
 from .extremals import extremal_quotient
 from .minimize import QuotientKind, VariationalProblem, explore_conjecture, minimize_quotient
-from .profiles import AnalyticProfile, shift_power
-from .quadrature import DEFAULT_CONFIG
+from .profiles import AnalyticProfile, make_mode, shift_power
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .reports import RunManifest, render_csv, render_json, write_report
 from .seminorms import Form, FunctionalId, eval_mode_functional, vector_equiv_check_2d
 
@@ -54,11 +54,20 @@ def parse_float_list(text: str) -> list[float]:
     return _parse_list(text, float)
 
 
+#: Type of each numeric option. A config-file value is read as its flag's
+#: text would be, so a value of the wrong type is a usage error.
+_NUMERIC = {"seed": int, "k": int, "m": int, "k_max": int, "mode_k": int,
+            "r_min": float, "r_max": float, "band": float, "amplitude": float}
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Flag > config-file value > hard default."""
     config = {}
     if getattr(args, "config", None):
-        config = json.loads(Path(args.config).read_text())
+        try:
+            config = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config file: {exc}") from None
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object of flag values")
     merged = {}
@@ -66,6 +75,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = config.get(key, default)
+        if value is not None and key in _NUMERIC:
+            try:
+                value = _NUMERIC[key](str(value))
+            except ValueError:
+                raise UsageError(f"malformed {key} {value!r}") from None
         merged[key] = value
     return merged
 
@@ -94,7 +108,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures.append(rep)
     manifest = RunManifest.create(
         "verify", {"principle": principle.value, "n": opts["n"], "beta": opts["beta"],
-                   "mode": opts["mode"]}, int(opts["seed"]),
+                   "mode": opts["mode"]}, opts["seed"],
     )
     if opts["format"] == "csv":
         text = render_csv(
@@ -125,7 +139,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     )
     formula = args.formula
     dims = parse_int_range(str(opts["n"]))
-    results = [scan_infimum(formula, n, int(opts["k_max"])) for n in dims]
+    results = [scan_infimum(formula, n, opts["k_max"]) for n in dims]
 
     mismatches = []
     annotated = []
@@ -147,8 +161,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             mismatches.append(res)
 
     manifest = RunManifest.create(
-        "scan", {"formula": formula, "n": opts["n"], "k_max": int(opts["k_max"])},
-        int(opts["seed"]),
+        "scan", {"formula": formula, "n": opts["n"], "k_max": opts["k_max"]},
+        opts["seed"],
     )
     if opts["format"] == "csv":
         rows = [
@@ -180,18 +194,18 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     dims = parse_int_range(str(opts["n"]))
     if len(dims) != 1:
         raise UsageError("minimize takes a single dimension")
-    band = float(opts["band"])
+    band = opts["band"]
     if not 0 <= band < math.inf:
         raise UsageError("--band must be finite and >= 0")
     problem = VariationalProblem.for_mode(
-        kind, dims[0], int(opts["k"]), size=int(opts["m"]),
+        kind, dims[0], opts["k"], size=opts["m"],
         r_min=opts["r_min"], r_max=opts["r_max"],
     )
     result = minimize_quotient(problem)
     manifest = RunManifest.create(
         "minimize",
-        {"quotient": kind.value, "n": dims[0], "k": int(opts["k"]), "m": int(opts["m"])},
-        int(opts["seed"]),
+        {"quotient": kind.value, "n": dims[0], "k": opts["k"], "m": opts["m"]},
+        opts["seed"],
     )
     payload = {
         "manifest": manifest.to_json(),
@@ -235,11 +249,11 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     if n not in (2, 3, 4, 5):
         raise UsageError("conjecture explorer covers dimensions 2..4 (5 as calibration)")
     resolutions = tuple(_parse_list(str(opts["ladder"]), int))
-    report = explore_conjecture(n, k_max=int(opts["k_max"]), resolutions=resolutions)
+    report = explore_conjecture(n, k_max=opts["k_max"], resolutions=resolutions)
     manifest = RunManifest.create(
         "conjecture",
-        {"n": n, "k_max": int(opts["k_max"]), "ladder": list(resolutions)},
-        int(opts["seed"]),
+        {"n": n, "k_max": opts["k_max"], "ladder": list(resolutions)},
+        opts["seed"],
     )
     if opts["format"] == "csv":
         text = render_csv(["k", "resolution", "min_value"], [list(r) for r in report.csv_rows()])
@@ -260,18 +274,16 @@ _DECOMPOSE_IDS = (
 def cmd_decompose_check(args: argparse.Namespace) -> int:
     opts = _merge_config(
         args,
-        {"n": "2", "family": "gaussian", "beta": "1", "mode_k": 0, "amplitude": 1.0,
-         "seed": 0, "out": None, "format": "json"},
+        {"n": "2", "beta": "1", "mode_k": 0, "amplitude": 1.0, "seed": 0, "out": None,
+         "format": "json"},
     )
     dims = parse_int_range(str(opts["n"]))
     if len(dims) != 1 or dims[0] not in (2, 3):
         raise UsageError("decompose-check runs in dimension 2 or 3")
     n = dims[0]
     beta = parse_float_list(str(opts["beta"]))[0]
-    k = int(opts["mode_k"])
-    amplitude = float(opts["amplitude"])
-    if opts["family"] not in ("gaussian", "monomial_cutoff"):
-        raise UsageError("decompose-check supports Gaussian-kernel families")
+    k = opts["mode_k"]
+    amplitude = opts["amplitude"]
     radial = (
         AnalyticProfile("gaussian", amplitude, beta)
         if k == 0
@@ -290,9 +302,6 @@ def cmd_decompose_check(args: argparse.Namespace) -> int:
     # quadrature routes (graded panels vs adaptive). The comparison profile
     # vanishes two orders beyond the mode degree so every raw-form term is
     # individually finite in dimension 2 as well.
-    from .profiles import make_mode
-    from .quadrature import QuadratureConfig
-
     adaptive = QuadratureConfig(rule="adaptive", abs_tol=1e-12, rel_tol=1e-10)
     mode = make_mode(n, k)
     comparison = AnalyticProfile("monomial_cutoff", amplitude, beta, power=float(k + 2))
@@ -309,9 +318,8 @@ def cmd_decompose_check(args: argparse.Namespace) -> int:
     failures = [row for row in rows if row["rel_error"] >= DECOMPOSE_GATE]
     manifest = RunManifest.create(
         "decompose-check",
-        {"n": n, "family": opts["family"], "beta": beta, "mode_k": k,
-         "amplitude": amplitude},
-        int(opts["seed"]),
+        {"n": n, "beta": beta, "mode_k": k, "amplitude": amplitude},
+        opts["seed"],
     )
     if opts["format"] == "csv":
         text = render_csv(
@@ -392,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="vector-field/scalar equivalence and raw-vs-reduced assembly checks",
     )
     p.add_argument("--n", default=None)
-    p.add_argument("--family", default=None)
     p.add_argument("--beta", default=None)
     p.add_argument("--mode-k", dest="mode_k", type=int, default=None)
     p.add_argument("--amplitude", type=float, default=None)

@@ -12,15 +12,16 @@ kernel of every form and the second-order row would cancel near r_min.
 
 Discretization. Rayleigh–Ritz on cubic B-splines in s = ln r, with the grid
 nodes as breakpoints. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
-∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s; it is
-computed with 6 Gauss–Legendre points per interval. The right end is clamped
-(v = v' = 0). Below r_min the function continues as the constant v(r_min),
-with v'(r_min) = 0 when a row has a second derivative, and each zero-order
-row gains its exact integral over (0, r_min). When a zero-order weight is not
-integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned instead (no such kind has a
-second-order row). Every discrete function is therefore an admissible
-function on (0, ∞), so a discrete minimum can never sit below a proved
-constant.
+∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s. The
+forms are assembled straight into LAPACK upper band storage from a table of
+D_0, D_1 and D_2 of the four splines nonzero on each interval, at its 6
+Gauss–Legendre points. The right end is clamped (v = v' = 0). Below r_min
+the function continues as the constant v(r_min), with v'(r_min) = 0 when a
+row has a second derivative, and each zero-order row gains its exact
+integral over (0, r_min). When a zero-order weight is not integrable at 0
+(p ≤ −1), v(r_min) = 0 is pinned instead (no such kind has a second-order
+row). Every discrete function is therefore an admissible function on
+(0, ∞), so a discrete minimum can never sit below a proved constant.
 
 Solver. The numerator is a product of two quadratic forms, so this is not an
 eigenproblem as it stands, but by AM–GM
@@ -48,7 +49,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import optimize as _sopt
-from scipy import sparse
 from scipy.interpolate import BSpline
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -179,26 +179,9 @@ class VariationalProblem:
         return DiscreteQuotient(self)
 
 
-def _derivative_map(knots: np.ndarray, degree: int) -> sparse.csr_array:
-    """Coefficients of a spline -> coefficients of its derivative on knots[1:-1]."""
-    n = len(knots) - degree - 1
-    scale = degree / (knots[degree + 1 : degree + n] - knots[1:n])
-    idx = np.arange(n - 1)
-    rows, cols = np.concatenate([idx, idx]), np.concatenate([idx, idx + 1])
-    return sparse.csr_array((np.concatenate([-scale, scale]), (rows, cols)), shape=(n - 1, n))
-
-
 #: Half-bandwidth of every assembled form: a cubic B-spline overlaps the
 #: three splines on either side of it.
 _BANDS = 3
-
-
-def _upper_band(m: sparse.csr_array) -> np.ndarray:
-    """LAPACK upper band storage of a symmetric matrix of half-bandwidth 3."""
-    coo = m.tocoo()
-    if np.any((np.abs(coo.row - coo.col) > _BANDS) & (coo.data != 0)):
-        raise SolverError(f"a form is wider than {_BANDS} bands")
-    return np.array([np.pad(m.diagonal(k), (k, 0)) for k in range(_BANDS, -1, -1)])
 
 
 def _cholesky(band: np.ndarray) -> np.ndarray | None:
@@ -207,24 +190,29 @@ def _cholesky(band: np.ndarray) -> np.ndarray | None:
     return None if info else factor
 
 
-def _spline_design(x: np.ndarray, knots: np.ndarray) -> list[sparse.csr_array]:
-    """Values and first two derivatives of the cubic B-splines on ``knots`` at x."""
-    out = []
-    for d in range(3):
-        m = BSpline.design_matrix(x, knots[d : len(knots) - d], 3 - d)
-        for j in range(d, 0, -1):
-            m = m @ _derivative_map(knots[j - 1 : len(knots) - j + 1], 4 - j)
-        out.append(m.tocsr())
-    return out
+def _spline_table(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """D_0, D_1 and D_2 of the four cubic B-splines nonzero on each interval,
+    at its row of ``points``: shape (3, spline, interval, point). B-splines
+    four apart never overlap, so on an interval each sum of every fourth
+    B-spline is the one of its terms that is nonzero there."""
+    phase = np.arange(len(knots) - 4) % 4
+    sums = BSpline(knots, np.equal.outer(phase, np.arange(4)).astype(float), 3)
+    interval = np.arange(len(points))
+    which = (interval + np.arange(4)[:, None]) % 4  # the sum holding each local spline
+    f0, f1, f2 = (sums(points, nu)[interval, :, which] for nu in range(3))
+    return np.stack([f0, f1, f2 - f1])
 
 
 class DiscreteQuotient:
     """Rayleigh–Ritz realization of one quotient on cubic B-splines in ln r.
 
     ``x`` holds the coefficients of the free splines (see the module
-    docstring for the end conditions). ``parts`` evaluates the three forms
-    factored, row by row; ``A``, ``B`` and ``C`` are the assembled sparse
-    matrices that the pencil works on.
+    docstring for the end conditions). Two arrays carry the discretization:
+    the per-interval table of ``_spline_table`` at the Gauss points, and
+    ``_local``, the free coefficient of each interval's four splines (−1
+    where an end condition sets it to 0). From them ``parts`` evaluates the
+    three forms factored, row by row, and ``A``, ``B`` and ``C`` are
+    accumulated straight into the upper band storage the pencil works on.
     """
 
     def __init__(self, problem: VariationalProblem):
@@ -236,45 +224,51 @@ class DiscreteQuotient:
         second = any(d == 2 for _, d, _ in rows)
         pin = any(d == 0 and p <= -1 for _, d, p in rows)
 
-        # Free coefficients -> all n coefficients. The clamped knot vector
-        # makes v(end) the end coefficient and v_s(end) a multiple of the
-        # difference of the two end coefficients, so the last two are dropped;
-        # a pin drops the first, and v_s(s_0) = 0 makes the first two agree.
-        n = len(s) + 2
-        full = np.arange(int(pin), n - 2)
-        free = np.maximum(full - 1, 0) if pin or second else full
-        embed = sparse.csr_array(
-            (np.ones(len(full)), (full, free)), shape=(n, free[-1] + 1)
-        )
+        # Free coefficient of each of the len(s) + 2 splines. The clamped knot
+        # vector makes v(end) the end coefficient and v_s(end) a multiple of
+        # the difference of the two end coefficients, so the last two are 0;
+        # a pin sets the first to 0, and v_s(s_0) = 0 makes the first two agree.
+        free = np.arange(len(s) + 2) - int(pin or second)
+        free[0] = -1 if pin else 0
+        free[-2:] = -1
+        self._local = free[np.arange(len(s) - 1)[:, None] + np.arange(4)]
+        self._size = free.max() + 1
+        a, b = self._local[:, :, None], self._local[:, None, :]
+        self._upper = (a >= 0) & (a <= b)
+        self._slot = ((_BANDS + a - b) * self._size + b)[self._upper]
 
-        sq, wq = (a.ravel() for a in gauss_panels(s, 6))
-        knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
-        f0, f1, f2 = (m @ embed for m in _spline_design(sq, knots))
-        design = (f0, f1, (f2 - f1).tocsr())
-        edge = embed[[0]]  # v(r_min)
+        sq, wq = gauss_panels(s, 6)
+        self._knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
+        self._table = _spline_table(self._knots, sq)
+        self._projection = (wq, np.exp(sq))
 
-        # Each form is a list of (coef, design matrix, weights) terms; the
-        # value is sum coef * sum weights * (design @ x)^2.
-        self._terms = []
+        # Each form is its (coef, deriv, weights) terms, with value
+        # sum coef * sum weights * (D_deriv x)^2, and the weight of v(r_min)^2
+        # that adds the exact integral of its zero-order rows over (0, r_min).
+        self._forms = []
         for form in forms:
-            terms = []
-            for c, d, p in form:
-                terms.append((c, design[d], wq * np.exp((p + 1 - 2 * d) * sq)))
-                if d == 0 and not pin:
-                    terms.append((c, edge, np.array([r[0] ** (p + 1) / (p + 1)])))
-            self._terms.append(terms)
-        self.A, self.B, self.C = (
-            sum(c * (m.T @ sparse.diags_array(w) @ m) for c, m, w in terms).tocsr()
-            for terms in self._terms
-        )
-        self.r, self._embed, self._knots = r, embed, knots
-        self._projection = (f0, wq, np.exp(sq))
+            terms = [(c, d, wq * np.exp((p + 1 - 2 * d) * sq)) for c, d, p in form]
+            edge = sum(c * r[0] ** (p + 1) / (p + 1) for c, d, p in form if d == 0 and not pin)
+            self._forms.append((terms, edge))
+        self.A, self.B, self.C = (self._band(*form) for form in self._forms)
+        self.r = r
         self.target = continuum_target(problem.kind, problem.mode)
 
+    def _band(self, terms: list, edge: float = 0.0) -> np.ndarray:
+        """Upper band storage of the Gram matrix of (coef, deriv, weights) terms."""
+        block = sum(c * np.einsum("iq,aiq,biq->iab", w, self._table[d], self._table[d])
+                    for c, d, w in terms)
+        band = np.bincount(self._slot, block[self._upper], (_BANDS + 1) * self._size)
+        band[_BANDS * self._size] += edge
+        return band.reshape(_BANDS + 1, self._size)
+
     def parts(self, x: np.ndarray) -> tuple[float, float, float]:
+        local = np.append(x, 0.0)[self._local]  # index −1 reads the appended 0
+        values = (self._table * local.T[:, :, None]).sum(axis=1)
         return tuple(
-            math.fsum(coef * float(w @ np.square(m @ x)) for coef, m, w in terms)
-            for terms in self._terms
+            math.fsum([c * float(np.vdot(w, np.square(values[d]))) for c, d, w in terms]
+                      + [edge * local[0, 0] ** 2])
+            for terms, edge in self._forms
         )
 
     def value(self, x: np.ndarray) -> float:
@@ -285,12 +279,14 @@ class DiscreteQuotient:
 
     def init_from_profile(self, profile: Profile) -> np.ndarray:
         """L2(ds) projection of the profile onto the free splines."""
-        f0, wq, rq = self._projection
-        factor = _cholesky(_upper_band(f0.T @ sparse.diags_array(wq) @ f0))
+        wq, rq = self._projection
+        factor = _cholesky(self._band([(1.0, 0, wq)]))
         if factor is None:
             raise SolverError("spline Gram matrix is not positive definite")
-        rhs = f0.T @ (wq * np.asarray(profile.value(rq, 0), dtype=float))
-        return dpbtrs(factor, rhs)[0]
+        f = wq * np.asarray(profile.value(rq, 0), dtype=float)
+        free = self._local >= 0
+        rhs = np.einsum("iq,aiq->ia", f, self._table[0])[free]
+        return dpbtrs(factor, np.bincount(self._local[free], rhs, self._size))[0]
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
         """The spline with coefficients x (w = v' for reduced rows), sampled at the nodes.
@@ -301,7 +297,8 @@ class DiscreteQuotient:
         c * r_min^(p+1) / (p+1) * f(r_min)^2 to every zero-order row (c, 0, p)
         of ``integrate`` on this profile.
         """
-        spline = BSpline(self._knots, self._embed @ x, 3)
+        local = np.append(x, 0.0)[self._local]
+        spline = BSpline(self._knots, np.concatenate([local[:, 0], local[-1, 1:]]), 3)
         return SampledProfile(self.r, spline(np.log(self.r)))
 
 
@@ -318,8 +315,9 @@ class MinimizationResult:
     error of that factorization (machine precision times the norm of the
     scaled forms). It is not a bound on the continuum infimum, nor on the
     minimum over t. Where that backward error exceeds the bracket, it can sit
-    above the factored-form ``pencil_value``: seen on mode_hyup2_full at
-    N = 2, k = 1 and N = 4, k = 2 on 2048-node grids.
+    above the factored-form ``pencil_value``; by more than 1e-9 relative
+    only on mode_hyup2_full at k >= 1, where the cases depend on rounding
+    (seen at N = 2, k = 1 and N = 5, k = 1 on 2048-node grids).
     """
 
     problem: VariationalProblem
@@ -413,9 +411,10 @@ def _lowest_eigenpair(
 
 def _scaled_bands(dq: DiscreteQuotient) -> tuple[np.ndarray, ...]:
     """Jacobi scale 1/sqrt(diag C), then the scaled A, B and C in band storage."""
-    scale = 1.0 / np.sqrt(dq.C.diagonal())
-    jacobi = sparse.diags_array(scale)
-    return (scale, *(_upper_band(jacobi @ m @ jacobi) for m in (dq.A, dq.B, dq.C)))
+    scale = 1.0 / np.sqrt(dq.C[_BANDS])
+    # Row _BANDS - k of band storage holds entry (j - k, j) in column j.
+    rows = np.array([np.pad(scale[: len(scale) - k], (k, 0)) for k in range(_BANDS, -1, -1)])
+    return (scale, *(m * rows * scale for m in (dq.A, dq.B, dq.C)))
 
 
 def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:

@@ -38,6 +38,24 @@ def test_malformed_numbers_are_usage_errors(capsys):
         assert rc == 2, args
 
 
+def test_bad_config_files_are_usage_errors(capsys, tmp_path):
+    # A config value of the wrong type, malformed JSON and a missing file
+    # are usage errors (exit 2), not verification failures (exit 1).
+    cases = [
+        (["minimize", "product_hup2", "--n", "3"], '{"band": "abc"}'),
+        (["minimize", "product_hup2", "--n", "3"], '{"m": 512.5}'),
+        (["scan", "hup2_mode", "--n", "3"], '{"k_max": "x"}'),
+        (["verify", "hup", "--n", "3"], '{"n": "3",'),
+        (["verify", "hup", "--n", "3"], None),
+    ]
+    for i, (args, text) in enumerate(cases):
+        cfg = tmp_path / f"cfg{i}.json"
+        if text is not None:
+            cfg.write_text(text)
+        rc, _ = run_cli(capsys, args + ["--config", str(cfg)])
+        assert rc == 2, (args, text)
+
+
 def test_verify_sweep_passes(capsys):
     rc, out = run_cli(capsys, ["verify", "hup2", "--n", "1..10"])
     data = json.loads(out)
@@ -147,7 +165,7 @@ def test_conjecture_rejects_bad_dimension(capsys):
 
 
 def test_decompose_check(capsys):
-    rc, out = run_cli(capsys, ["decompose-check", "--n", "2", "--family", "gaussian"])
+    rc, out = run_cli(capsys, ["decompose-check", "--n", "2"])
     data = json.loads(out)
     assert rc == 0 and data["failures"] == 0
     checks = {row["check"] for row in data["rows"]}

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import linalg, sparse
+from scipy import linalg
+from scipy.linalg.blas import dsbmv
 
 from upsharp.errors import SolverError, UsageError
 from upsharp.minimize import (
@@ -17,10 +18,10 @@ from upsharp.minimize import (
     minimize_quotient,
     mode_combined_bound,
     n1_quotient_check,
+    _BANDS,
     _kind_forms,
     _lowest_eigenpair,
     _scaled_bands,
-    _upper_band,
 )
 from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
 from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
@@ -319,6 +320,26 @@ def test_minima_never_below_proved_constants(size):
             assert res.pencil_lower <= res.pencil_value * (1 + 1e-9), (kind, n, k)
 
 
+def band_to_dense(band):
+    """The symmetric matrix whose upper band storage is ``band``."""
+    upper = sum(np.diag(band[_BANDS - k, k:], k) for k in range(_BANDS + 1))
+    return upper + np.triu(upper, 1).T
+
+
+@pytest.mark.parametrize("kind", list(QuotientKind))
+def test_band_forms_match_factored_parts(kind, rng):
+    # x.(A x) from the assembled band storage reproduces the factored,
+    # row-by-row value that min_value is computed from.
+    for size in (96, 512):
+        for n in (2, 3, 5):
+            for k in (0, 1, 2):
+                dq = problem(kind, n, k, size=size).assemble()
+                x = rng.standard_normal(dq.A.shape[1])
+                for band, part in zip((dq.A, dq.B, dq.C), dq.parts(x)):
+                    assembled = x @ dsbmv(_BANDS, 1.0, band, x)
+                    assert assembled == pytest.approx(part, rel=1e-12), (size, n, k)
+
+
 @pytest.mark.parametrize("kind", list(QuotientKind))
 def test_banded_solve_matches_dense_eigh(kind):
     # The banded lambda_min agrees with a dense generalized eigensolve of the
@@ -331,10 +352,9 @@ def test_banded_solve_matches_dense_eigh(kind):
         t_star = minimize_quotient(p).t_star
         dq = p.assemble()
         scale, A, B, C = _scaled_bands(dq)
-        jacobi = sparse.diags_array(scale)
-        dense_a, dense_b, dense_c = (
-            (jacobi @ m @ jacobi).toarray() for m in (dq.A, dq.B, dq.C)
-        )
+        dense_a, dense_b, dense_c = (band_to_dense(m) for m in (A, B, C))
+        for scaled, form in zip((dense_a, dense_b, dense_c), (dq.A, dq.B, dq.C)):
+            assert_allclose(scaled, scale[:, None] * band_to_dense(form) * scale, rtol=1e-15)
         for t in (t_star / 2, t_star, 2 * t_star):
             lower, y = _lowest_eigenpair(t * A + B / t, C, np.ones(A.shape[1]))
             banded = y @ (t * dense_a + dense_b / t) @ y / (y @ dense_c @ y)
@@ -350,9 +370,6 @@ def test_pencil_errors_are_typed(monkeypatch):
     monkeypatch.setattr(VariationalProblem, "assemble", lambda self: dq)
     with pytest.raises(SolverError):
         minimize_quotient(p)
-    wide = sparse.diags_array([np.ones(10), np.ones(6)], offsets=[0, 4]).tocsr()
-    with pytest.raises(SolverError):
-        _upper_band(wide + wide.T)
 
 
 def test_criterion_8_minima_match_reference():
@@ -440,7 +457,7 @@ def test_mode_mixtures_never_beat_best_single_mode(rng):
     for _ in range(200):
         parts = []
         for dq in quotients:
-            x = rng.uniform(0.0, 2.0) * rng.standard_normal(dq.A.shape[0])
+            x = rng.uniform(0.0, 2.0) * rng.standard_normal(dq.A.shape[1])
             parts.append(dq.parts(x))
         a, b, c = (math.fsum(column) for column in zip(*parts))
         best = min(pa * pb / (pc * pc) for pa, pb, pc in parts)
