@@ -54,10 +54,25 @@ def parse_float_list(text: str) -> list[float]:
     return _parse_list(text, float)
 
 
-#: Type of each numeric option. A config-file value is read as its flag's
-#: text would be, so a value of the wrong type is a usage error.
-_NUMERIC = {"seed": int, "k": int, "m": int, "k_max": int, "mode_k": int,
-            "r_min": float, "r_max": float, "band": float, "amplitude": float}
+#: Choices of the string options, shared by their flags and ``_READ``.
+_FORMATS = ("json", "csv")
+_VERIFY_MODES = ("both", "closed_form", "quadrature")
+
+
+def _one_of(choices: tuple[str, ...]):
+    def read(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"choose from {', '.join(choices)}")
+        return text
+    return read
+
+
+#: How each typed option is read. A config-file value is read as its flag's
+#: text would be, so a value of the wrong type or outside the flag's choices
+#: is a usage error.
+_READ = {"seed": int, "k": int, "m": int, "k_max": int, "mode_k": int,
+         "r_min": float, "r_max": float, "band": float, "amplitude": float,
+         "format": _one_of(_FORMATS), "mode": _one_of(_VERIFY_MODES)}
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -75,11 +90,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = config.get(key, default)
-        if value is not None and key in _NUMERIC:
+        if value is not None and key in _READ:
             try:
-                value = _NUMERIC[key](str(value))
-            except ValueError:
-                raise UsageError(f"malformed {key} {value!r}") from None
+                value = _READ[key](str(value))
+            except ValueError as exc:
+                raise UsageError(f"malformed {key} {value!r}: {exc}") from None
         merged[key] = value
     return merged
 
@@ -222,8 +237,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     write_report(text, opts["out"])
     if not result.converged:
         sys.stderr.write(
-            "pencil minimization did not converge: t* not bracketed, refine failed, "
-            "or the pencil value disagrees with the argmin quotient\n"
+            "pencil minimization did not converge: t* not bracketed inside the ln t "
+            "range, or the pencil value disagrees with the argmin quotient\n"
         )
         return EXIT_COMPUTE
     if result.target is not None:
@@ -353,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file supplying flag defaults")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=_FORMATS, default=None)
 
     def ignored(p: argparse.ArgumentParser, *flags: str) -> None:
         # Options of the retired descent solver, still accepted by old scripts.
@@ -364,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("principle", choices=[x.value for x in PrincipleId])
     p.add_argument("--n", default=None, help="dimension range, e.g. 1..10")
     p.add_argument("--beta", default=None, help="comma-separated rates")
-    p.add_argument("--mode", choices=("both", "closed_form", "quadrature"), default=None)
+    p.add_argument("--mode", choices=_VERIFY_MODES, default=None)
     common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -28,7 +28,8 @@ eigenproblem as it stands, but by AM–GM
 
     inf_v sqrt(A B) / C = inf_{t>0} (1/2) * lambda_min(t A + B / t ; C).
 
-A log-t sweep followed by a bounded refine finds t*. The Jacobi-scaled forms
+One bisection in ln t on the sign of d lambda/d ln t = (t a - b/t)/c, the
+Hellmann–Feynman slope at the eigenvector, finds t*. The Jacobi-scaled forms
 are banded (half-bandwidth 3), and each lambda_min comes from banded Cholesky
 factorizations: inverse iteration on t A + B/t, then a ladder of shifts s
 below the Rayleigh quotient. By Sylvester's law of inertia, a Cholesky of
@@ -48,7 +49,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize as _sopt
 from scipy.interpolate import BSpline
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -317,14 +317,14 @@ class MinimizationResult:
     minimum over t. Where that backward error exceeds the bracket, it can sit
     above the factored-form ``pencil_value``; by more than 1e-9 relative
     only on mode_hyup2_full at k >= 1, where the cases depend on rounding
-    (seen at N = 2, k = 1 and N = 5, k = 1 on 2048-node grids).
+    (seen at N = 2, k = 1 and N = 2, k = 2 on 2048-node grids).
     """
 
     problem: VariationalProblem
     min_value: float
     argmin: SampledProfile
     iterations: int  # pencil evaluations
-    converged: bool  # sweep bracketed t*, refine converged, pencil agrees with min_value
+    converged: bool  # both ends of the t range moved, pencil agrees with min_value
     history: list[float]  # running minimum of (lambda(t)/2)^2
     target: float | None
     t_star: float
@@ -354,9 +354,9 @@ class MinimizationResult:
         }
 
 
-#: Points of the coarse log-t sweep, and the relative agreement between the
-#: pencil value and the argmin's quotient that counts as converged.
-_SWEEP_POINTS = 16
+#: Width in ln t that ends the bisection for t*, and the relative agreement
+#: between the pencil value and the argmin's quotient that counts as converged.
+_LOG_T_WIDTH = 1e-4
 _AGREEMENT = 1e-6
 
 #: Shift ladder of one pencil solve: the first relative gap below the
@@ -429,36 +429,30 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     when that bound and the Rayleigh quotient agree to 1e-12, or when the
     quotient stops falling and a higher shift fails. lambda(t) is then read
     as the Rayleigh quotient of the eigenvector in the factored forms, an
-    upper bound; SolverError when K does not factor. The coarse log-t sweep spans
+    upper bound; SolverError when K does not factor. t* is found by
+    bisection in ln t on the sign of the slope (t a - b/t)/c of lambda(t),
+    read from the same eigenvector, down to a width of 1e-4. The range spans
     the local scales of the splines, widened upward by ln(size) for profiles
-    much wider than one spline; lambda(t) can have several local minima, and
-    the sweep picks the basin that a bounded Brent search between the
-    neighbours of its best point then refines.
+    much wider than one spline. The best evaluation gives every reported value.
     """
     dq = problem.assemble()
     scale, A, B, C = _scaled_bands(dq)
     evaluations: list[tuple[float, float, np.ndarray, float]] = []
-
-    def lam(log_t: float) -> float:
+    local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
+    ends = [local.min(), local.max() + math.log(problem.grid.size)]
+    moved = [False, False]
+    # Inverse iteration starts from the previous eigenvector (ones at first),
+    # so every run of the same problem takes the same path.
+    y = np.ones(A.shape[1])
+    while ends[1] - ends[0] > _LOG_T_WIDTH:
+        log_t = 0.5 * (ends[0] + ends[1])
         t = math.exp(log_t)
-        # Inverse iteration starts from the previous eigenvector (ones at
-        # first), so every run of the same problem takes the same path.
-        y0 = evaluations[-1][2] if evaluations else np.ones(A.shape[1])
-        lower, y = _lowest_eigenpair(t * A + B / t, C, y0)
+        lower, y = _lowest_eigenpair(t * A + B / t, C, y)
         a, b, c = dq.parts(scale * y)
         evaluations.append((log_t, (t * a + b / t) / c, y, lower))
-        return evaluations[-1][1]
-
-    local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
-    sweep = np.linspace(local.min(), local.max() + math.log(problem.grid.size), _SWEEP_POINTS)
-    best = int(np.argmin([lam(g) for g in sweep]))
-    bracketed = 0 < best < len(sweep) - 1
-    refine = _sopt.minimize_scalar(
-        lam,
-        bounds=(sweep[max(best - 1, 0)], sweep[min(best + 1, len(sweep) - 1)]),
-        method="bounded",
-        options={"xatol": 1e-4},
-    )
+        # Hellmann–Feynman: dlambda/dln t = (t a - b/t)/c; t* lies on its downhill side.
+        side = int(t * a >= b / t)
+        ends[side], moved[side] = log_t, True
     log_t, lam_star, y, lower = min(evaluations, key=lambda e: e[1])
     t = math.exp(log_t)
     residual = float(np.linalg.norm(
@@ -474,7 +468,7 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         min_value=min_value,
         argmin=dq.to_profile(x),
         iterations=len(evaluations),
-        converged=bracketed and bool(refine.success) and agrees,
+        converged=all(moved) and agrees,
         history=history.tolist(),
         target=dq.target,
         t_star=t,
@@ -658,6 +652,8 @@ def explore_conjecture(
     n = int(dimension)
     if n < 2:
         raise UsageError("the conjecture explorer needs dimension >= 2")
+    if k_max < 0 or not resolutions:
+        raise UsageError("the conjecture explorer needs k_max >= 0 and at least one resolution")
     conjectured = (n + 1) ** 2 / 4.0
     ladder: list[dict] = []
     finest = max(resolutions)

@@ -33,16 +33,19 @@ def test_malformed_numbers_are_usage_errors(capsys):
         ["minimize", "product_hup2", "--n", "3", "--band", "inf"],
         ["verify", "hup", "--n", "3", "--beta", "inf"],
         ["decompose-check", "--n", "3", "--amplitude", "nan"],
+        ["conjecture", "--n", "5", "--k-max", "-1", "--ladder", "96"],
     ):
         rc, _ = run_cli(capsys, args)
         assert rc == 2, args
 
 
 def test_bad_config_files_are_usage_errors(capsys, tmp_path):
-    # A config value of the wrong type, malformed JSON and a missing file
-    # are usage errors (exit 2), not verification failures (exit 1).
+    # A config value of the wrong type or outside its flag's choices,
+    # malformed JSON and a missing file are usage errors (exit 2), not
+    # verification failures (exit 1).
     cases = [
         (["minimize", "product_hup2", "--n", "3"], '{"band": "abc"}'),
+        (["verify", "hup", "--n", "3"], '{"format": "xml"}'),
         (["minimize", "product_hup2", "--n", "3"], '{"m": 512.5}'),
         (["scan", "hup2_mode", "--n", "3"], '{"k_max": "x"}'),
         (["verify", "hup", "--n", "3"], '{"n": "3",'),

@@ -318,6 +318,7 @@ def test_minima_never_below_proved_constants(size):
             assert abs(res.pencil_value - res.min_value) <= 1e-6 * res.min_value, (kind, n, k)
             assert res.converged, (kind, n, k)
             assert res.pencil_lower <= res.pencil_value * (1 + 1e-9), (kind, n, k)
+            assert res.iterations <= 20, (kind, n, k)
 
 
 def band_to_dense(band):
