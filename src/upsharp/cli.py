@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Commands: verify, scan, minimize, conjecture, decompose-check. All output is
-machine-readable JSON (optionally CSV); a config file may supply any flag and
+machine-readable JSON (optionally CSV). Each option is declared once, by its
+``add_argument``; a JSON config file stands for the flags its keys name, and
 explicit flags override it. Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 computational failure.
 """
@@ -54,65 +55,25 @@ def parse_float_list(text: str) -> list[float]:
     return _parse_list(text, float)
 
 
-#: Choices of the string options, shared by their flags and ``_READ``.
-_FORMATS = ("json", "csv")
-_VERIFY_MODES = ("both", "closed_form", "quadrature")
-
-
-def _one_of(choices: tuple[str, ...]):
-    def read(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"choose from {', '.join(choices)}")
-        return text
-    return read
-
-
-#: How each typed option is read. A config-file value is read as its flag's
-#: text would be, so a value of the wrong type or outside the flag's choices
-#: is a usage error.
-_READ = {"seed": int, "k": int, "m": int, "k_max": int, "mode_k": int,
-         "r_min": float, "r_max": float, "band": float, "amplitude": float,
-         "format": _one_of(_FORMATS), "mode": _one_of(_VERIFY_MODES)}
-
-
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag > config-file value > hard default."""
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from None
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object of flag values")
-    merged = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, default)
-        if value is not None and key in _READ:
-            try:
-                value = _READ[key](str(value))
-            except ValueError as exc:
-                raise UsageError(f"malformed {key} {value!r}: {exc}") from None
-        merged[key] = value
-    return merged
+def _emit(args: argparse.Namespace, parameters: dict, payload: dict, header: list[str],
+          rows) -> None:
+    """Write the command's report: JSON (its run manifest plus ``payload``) or,
+    with ``--format csv``, ``header`` and the rows that ``rows()`` builds."""
+    if args.format == "csv":
+        text = render_csv(header, rows())
+    else:
+        manifest = RunManifest.create(args.command, parameters, args.seed)
+        text = render_json({"manifest": manifest.to_json(), **payload})
+    write_report(text, args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        {"n": "1..10", "beta": "0.25,1,4", "mode": "both", "seed": 0, "out": None,
-         "format": "json"},
-    )
     principle = PrincipleId(args.principle)
-    dims = parse_int_range(str(opts["n"]))
-    betas = parse_float_list(str(opts["beta"]))
-    modes = ("closed_form", "quadrature") if opts["mode"] == "both" else (opts["mode"],)
+    modes = ("closed_form", "quadrature") if args.mode == "both" else (args.mode,)
     reports = [
         extremal_quotient(principle, n, beta, mode=mode)
-        for n in dims
-        for beta in betas
+        for n in parse_int_range(args.n)
+        for beta in parse_float_list(args.beta)
         for mode in modes
     ]
 
@@ -121,24 +82,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         gate = CLOSED_GATE if rep.mode == "closed_form" else QUADRATURE_GATE
         if rep.rel_gap >= gate:
             failures.append(rep)
-    manifest = RunManifest.create(
-        "verify", {"principle": principle.value, "n": opts["n"], "beta": opts["beta"],
-                   "mode": opts["mode"]}, opts["seed"],
+    _emit(
+        args,
+        {"principle": principle.value, "n": args.n, "beta": args.beta, "mode": args.mode},
+        {"reports": [rep.to_json() for rep in reports], "failures": len(failures)},
+        ["principle", "N", "beta", "quotient", "predicted", "rel_gap"],
+        lambda: [rep.csv_row().split(",") for rep in reports],
     )
-    if opts["format"] == "csv":
-        text = render_csv(
-            ["principle", "N", "beta", "quotient", "predicted", "rel_gap"],
-            [rep.csv_row().split(",") for rep in reports],
-        )
-    else:
-        text = render_json(
-            {
-                "manifest": manifest.to_json(),
-                "reports": [rep.to_json() for rep in reports],
-                "failures": len(failures),
-            }
-        )
-    write_report(text, opts["out"])
     if failures:
         sys.stderr.write(
             f"verification failed: rel_gap {failures[0].rel_gap:.3e} for "
@@ -149,12 +99,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args, {"n": "2..20", "k_max": 64, "seed": 0, "out": None, "format": "json"}
-    )
     formula = args.formula
-    dims = parse_int_range(str(opts["n"]))
-    results = [scan_infimum(formula, n, opts["k_max"]) for n in dims]
+    results = [scan_infimum(formula, n, args.k_max) for n in parse_int_range(args.n)]
 
     mismatches = []
     annotated = []
@@ -175,66 +121,41 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if not ok:
             mismatches.append(res)
 
-    manifest = RunManifest.create(
-        "scan", {"formula": formula, "n": opts["n"], "k_max": opts["k_max"]},
-        opts["seed"],
-    )
-    if opts["format"] == "csv":
-        rows = [
+    _emit(
+        args,
+        {"formula": formula, "n": args.n, "k_max": args.k_max},
+        {"results": [res.to_json() for res in results], "annotations": annotated,
+         "mismatches": len(mismatches)},
+        ["formula", "N", "k", "num", "den", "value"],
+        lambda: [
             [formula, res.dimension, k, v.numerator, v.denominator, float(v)]
             for res in results
             for k, v in enumerate(res.values)
-        ]
-        text = render_csv(["formula", "N", "k", "num", "den", "value"], rows)
-    else:
-        text = render_json(
-            {
-                "manifest": manifest.to_json(),
-                "results": [res.to_json() for res in results],
-                "annotations": annotated,
-                "mismatches": len(mismatches),
-            }
-        )
-    write_report(text, opts["out"])
+        ],
+    )
     return EXIT_VERIFY if mismatches else EXIT_OK
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        {"n": "3", "k": 0, "m": 512, "r_min": None, "r_max": None, "seed": 0,
-         "band": 0.02, "out": None, "format": "json"},
-    )
     kind = QuotientKind(args.quotient)
-    dims = parse_int_range(str(opts["n"]))
+    dims = parse_int_range(args.n)
     if len(dims) != 1:
         raise UsageError("minimize takes a single dimension")
-    band = opts["band"]
+    band = args.band
     if not 0 <= band < math.inf:
         raise UsageError("--band must be finite and >= 0")
     problem = VariationalProblem.for_mode(
-        kind, dims[0], opts["k"], size=opts["m"],
-        r_min=opts["r_min"], r_max=opts["r_max"],
+        kind, dims[0], args.k, size=args.m, r_min=args.r_min, r_max=args.r_max,
     )
     result = minimize_quotient(problem)
-    manifest = RunManifest.create(
-        "minimize",
-        {"quotient": kind.value, "n": dims[0], "k": opts["k"], "m": opts["m"]},
-        opts["seed"],
+    _emit(
+        args,
+        {"quotient": kind.value, "n": dims[0], "k": args.k, "m": args.m},
+        {"result": result.to_json(), "eigen_crosscheck": result.pencil_value,
+         "tolerance_band": band},
+        ["iteration", "value"],
+        lambda: [[i, v] for i, v in enumerate(result.history)],
     )
-    payload = {
-        "manifest": manifest.to_json(),
-        "result": result.to_json(),
-        "eigen_crosscheck": result.pencil_value,
-        "tolerance_band": band,
-    }
-    if opts["format"] == "csv":
-        text = render_csv(
-            ["iteration", "value"], [[i, v] for i, v in enumerate(result.history)]
-        )
-    else:
-        text = render_json(payload)
-    write_report(text, opts["out"])
     if not result.converged:
         sys.stderr.write(
             "pencil minimization did not converge: t* not bracketed inside the ln t "
@@ -252,29 +173,21 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        {"n": "5", "k_max": 4, "ladder": "128,256,512", "seed": 0, "out": None,
-         "format": "json"},
-    )
-    dims = parse_int_range(str(opts["n"]))
+    dims = parse_int_range(args.n)
     if len(dims) != 1:
         raise UsageError("conjecture takes a single dimension")
     n = dims[0]
     if n not in (2, 3, 4, 5):
         raise UsageError("conjecture explorer covers dimensions 2..4 (5 as calibration)")
-    resolutions = tuple(_parse_list(str(opts["ladder"]), int))
-    report = explore_conjecture(n, k_max=opts["k_max"], resolutions=resolutions)
-    manifest = RunManifest.create(
-        "conjecture",
-        {"n": n, "k_max": opts["k_max"], "ladder": list(resolutions)},
-        opts["seed"],
+    resolutions = tuple(_parse_list(args.ladder, int))
+    report = explore_conjecture(n, k_max=args.k_max, resolutions=resolutions)
+    _emit(
+        args,
+        {"n": n, "k_max": args.k_max, "ladder": list(resolutions)},
+        {"report": report.to_json()},
+        ["k", "resolution", "min_value"],
+        lambda: [list(r) for r in report.csv_rows()],
     )
-    if opts["format"] == "csv":
-        text = render_csv(["k", "resolution", "min_value"], [list(r) for r in report.csv_rows()])
-    else:
-        text = render_json({"manifest": manifest.to_json(), "report": report.to_json()})
-    write_report(text, opts["out"])
     return EXIT_OK
 
 
@@ -287,18 +200,13 @@ _DECOMPOSE_IDS = (
 
 
 def cmd_decompose_check(args: argparse.Namespace) -> int:
-    opts = _merge_config(
-        args,
-        {"n": "2", "beta": "1", "mode_k": 0, "amplitude": 1.0, "seed": 0, "out": None,
-         "format": "json"},
-    )
-    dims = parse_int_range(str(opts["n"]))
+    dims = parse_int_range(args.n)
     if len(dims) != 1 or dims[0] not in (2, 3):
         raise UsageError("decompose-check runs in dimension 2 or 3")
     n = dims[0]
-    beta = parse_float_list(str(opts["beta"]))[0]
-    k = opts["mode_k"]
-    amplitude = opts["amplitude"]
+    beta = parse_float_list(args.beta)[0]
+    k = args.mode_k
+    amplitude = args.amplitude
     radial = (
         AnalyticProfile("gaussian", amplitude, beta)
         if k == 0
@@ -331,21 +239,13 @@ def cmd_decompose_check(args: argparse.Namespace) -> int:
         )
 
     failures = [row for row in rows if row["rel_error"] >= DECOMPOSE_GATE]
-    manifest = RunManifest.create(
-        "decompose-check",
+    _emit(
+        args,
         {"n": n, "beta": beta, "mode_k": k, "amplitude": amplitude},
-        opts["seed"],
+        {"rows": rows, "failures": len(failures)},
+        ["check", "lhs", "rhs", "rel_error"],
+        lambda: [[row["check"], row["lhs"], row["rhs"], row["rel_error"]] for row in rows],
     )
-    if opts["format"] == "csv":
-        text = render_csv(
-            ["check", "lhs", "rhs", "rel_error"],
-            [[row["check"], row["lhs"], row["rhs"], row["rel_error"]] for row in rows],
-        )
-    else:
-        text = render_json(
-            {"manifest": manifest.to_json(), "rows": rows, "failures": len(failures)}
-        )
-    write_report(text, opts["out"])
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -364,68 +264,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file supplying flag defaults")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=_FORMATS, default=None)
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        # No prefix matching, so a config key must name its flag in full.
+        p = sub.add_parser(name, help=help, allow_abbrev=False,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help="JSON file of flag values; explicit flags win")
+        p.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
+        p.add_argument("--out", help="output file; unset writes to stdout")
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+        p.set_defaults(fn=fn)
+        return p
 
     def ignored(p: argparse.ArgumentParser, *flags: str) -> None:
         # Options of the retired descent solver, still accepted by old scripts.
         for flag in flags:
-            p.add_argument(flag, type=int, default=None, help="ignored by the pencil solver")
+            p.add_argument(flag, type=int, help="ignored by the pencil solver")
 
-    p = sub.add_parser("verify", help="extremal quotients against predicted constants")
+    p = command("verify", cmd_verify, "extremal quotients against predicted constants")
     p.add_argument("principle", choices=[x.value for x in PrincipleId])
-    p.add_argument("--n", default=None, help="dimension range, e.g. 1..10")
-    p.add_argument("--beta", default=None, help="comma-separated rates")
-    p.add_argument("--mode", choices=_VERIFY_MODES, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--n", default="1..10", help="dimension range, e.g. 1..10")
+    p.add_argument("--beta", default="0.25,1,4", help="comma-separated rates")
+    p.add_argument("--mode", choices=("both", "closed_form", "quadrature"), default="both",
+                   help="closed-form and/or quadrature quotients")
 
-    p = sub.add_parser("scan", help="exact per-mode constant scans with tail certificates")
+    p = command("scan", cmd_scan, "exact per-mode constant scans with tail certificates")
     p.add_argument("formula", choices=("hup2_mode", "hyup2_mode"))
-    p.add_argument("--n", default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_scan)
+    p.add_argument("--n", default="2..20", help="dimension range")
+    p.add_argument("--k-max", type=int, default=64, help="highest mode degree scanned")
 
-    p = sub.add_parser("minimize", help="variational minimization of one quotient")
+    p = command("minimize", cmd_minimize, "variational minimization of one quotient")
     p.add_argument("quotient", choices=[x.value for x in QuotientKind])
-    p.add_argument("--n", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None, help="grid size")
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
+    p.add_argument("--n", default="3", help="dimension")
+    p.add_argument("--k", type=int, default=0, help="mode degree")
+    p.add_argument("--m", type=int, default=512, help="grid size")
+    p.add_argument("--r-min", type=float, help="innermost node; unset takes the quotient's own")
+    p.add_argument("--r-max", type=float, help="outermost node; unset takes the quotient's own")
     ignored(p, "--restarts", "--budget")
-    p.add_argument("--band", type=float, default=None, help="relative tolerance band")
-    common(p)
-    p.set_defaults(fn=cmd_minimize)
+    p.add_argument("--band", type=float, default=0.02, help="relative tolerance band")
 
-    p = sub.add_parser("conjecture", help="evidence explorer for dimensions 2..4 (5 calibrates)")
-    p.add_argument("--n", default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--ladder", default=None, help="comma-separated grid sizes")
+    p = command("conjecture", cmd_conjecture,
+                "evidence explorer for dimensions 2..4 (5 calibrates)")
+    p.add_argument("--n", default="5", help="dimension")
+    p.add_argument("--k-max", type=int, default=4, help="highest mode degree")
+    p.add_argument("--ladder", default="128,256,512", help="comma-separated grid sizes")
     ignored(p, "--restarts", "--budget", "--trials")
-    common(p)
-    p.set_defaults(fn=cmd_conjecture)
 
-    p = sub.add_parser(
-        "decompose-check",
-        help="vector-field/scalar equivalence and raw-vs-reduced assembly checks",
-    )
-    p.add_argument("--n", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--mode-k", dest="mode_k", type=int, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_decompose_check)
+    p = command("decompose-check", cmd_decompose_check,
+                "vector-field/scalar equivalence and raw-vs-reduced assembly checks")
+    p.add_argument("--n", default="2", help="dimension, 2 or 3")
+    p.add_argument("--beta", default="1", help="profile rate")
+    p.add_argument("--mode-k", type=int, default=0, help="mode degree")
+    p.add_argument("--amplitude", type=float, default=1.0, help="profile amplitude")
     return parser
 
 
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flag tokens a JSON config file stands for: key ``k_max`` (or
+    ``k-max``) with value v is ``--k-max=v``; a null value sets nothing."""
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    if not isinstance(config, dict):
+        parser.error("config file must hold a JSON object of flag values")
+    return [f"--{key.replace('_', '-')}={value}"
+            for key, value in config.items() if value is not None]
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(argv[:1] + _config_flags(parser, args.config) + argv[1:])
+    except SystemExit as exc:  # argparse: usage error (2) or --help (0)
+        return exc.code
     try:
         return args.fn(args)
     except UsageError as exc:

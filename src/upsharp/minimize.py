@@ -652,6 +652,7 @@ def explore_conjecture(
     n = int(dimension)
     if n < 2:
         raise UsageError("the conjecture explorer needs dimension >= 2")
+    resolutions = tuple(sorted(set(resolutions)))
     if k_max < 0 or not resolutions:
         raise UsageError("the conjecture explorer needs k_max >= 0 and at least one resolution")
     conjectured = (n + 1) ** 2 / 4.0
@@ -659,7 +660,7 @@ def explore_conjecture(
     finest = max(resolutions)
     counterexample = None
     per_mode_finest: dict[int, float] = {}
-    for size in sorted(resolutions):
+    for size in resolutions:
         for k in range(k_max + 1):
             problem = VariationalProblem.for_mode(
                 QuotientKind.MODE_HYUP2_FULL, n, k, size=size
@@ -690,7 +691,7 @@ def explore_conjecture(
         dimension=n,
         conjectured=conjectured,
         k_max=k_max,
-        resolutions=tuple(sorted(resolutions)),
+        resolutions=resolutions,
         ladder=ladder,
         combined=combined,
         estimated_infimum=per_mode_finest[argmin_degree],

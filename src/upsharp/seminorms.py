@@ -38,6 +38,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     WeightedSeminorm,
+    default_r_max,
     gauss_panels,
     integrate,
 )
@@ -290,13 +291,15 @@ def _cartesian_second_derivatives(f: Profile, degree: int, r: np.ndarray, theta:
     return u_xx, u_yy, u_xy
 
 
+#: Tensor rule of ``vector_equiv_check_2d``: equispaced angles, and uniform
+#: Gauss-Legendre panels in r out to ``default_r_max``.
+_EQUIV_N_THETA = 64
+_EQUIV_R_PANELS = 32
+_EQUIV_POINTS_PER_PANEL = 12
+
+
 def vector_equiv_check_2d(
-    radial: AnalyticProfile | MixtureProfile,
-    degree: int = 0,
-    cfg: QuadratureConfig | None = None,
-    n_theta: int = 64,
-    n_r_panels: int = 32,
-    points_per_panel: int = 12,
+    radial: AnalyticProfile | MixtureProfile, degree: int = 0
 ) -> tuple[float, float]:
     """Divergence-free vector-field energy versus the scalar reduction, N=2.
 
@@ -310,16 +313,13 @@ def vector_equiv_check_2d(
     """
     if degree < 0:
         raise UsageError("angular degree must be >= 0")
-    from .quadrature import default_r_max
-
-    r_max = (cfg.r_max if cfg and cfg.r_max else None) or default_r_max(radial)
 
     # Uniform panels: the integrand is smooth, and avoiding tiny radii keeps
     # the 1/r^2 cancellations in the Cartesian assembly benign.
-    edges = np.linspace(0.0, r_max, n_r_panels + 1)
-    r, w_r = (a.ravel() for a in gauss_panels(edges, points_per_panel))
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    w_theta = 2.0 * np.pi / n_theta
+    edges = np.linspace(0.0, default_r_max(radial), _EQUIV_R_PANELS + 1)
+    r, w_r = (a.ravel() for a in gauss_panels(edges, _EQUIV_POINTS_PER_PANEL))
+    theta = 2.0 * np.pi * np.arange(_EQUIV_N_THETA) / _EQUIV_N_THETA
+    w_theta = 2.0 * np.pi / _EQUIV_N_THETA
 
     u_xx, u_yy, u_xy = _cartesian_second_derivatives(radial, degree, r, theta)
     integrand = (u_xx**2 + u_yy**2 + 2.0 * u_xy**2) * r[:, None]
@@ -327,15 +327,14 @@ def vector_equiv_check_2d(
 
     mode = Mode(2, degree, degree * degree)
     angular_norm_sq = 2.0 * np.pi if degree == 0 else np.pi
-    quad_cfg = cfg or CLOSED_FORM
     if degree == 0:
         radial_value = eval_mode_functional(
-            FunctionalId.LAPLACIAN_ENERGY, mode, radial, Form.RAW, quad_cfg
+            FunctionalId.LAPLACIAN_ENERGY, mode, radial, Form.RAW, CLOSED_FORM
         ).value
     else:
         reduced = shift_power(radial, -degree)
         radial_value = eval_mode_functional(
-            FunctionalId.LAPLACIAN_ENERGY, mode, reduced, Form.REDUCED, quad_cfg
+            FunctionalId.LAPLACIAN_ENERGY, mode, reduced, Form.REDUCED, CLOSED_FORM
         ).value
     rhs = angular_norm_sq * radial_value
     return lhs, rhs

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import upsharp
 from upsharp.cli import main, parse_float_list, parse_int_range
 from upsharp.errors import UsageError
 
@@ -34,16 +39,18 @@ def test_malformed_numbers_are_usage_errors(capsys):
         ["verify", "hup", "--n", "3", "--beta", "inf"],
         ["decompose-check", "--n", "3", "--amplitude", "nan"],
         ["conjecture", "--n", "5", "--k-max", "-1", "--ladder", "96"],
+        ["verify", "hup", "--format", "xml"],
     ):
         rc, _ = run_cli(capsys, args)
         assert rc == 2, args
 
 
 def test_bad_config_files_are_usage_errors(capsys, tmp_path):
-    # A config value of the wrong type or outside its flag's choices,
-    # malformed JSON and a missing file are usage errors (exit 2), not
-    # verification failures (exit 1).
+    # A config value of the wrong type or outside its flag's choices, a key
+    # that names no flag, malformed JSON and a missing file are usage errors
+    # (exit 2), not verification failures (exit 1).
     cases = [
+        (["verify", "hup", "--n", "3"], '{"bogus": 1}'),
         (["minimize", "product_hup2", "--n", "3"], '{"band": "abc"}'),
         (["verify", "hup", "--n", "3"], '{"format": "xml"}'),
         (["minimize", "product_hup2", "--n", "3"], '{"m": 512.5}'),
@@ -57,6 +64,23 @@ def test_bad_config_files_are_usage_errors(capsys, tmp_path):
             cfg.write_text(text)
         rc, _ = run_cli(capsys, args + ["--config", str(cfg)])
         assert rc == 2, (args, text)
+
+
+def test_console_usage_error_exits_2_without_traceback(tmp_path):
+    # The console entry point, not just main(): a bad config value is an
+    # argparse error on stderr and exit status 2.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"band": "abc"}')
+    src = str(Path(upsharp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "upsharp.cli", "minimize", "product_hup2", "--n", "3",
+         "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_sweep_passes(capsys):
@@ -196,7 +220,7 @@ def test_deterministic_reruns_modulo_timestamp(capsys):
 
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": "4", "beta": "2", "mode": "closed_form"}))
+    cfg.write_text(json.dumps({"n": "4", "beta": "2", "mode": "closed_form", "out": None}))
     rc, out = run_cli(capsys, ["verify", "hup2", "--config", str(cfg)])
     data = json.loads(out)
     assert rc == 0

@@ -221,7 +221,9 @@ def test_hardy_correction_factors():
 
 
 def test_explore_conjecture_calibration_quick():
-    report = explore_conjecture(5, k_max=2, resolutions=(96, 192))
+    # A repeated grid size is solved once.
+    report = explore_conjecture(5, k_max=2, resolutions=(96, 192, 96))
+    assert len(report.ladder) == 2 * (2 + 1)
     assert report.argmin_degree == 0
     assert abs(report.estimated_infimum - 9.0) / 9.0 < 0.03
     assert report.counterexample is None
