@@ -7,9 +7,13 @@ Every functional in the package is evaluated on one of two profile kinds:
 * :class:`SampledProfile` — node values on a strictly positive grid, read as
   the not-a-knot cubic spline through them and treated as zero outside the
   grid. The work that depends on the grid alone (the factored spline system,
-  the Gauss rule of the grid intervals, its weights times r^p) is done once
-  per distinct grid and shared by every profile on it, so a new profile
-  costs one tridiagonal back-substitution.
+  the Gauss rule of the grid intervals, its weights times r^p, the Hermite
+  basis at the Gauss points) is done once per distinct grid and shared by
+  every profile on it. A new profile costs one tridiagonal back-substitution
+  for its node slopes; its first integral evaluates f, f' and f'' at every
+  Gauss node in one small matrix product of the Hermite basis with the node
+  values and slopes, and the piecewise-polynomial coefficients are built only
+  for point evaluation.
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -94,11 +98,14 @@ class KernelTerms:
         return KernelTerms(self.kernel, terms)
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray | float:
+        """Sum of the terms at r; each distinct rate's decay is computed once."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
+        decays: dict[float, np.ndarray] = {}
         for c, e, b in self.terms:
-            decay = np.exp(-b * r * r) if self.kernel == GAUSS_KERNEL else np.exp(-b * r)
-            out = out + c * np.power(r, e) * decay
+            if b not in decays:
+                decays[b] = np.exp(-b * r * r) if self.kernel == GAUSS_KERNEL else np.exp(-b * r)
+            out = out + c * np.power(r, e) * decays[b]
         return out
 
 
@@ -212,9 +219,9 @@ class SampledProfile:
         self._rule = _grid_rule(grid.tobytes())
         self.grid = self._rule.grid
         self.values = values
-        self._coeffs, self._slopes = self._rule.spline(values)
+        self._slopes = self._rule.spline(values)
         self._ppoly: PPoly | None = None
-        self._squares: dict[int, np.ndarray] = {}
+        self._squares: np.ndarray | None = None
 
     def derivative_values(self, deriv: int) -> np.ndarray:
         """Node values of the spline's deriv-th derivative (deriv in {0, 1, 2})."""
@@ -223,46 +230,54 @@ class SampledProfile:
         _check_deriv(deriv)
         if deriv == 1:
             return self._slopes
-        c, h = self._coeffs, self._rule.steps[-1]
+        c, h = self._piecewise().c, self._rule.steps[-1]
         return np.append(2.0 * c[1], 6.0 * c[0, -1] * h + 2.0 * c[1, -1])
 
     def value(self, r: np.ndarray | float, deriv: int = 0) -> np.ndarray | float:
         """The spline's deriv-th derivative at r; 0 outside the grid."""
         _check_deriv(deriv)
-        if self._ppoly is None:
-            self._ppoly = PPoly(self._coeffs, self.grid)
         r = np.asarray(r, dtype=float)
-        out = self._ppoly(r, deriv)
+        out = self._piecewise()(r, deriv)
         outside = (r < self.grid[0]) | (r > self.grid[-1])
         return np.where(outside, 0.0, out) if out.ndim else (0.0 if outside else float(out))
 
     def gauss_squares(self, deriv: int) -> np.ndarray:
         """|f^(d)|^2 at the Gauss nodes of every grid interval, unweighted.
 
-        Evaluated once per derivative order, by Horner on the spline pieces;
-        :meth:`gauss_weights` holds the matching weights.
+        One row per Gauss point, one column per interval; :meth:`gauss_weights`
+        holds the matching weights. The first call evaluates all three orders
+        at once (see :meth:`_GridRule.squares`).
         """
-        if deriv not in self._squares:
-            _check_deriv(deriv)
-            coeffs = self._coeffs[: 4 - deriv] * _FALLING_FACTORIALS[deriv][:, None]
-            t = self._rule.offsets
-            f = coeffs[0][:, None] * t
-            for c in coeffs[1:-1]:
-                f += c[:, None]
-                f *= t
-            f += coeffs[-1][:, None]
-            f *= f
-            self._squares[deriv] = f.ravel()
+        _check_deriv(deriv)
+        if self._squares is None:
+            self._squares = self._rule.squares(self.values, self._slopes)
         return self._squares[deriv]
 
     def gauss_weights(self, power: int) -> np.ndarray:
         """Gauss weights times r^power at the nodes of :meth:`gauss_squares`."""
         return self._rule.weights(power)
 
+    def _piecewise(self) -> PPoly:
+        """The spline as a ``PPoly``, built on first use."""
+        if self._ppoly is None:
+            coeffs = self._rule.coefficients(self.values, self._slopes)
+            self._ppoly = PPoly(coeffs, self.grid)
+        return self._ppoly
 
-#: d-th derivative of the cubic pieces: c_j (t^(3-j))^(d) has the factor
-#: (3-j)!/(3-j-d)! on the coefficient c_j, highest power first.
-_FALLING_FACTORIALS = (np.ones(4), np.array([3.0, 2.0, 1.0]), np.array([6.0, 2.0]))
+
+def _hermite_table(t: np.ndarray) -> np.ndarray:
+    """Row d * len(t) + j: h^d times the d-th derivative at t[j] in [0, 1] of
+    the cubic piece y_i + Δy H01 + h s_i H10 + h s_{i+1} H11 (Hermite basis),
+    per unit of its data (y_i, Δy, h s_i, h s_{i+1}). The increment Δy keeps
+    y_i out of the derivative rows, which would otherwise cancel terms of
+    size |y| / h^d."""
+    one, zero = np.ones_like(t), np.zeros_like(t)
+    rows = (
+        (one, t * t * (3 - 2 * t), t * (1 - t) ** 2, t * t * (t - 1)),
+        (zero, 6 * t * (1 - t), (1 - t) * (1 - 3 * t), t * (3 * t - 2)),
+        (zero, 6 - 12 * t, 6 * t - 4, 6 * t - 2),
+    )
+    return np.concatenate([np.stack(r, axis=1) for r in rows])
 
 
 class _GridRule:
@@ -270,9 +285,11 @@ class _GridRule:
 
     ``lu`` is the LU factorization (LAPACK ``gttrf``) of the not-a-knot
     tridiagonal system in the node slopes, the system that
-    ``scipy.interpolate.CubicSpline`` solves; ``offsets`` are the Gauss nodes
-    of every grid interval measured from its left node, and
-    :meth:`weights` tabulates the Gauss weights times r^p per power p.
+    ``scipy.interpolate.CubicSpline`` solves; ``hermite`` is
+    :func:`_hermite_table` at the Gauss points of the unit interval. The Gauss
+    nodes and weights are stored one row per Gauss point, so each row is a
+    contiguous run over the intervals, and :meth:`weights` tabulates the
+    weights times r^p per power p.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -296,14 +313,15 @@ class _GridRule:
         *self.lu, info = lapack.dgttrf(lower, diag, upper)
         if info != 0:
             raise UsageError("grid spacing too uneven for a cubic spline")
+        unit, _ = gauss_panels(np.array([0.0, 1.0]), SAMPLED_POINTS)
+        self.hermite = _hermite_table(unit[0])
+        self._inverse_steps = np.stack((1.0 / h, 1.0 / h**2))[:, None, :]
         r, w = gauss_panels(grid, SAMPLED_POINTS)
-        self.offsets = r - grid[:-1, None]
-        self._nodes, self._weights = r.ravel(), w.ravel()
+        self._nodes, self._weights = r.T.copy(), w.T.copy()
         self._by_power: dict[int, np.ndarray] = {}
 
-    def spline(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-cubic coefficients (highest power first, one column per
-        interval) and node slopes of the not-a-knot spline through y.
+    def spline(self, y: np.ndarray) -> np.ndarray:
+        """Node slopes of the not-a-knot spline through y.
 
         Same formulas as ``CubicSpline``, so the same spline to rounding.
         """
@@ -315,8 +333,30 @@ class _GridRule:
         b[-1] = (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
         s, _ = lapack.dgttrs(*self.lu, b)
         s.flags.writeable = False
+        return s
+
+    def coefficients(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Piecewise-cubic coefficients (highest power first, one column per
+        interval) of the spline with node values y and slopes s."""
+        h = self.steps
+        slope = np.diff(y) / h
         t = (s[:-1] + s[1:] - 2 * slope) / h
-        return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1])), s
+        return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]))
+
+    def squares(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """|f|^2, |f'|^2 and |f''|^2 at the Gauss nodes, shape (3, points,
+        intervals), for the spline with node values y and slopes s.
+
+        One product of ``hermite`` with the Hermite data of every interval
+        gives h^d f^(d); rescaling by 1/h^d and squaring finish in place.
+        """
+        h = self.steps
+        data = np.stack((y[:-1], np.diff(y), h * s[:-1], h * s[1:]))
+        f = (self.hermite @ data).reshape(3, -1, len(h))
+        f[1:] *= self._inverse_steps
+        f *= f
+        f.flags.writeable = False
+        return f
 
     def weights(self, power: int) -> np.ndarray:
         if power not in self._by_power:

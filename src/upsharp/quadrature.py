@@ -12,8 +12,8 @@ Three routes:
 Sampled profiles integrate their cubic spline over their own grid:
 ``SAMPLED_POINTS``-point Gauss-Legendre on every grid interval, with the
 profile zero outside the grid. The profile supplies the squared derivative at
-the Gauss nodes and its grid's cached table of weights times r^p, so a
-sampled integral is one dot product.
+the Gauss nodes and its grid's cached table of weights times r^p, both one
+row per Gauss point, so a sampled integral is one dot product per row.
 """
 
 from __future__ import annotations
@@ -252,10 +252,9 @@ def panel_integrate(fn, r_max: float, cfg: QuadratureConfig) -> tuple[float, flo
     return fine, abs(fine - coarse)
 
 
-def _integrand(profile: Profile, s: WeightedSeminorm):
+def _integrand(kt: KernelTerms, power: int):
     def fn(r: np.ndarray) -> np.ndarray:
-        v = profile.value(r, s.deriv)
-        return np.asarray(v) ** 2 * r ** float(s.power)
+        return np.asarray(kt(r)) ** 2 * r ** float(power)
 
     return fn
 
@@ -269,7 +268,12 @@ def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEF
     when its refinement estimate misses the configured tolerance.
     """
     if isinstance(profile, SampledProfile):
-        return float(profile.gauss_squares(s.deriv) @ profile.gauss_weights(s.power))
+        # One dot per Gauss point, each as long as the grid has intervals.
+        # OpenBLAS runs a ddot of up to 10 000 elements on the calling thread,
+        # so rows keep grids of up to 10 001 nodes off the BLAS thread pool;
+        # one dot over all four rows would reach it from 2 502 nodes on.
+        rows = np.vecdot(profile.gauss_squares(s.deriv), profile.gauss_weights(s.power))
+        return math.fsum(rows.tolist())
 
     kt = profile.kernel_terms(s.deriv)
     if not any(c != 0.0 for c, _, _ in kt.terms):
@@ -282,7 +286,7 @@ def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEF
         r_max = cfg.r_max
     else:
         r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
-    fn = _integrand(profile, s)
+    fn = _integrand(kt, s.power)
     if cfg.rule == "adaptive":
         value, err = _sciint.quad(
             fn, 0.0, r_max, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=400

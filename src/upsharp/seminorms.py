@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,8 +100,13 @@ PRINCIPLE_FUNCTIONALS = {
 }
 
 
+@lru_cache(maxsize=1024)
 def _term_table(fid: FunctionalId, form: Form, mode: Mode):
-    """(coefficient, derivative order, radial power) triples of the identity."""
+    """(coefficient, derivative order, radial power) triples of the identity.
+
+    Built once per (fid, form, mode) and shared by every caller, hence tuples;
+    the cache holds the 19 tables of each of 53 modes.
+    """
     N, k, ck = mode.dimension, mode.degree, mode.eigenvalue
     raw = {
         FunctionalId.GRAD_ENERGY: [(1, 1, N - 1), (ck, 0, N - 3)],
@@ -152,7 +158,7 @@ def _term_table(fid: FunctionalId, form: Form, mode: Mode):
     table = raw if form is Form.RAW else reduced
     if fid not in table:
         raise FormUnavailableError(f"{fid.value} has no {form.value}-form expression")
-    return table[fid]
+    return tuple(table[fid])
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,50 @@ def test_sampled_matches_cubic_spline(spacing, size, rng):
             assert abs(got - want) <= 1e-12 * want
 
 
+def test_sampled_cubic_integrals_match_exact_polynomial_integrals():
+    # The not-a-knot spline reproduces a cubic q, and 4-point Gauss is exact
+    # to degree 7, so every r^p |q^(d)|^2 with p <= 1 integrates exactly.
+    grid = np.geomspace(0.05, 4.0, 257)
+    q = np.polynomial.Polynomial([-0.8, 1.7, 0.45, -0.3])
+    p = SampledProfile(grid, q(grid))
+    r = np.polynomial.Polynomial([0.0, 1.0])
+    for d in (0, 1, 2):
+        for power in (0, 1):
+            antiderivative = (q.deriv(d) ** 2 * r**power).integ()
+            want = antiderivative(grid[-1]) - antiderivative(grid[0])
+            got = integrate(p, WeightedSeminorm(d, power))
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+def test_gauss_squares_match_point_values(spacing):
+    # Squares from the Hermite product against the PPoly evaluation, at the
+    # Gauss nodes built here: one row per Gauss point, one column per interval.
+    # Either route gets f'' from the node data only to about
+    # eps * max|f'| / min h, which is below 1e-14 of max|f''| on these grids.
+    grid = np.linspace(0.5, 6.0, 64) if spacing == "uniform" else np.geomspace(0.5, 6.0, 64)
+    p = SampledProfile(grid, np.exp(-grid) * np.cos(2.0 * grid))
+    xi, _ = np.polynomial.legendre.leggauss(SAMPLED_POINTS)
+    mid, half = 0.5 * (grid[1:] + grid[:-1]), 0.5 * np.diff(grid)
+    nodes = mid + half * xi[:, None]
+    for d in (0, 1, 2):
+        want = np.asarray(p.value(nodes, d)) ** 2
+        got = p.gauss_squares(d)
+        assert got.shape == nodes.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
+def test_gauss_squares_rejects_bad_order_after_caching():
+    grid = np.linspace(0.5, 5, 64)
+    p = SampledProfile(grid, np.exp(-grid))
+    with pytest.raises(UsageError):
+        p.gauss_squares(3)
+    p.gauss_squares(1)
+    for bad in (3, -1):
+        with pytest.raises(UsageError):
+            p.gauss_squares(bad)
+
+
 def test_grid_rule_is_shared_by_contents():
     grid = np.linspace(0.5, 5, 64)
     a = SampledProfile(grid, np.ones(64))

@@ -103,6 +103,30 @@ def test_panels_agree_with_closed_forms():
                 assert_allclose(got, exact, rtol=1e-10)
 
 
+def test_kernel_terms_share_decays():
+    # Terms with one rate share one exponential; the sum must not change.
+    mix = MixtureProfile(
+        (
+            AnalyticProfile("gaussian", 0.9, 0.7),
+            AnalyticProfile("monomial_cutoff", -0.4, 0.7, power=2.0),
+            AnalyticProfile("monomial_cutoff", 0.3, 1.9, power=1.0),
+            AnalyticProfile("gaussian", 0.5, 1.9),
+            AnalyticProfile("gaussian", -0.2, 3.1),
+        )
+    )
+    r = np.linspace(0.01, 6.0, 997)
+    for d in (0, 1, 2):
+        kt = mix.kernel_terms(d)
+        assert len({b for _, _, b in kt.terms}) < len(kt.terms)
+        by_term = sum(c * r**e * np.exp(-b * r * r) for c, e, b in kt.terms)
+        got = kt(r)
+        assert np.max(np.abs(got - by_term)) <= 1e-15 * np.max(np.abs(by_term))
+        for power in (0, 1, 3):
+            s = WeightedSeminorm(d, power)
+            exact = integrate(mix, s, CLOSED_FORM)
+            assert abs(integrate(mix, s, PANELS) - exact) < 1e-9 * abs(exact)
+
+
 def test_adaptive_agrees_with_closed_form():
     h = AnalyticProfile("hydrogen_second", 1.0, 1.0)
     exact = integrate(h, WeightedSeminorm(2, 4), CLOSED_FORM)
