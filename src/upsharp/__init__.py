@@ -20,7 +20,7 @@ from .constants import (
     sharp_constant,
 )
 from .errors import UpsharpError
-from .extremals import QuotientReport, extremal_quotient, radial_extremal_quotient
+from .extremals import QuotientReport, extremal_quotient
 from .minimize import (
     CombinedBound,
     ConjectureReport,
@@ -46,7 +46,7 @@ from .profiles import (
     reduce_profile,
     unreduce_profile,
 )
-from .quadrature import QuadratureConfig, WeightedSeminorm, gamma_moment, integrate
+from .quadrature import QuadratureConfig, WeightedSeminorm, integrate
 from .seminorms import (
     Form,
     FunctionalId,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .constants import PrincipleId, scan_infimum, sharp_constant
 from .errors import UpsharpError, UsageError
-from .extremals import extremal_quotient
+from .extremals import MIN_DIMENSION, extremal_quotient
 from .minimize import QuotientKind, VariationalProblem, explore_conjecture, minimize_quotient
 from .profiles import AnalyticProfile, make_mode, shift_power
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -69,10 +69,11 @@ def _emit(args: argparse.Namespace, parameters: dict, payload: dict, header: lis
 
 def cmd_verify(args: argparse.Namespace) -> int:
     principle = PrincipleId(args.principle)
+    dims = args.n if args.n is not None else f"{MIN_DIMENSION[principle]}..10"
     modes = ("closed_form", "quadrature") if args.mode == "both" else (args.mode,)
     reports = [
         extremal_quotient(principle, n, beta, mode=mode)
-        for n in parse_int_range(args.n)
+        for n in parse_int_range(dims)
         for beta in parse_float_list(args.beta)
         for mode in modes
     ]
@@ -84,7 +85,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures.append(rep)
     _emit(
         args,
-        {"principle": principle.value, "n": args.n, "beta": args.beta, "mode": args.mode},
+        {"principle": principle.value, "n": dims, "beta": args.beta, "mode": args.mode},
         {"reports": [rep.to_json() for rep in reports], "failures": len(failures)},
         ["principle", "N", "beta", "quotient", "predicted", "rel_gap"],
         lambda: [rep.csv_row().split(",") for rep in reports],
@@ -138,19 +139,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_minimize(args: argparse.Namespace) -> int:
     kind = QuotientKind(args.quotient)
-    dims = parse_int_range(args.n)
-    if len(dims) != 1:
-        raise UsageError("minimize takes a single dimension")
     band = args.band
     if not 0 <= band < math.inf:
         raise UsageError("--band must be finite and >= 0")
     problem = VariationalProblem.for_mode(
-        kind, dims[0], args.k, size=args.m, r_min=args.r_min, r_max=args.r_max,
+        kind, args.n, args.k, size=args.m, r_min=args.r_min, r_max=args.r_max,
     )
     result = minimize_quotient(problem)
     _emit(
         args,
-        {"quotient": kind.value, "n": dims[0], "k": args.k, "m": args.m},
+        {"quotient": kind.value, "n": args.n, "k": args.k, "m": args.m},
         {"result": result.to_json(), "eigen_crosscheck": result.pencil_value,
          "tolerance_band": band},
         ["iteration", "value"],
@@ -173,17 +171,11 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    dims = parse_int_range(args.n)
-    if len(dims) != 1:
-        raise UsageError("conjecture takes a single dimension")
-    n = dims[0]
-    if n not in (2, 3, 4, 5):
-        raise UsageError("conjecture explorer covers dimensions 2..4 (5 as calibration)")
     resolutions = tuple(_parse_list(args.ladder, int))
-    report = explore_conjecture(n, k_max=args.k_max, resolutions=resolutions)
+    report = explore_conjecture(args.n, k_max=args.k_max, resolutions=resolutions)
     _emit(
         args,
-        {"n": n, "k_max": args.k_max, "ladder": list(resolutions)},
+        {"n": args.n, "k_max": args.k_max, "ladder": list(resolutions)},
         {"report": report.to_json()},
         ["k", "resolution", "min_value"],
         lambda: [list(r) for r in report.csv_rows()],
@@ -200,13 +192,7 @@ _DECOMPOSE_IDS = (
 
 
 def cmd_decompose_check(args: argparse.Namespace) -> int:
-    dims = parse_int_range(args.n)
-    if len(dims) != 1 or dims[0] not in (2, 3):
-        raise UsageError("decompose-check runs in dimension 2 or 3")
-    n = dims[0]
-    beta = parse_float_list(args.beta)[0]
-    k = args.mode_k
-    amplitude = args.amplitude
+    n, beta, k, amplitude = args.n, args.beta, args.mode_k, args.amplitude
     radial = (
         AnalyticProfile("gaussian", amplitude, beta)
         if k == 0
@@ -282,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "extremal quotients against predicted constants")
     p.add_argument("principle", choices=[x.value for x in PrincipleId])
-    p.add_argument("--n", default="1..10", help="dimension range, e.g. 1..10")
+    p.add_argument("--n", help="dimension range, e.g. 1..10; unset runs from the "
+                   "principle's least dimension to 10")
     p.add_argument("--beta", default="0.25,1,4", help="comma-separated rates")
     p.add_argument("--mode", choices=("both", "closed_form", "quadrature"), default="both",
                    help="closed-form and/or quadrature quotients")
@@ -294,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("minimize", cmd_minimize, "variational minimization of one quotient")
     p.add_argument("quotient", choices=[x.value for x in QuotientKind])
-    p.add_argument("--n", default="3", help="dimension")
+    p.add_argument("--n", type=int, default=3, help="dimension")
     p.add_argument("--k", type=int, default=0, help="mode degree")
     p.add_argument("--m", type=int, default=512, help="grid size")
     p.add_argument("--r-min", type=float, help="innermost node; unset takes the quotient's own")
@@ -304,15 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("conjecture", cmd_conjecture,
                 "evidence explorer for dimensions 2..4 (5 calibrates)")
-    p.add_argument("--n", default="5", help="dimension")
+    p.add_argument("--n", type=int, choices=(2, 3, 4, 5), default=5,
+                   help="dimension; 5 calibrates")
     p.add_argument("--k-max", type=int, default=4, help="highest mode degree")
     p.add_argument("--ladder", default="128,256,512", help="comma-separated grid sizes")
     ignored(p, "--restarts", "--budget", "--trials")
 
     p = command("decompose-check", cmd_decompose_check,
                 "vector-field/scalar equivalence and raw-vs-reduced assembly checks")
-    p.add_argument("--n", default="2", help="dimension, 2 or 3")
-    p.add_argument("--beta", default="1", help="profile rate")
+    p.add_argument("--n", type=int, choices=(2, 3), default=2, help="dimension")
+    p.add_argument("--beta", type=float, default=1.0, help="profile rate")
     p.add_argument("--mode-k", type=int, default=0, help="mode degree")
     p.add_argument("--amplitude", type=float, default=1.0, help="profile amplitude")
     return parser

@@ -32,7 +32,8 @@ EXTREMAL_FAMILY = {
     PrincipleId.HYUP2_RADIAL: "hydrogen_second",
 }
 
-_MIN_DIMENSION = {
+#: The least dimension in which each principle is stated.
+MIN_DIMENSION = {
     PrincipleId.HUP: 1,
     PrincipleId.HUP2: 1,
     PrincipleId.HUP2_RADIAL: 1,
@@ -40,6 +41,12 @@ _MIN_DIMENSION = {
     PrincipleId.HYUP2: 2,
     PrincipleId.HYUP2_RADIAL: 2,
 }
+
+#: The note every report of a principle carries, for principles that have one.
+_NOTES = dict.fromkeys(
+    (PrincipleId.HUP2_RADIAL, PrincipleId.HYUP2_RADIAL),
+    "radial operators reduce to the degree-0 scalar quotient on radial profiles",
+)
 
 
 def sphere_area(dimension: int) -> float:
@@ -96,13 +103,14 @@ def extremal_quotient(
     mode: str = "closed_form",
     amplitude: float = 1.0,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    note: str = "",
 ) -> QuotientReport:
     """Evaluate one principle's quotient on its extremal family member.
 
     ``mode`` selects exact moment assembly ("closed_form") or the numerical
     panel rule ("quadrature"). The quotient is beta- and amplitude-invariant;
-    on the extremal family it reproduces the predicted sharp constant.
+    on the extremal family it reproduces the predicted sharp constant. The
+    radial principles are evaluated as the degree-0 scalar quotient, which the
+    radial operators reduce to on radial profiles; their reports say so.
     """
     p = PrincipleId(principle)
     n = int(dimension)
@@ -110,8 +118,8 @@ def extremal_quotient(
         raise UsageError(f"unknown evaluation mode {mode!r}")
     if beta <= 0:
         raise UsageError("beta must be positive")
-    if n < _MIN_DIMENSION[p]:
-        raise UsageError(f"{p.value} requires dimension >= {_MIN_DIMENSION[p]}")
+    if n < MIN_DIMENSION[p]:
+        raise UsageError(f"{p.value} requires dimension >= {MIN_DIMENSION[p]}")
     constant = sharp_constant(p, n)
     profile = AnalyticProfile(EXTREMAL_FAMILY[p], amplitude, beta)
     ids = PRINCIPLE_FUNCTIONALS[p]
@@ -123,8 +131,9 @@ def extremal_quotient(
     quotient = a * b / c**2
     predicted = float(constant.value)
     status = constant.status
+    note = _NOTES.get(p, "")
     if status == CONJECTURAL:
-        note = (note + " " if note else "") + "extremality conjectural in this dimension"
+        note = f"{note} extremality conjectural in this dimension"
     return QuotientReport(
         principle=p,
         dimension=n,
@@ -140,26 +149,4 @@ def extremal_quotient(
         mode=mode,
         sphere_factor=sphere_area(n),
         note=note.strip(),
-    )
-
-
-def radial_extremal_quotient(
-    principle: PrincipleId | str,
-    dimension: int,
-    beta: float = 1.0,
-    mode: str = "closed_form",
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> QuotientReport:
-    """Radial-operator quotient; for radial profiles it coincides with the
-    degree-0 scalar quotient, which is how it is evaluated."""
-    p = PrincipleId(principle)
-    if p not in (PrincipleId.HUP2_RADIAL, PrincipleId.HYUP2_RADIAL):
-        raise UsageError("radial quotients exist for hup2_radial and hyup2_radial only")
-    return extremal_quotient(
-        p,
-        dimension,
-        beta,
-        mode,
-        cfg=cfg,
-        note="radial operators reduce to the degree-0 scalar quotient on radial profiles",
     )

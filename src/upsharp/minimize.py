@@ -125,7 +125,8 @@ def _kind_forms(kind: QuotientKind, mode: Mode):
     else:
         principle, form, product = _KIND_QUOTIENT[kind]
         tables = (_term_table(fid, form, mode) for fid in PRINCIPLE_FUNCTIONALS[principle])
-        forms = [[(c, d, p) for c, d, p in t if c != 0 and (d or not product)] for t in tables]
+        forms = [[(c, s.deriv, s.power) for _, c, s in t if s.deriv or not product]
+                 for t in tables]
     if all(d >= 1 for rows in forms for _, d, _ in rows):
         forms = [[(c, d - 1, p) for c, d, p in rows] for rows in forms]
     return tuple(forms)
@@ -701,7 +702,7 @@ def explore_conjecture(
     )
 
 
-def n1_quotient_check(u: AnalyticProfile | MixtureProfile, use_closed_form: bool = True) -> float:
+def n1_quotient_check(u: AnalyticProfile | MixtureProfile) -> float:
     """One-dimensional second-order quotient for even profiles on the line.
 
     For even u the full-line integrals reduce to half-line ones and the
@@ -712,9 +713,7 @@ def n1_quotient_check(u: AnalyticProfile | MixtureProfile, use_closed_form: bool
     for comp in components:
         if comp.kernel != "gauss" or comp.power != int(comp.power) or int(comp.power) % 2:
             raise UsageError("the line quotient needs an even, smooth profile")
-    cfg = CLOSED_FORM if use_closed_form else None
-    kwargs = {"cfg": cfg} if cfg is not None else {}
-    a = integrate(u, WeightedSeminorm(2, 0), **kwargs)
-    b = integrate(u, WeightedSeminorm(1, 2), **kwargs)
-    c = integrate(u, WeightedSeminorm(1, 0), **kwargs)
+    a, b, c = (
+        integrate(u, WeightedSeminorm(d, p), CLOSED_FORM) for d, p in ((2, 0), (1, 2), (1, 0))
+    )
     return a * b / (c * c)

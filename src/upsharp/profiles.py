@@ -10,10 +10,11 @@ Every functional in the package is evaluated on one of two profile kinds:
   the Gauss rule of the grid intervals, its weights times r^p, the Hermite
   basis at the Gauss points) is done once per distinct grid and shared by
   every profile on it. A new profile costs one tridiagonal back-substitution
-  for its node slopes; its first integral evaluates f, f' and f'' at every
-  Gauss node in one small matrix product of the Hermite basis with the node
-  values and slopes, and the piecewise-polynomial coefficients are built only
-  for point evaluation.
+  for its node slopes. Its node values and slopes, as the cubic Hermite data
+  of every interval, are its only representation: its first integral
+  evaluates f, f' and f'' at every Gauss node in one small matrix product of
+  the Hermite basis with that data, and point evaluation applies the same
+  basis at each point's place in its interval.
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -29,7 +30,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg import lapack
 
 from .errors import UsageError
@@ -204,8 +204,10 @@ class SampledProfile:
     zero outside the grid (compact-support model); the grid must start
     strictly above zero so that negative radial weights stay finite.
     Instances are immutable after construction and keep private copies of
-    the grid and the values. Everything that depends on the grid alone is
-    built once per distinct grid and shared (see :func:`_grid_rule`).
+    the grid and the values. The node values and slopes are the spline's
+    cubic Hermite data (see :meth:`_GridRule.hermite_data`), from which every
+    evaluation is made. Everything that depends on the grid alone is built
+    once per distinct grid and shared (see :func:`_grid_rule`).
     """
 
     def __init__(self, grid, values):
@@ -220,7 +222,6 @@ class SampledProfile:
         self.grid = self._rule.grid
         self.values = values
         self._slopes = self._rule.spline(values)
-        self._ppoly: PPoly | None = None
         self._squares: np.ndarray | None = None
 
     def derivative_values(self, deriv: int) -> np.ndarray:
@@ -230,16 +231,22 @@ class SampledProfile:
         _check_deriv(deriv)
         if deriv == 1:
             return self._slopes
-        c, h = self._piecewise().c, self._rule.steps[-1]
-        return np.append(2.0 * c[1], 6.0 * c[0, -1] * h + 2.0 * c[1, -1])
+        h = self._rule.steps
+        at_start, at_end = _SECOND_AT_ENDS @ self._rule.hermite_data(self.values, self._slopes)
+        return np.append(at_start, at_end[-1]) / np.append(h, h[-1]) ** 2
 
     def value(self, r: np.ndarray | float, deriv: int = 0) -> np.ndarray | float:
         """The spline's deriv-th derivative at r; 0 outside the grid."""
         _check_deriv(deriv)
         r = np.asarray(r, dtype=float)
-        out = self._piecewise()(r, deriv)
-        outside = (r < self.grid[0]) | (r > self.grid[-1])
-        return np.where(outside, 0.0, out) if out.ndim else (0.0 if outside else float(out))
+        grid, h = self.grid, self._rule.steps
+        i = np.clip(np.searchsorted(grid, r, side="right") - 1, 0, len(h) - 1).ravel()
+        t = (r.ravel() - grid[i]) / h[i]
+        basis = _hermite_table(t)[deriv * t.size:(deriv + 1) * t.size]
+        data = self._rule.hermite_data(self.values, self._slopes)[:, i]
+        out = (np.einsum("jk,kj->j", basis, data) / h[i] ** deriv).reshape(r.shape)
+        outside = (r < grid[0]) | (r > grid[-1])
+        return np.where(outside, 0.0, out) if r.ndim else (0.0 if outside else float(out))
 
     def gauss_squares(self, deriv: int) -> np.ndarray:
         """|f^(d)|^2 at the Gauss nodes of every grid interval, unweighted.
@@ -257,13 +264,6 @@ class SampledProfile:
         """Gauss weights times r^power at the nodes of :meth:`gauss_squares`."""
         return self._rule.weights(power)
 
-    def _piecewise(self) -> PPoly:
-        """The spline as a ``PPoly``, built on first use."""
-        if self._ppoly is None:
-            coeffs = self._rule.coefficients(self.values, self._slopes)
-            self._ppoly = PPoly(coeffs, self.grid)
-        return self._ppoly
-
 
 def _hermite_table(t: np.ndarray) -> np.ndarray:
     """Row d * len(t) + j: h^d times the d-th derivative at t[j] in [0, 1] of
@@ -280,13 +280,18 @@ def _hermite_table(t: np.ndarray) -> np.ndarray:
     return np.concatenate([np.stack(r, axis=1) for r in rows])
 
 
+#: The h^2 f'' rows of :func:`_hermite_table` at t = 0 and t = 1.
+_SECOND_AT_ENDS = _hermite_table(np.array([0.0, 1.0]))[4:]
+
+
 class _GridRule:
     """What a sampled profile needs from its grid alone.
 
     ``lu`` is the LU factorization (LAPACK ``gttrf``) of the not-a-knot
     tridiagonal system in the node slopes, the system that
     ``scipy.interpolate.CubicSpline`` solves; ``hermite`` is
-    :func:`_hermite_table` at the Gauss points of the unit interval. The Gauss
+    :func:`_hermite_table` at the Gauss points of the unit interval, which
+    :meth:`squares` applies to the :meth:`hermite_data` of a spline. The Gauss
     nodes and weights are stored one row per Gauss point, so each row is a
     contiguous run over the intervals, and :meth:`weights` tabulates the
     weights times r^p per power p.
@@ -335,13 +340,12 @@ class _GridRule:
         s.flags.writeable = False
         return s
 
-    def coefficients(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Piecewise-cubic coefficients (highest power first, one column per
-        interval) of the spline with node values y and slopes s."""
+    def hermite_data(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The rows (y_i, Δy_i, h s_i, h s_{i+1}), one column per interval, of
+        the spline with node values y and slopes s: the data that
+        :func:`_hermite_table` weights."""
         h = self.steps
-        slope = np.diff(y) / h
-        t = (s[:-1] + s[1:] - 2 * slope) / h
-        return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]))
+        return np.stack((y[:-1], np.diff(y), h * s[:-1], h * s[1:]))
 
     def squares(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
         """|f|^2, |f'|^2 and |f''|^2 at the Gauss nodes, shape (3, points,
@@ -350,9 +354,7 @@ class _GridRule:
         One product of ``hermite`` with the Hermite data of every interval
         gives h^d f^(d); rescaling by 1/h^d and squaring finish in place.
         """
-        h = self.steps
-        data = np.stack((y[:-1], np.diff(y), h * s[:-1], h * s[1:]))
-        f = (self.hermite @ data).reshape(3, -1, len(h))
+        f = (self.hermite @ self.hermite_data(y, s)).reshape(3, -1, len(self.steps))
         f[1:] *= self._inverse_steps
         f *= f
         f.flags.writeable = False
@@ -433,9 +435,11 @@ def profile_to_json(p: Profile) -> dict:
 def profile_from_json(obj: dict | str) -> Profile:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if "grid" in obj:
-        return SampledProfile(obj["grid"], obj["values"])
-    if "mixture" in obj:
-        return MixtureProfile(tuple(profile_from_json(c) for c in obj["mixture"]))
-    params = dict(obj.get("params", {}))
-    return AnalyticProfile(obj["family"], **params)
+    try:
+        if "grid" in obj:
+            return SampledProfile(obj["grid"], obj["values"])
+        if "mixture" in obj:
+            return MixtureProfile(tuple(profile_from_json(c) for c in obj["mixture"]))
+        return AnalyticProfile(obj["family"], **obj.get("params", {}))
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"malformed profile object: {exc!r}") from None

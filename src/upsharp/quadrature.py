@@ -18,7 +18,6 @@ row per Gauss point, so a sampled integral is one dot product per row.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +27,6 @@ from scipy import integrate as _sciint
 
 from .errors import DivergentIntegralError, QuadratureConvergenceError, UsageError
 from .profiles import (
-    EXP_KERNEL,
     GAUSS_KERNEL,
     AnalyticProfile,
     KernelTerms,
@@ -87,42 +85,9 @@ class QuadratureConfig:
         if self.panels * self.points_per_panel < 32:
             raise UsageError("panels * points_per_panel must be at least 32")
 
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "QuadratureConfig":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(**obj)
-
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "panels": self.panels,
-            "points_per_panel": self.points_per_panel,
-            "r_max": self.r_max,
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-        }
-
 
 DEFAULT_CONFIG = QuadratureConfig()
 CLOSED_FORM = QuadratureConfig(rule="closed_form_gamma")
-
-
-def gamma_moment(kind: str, beta: float, power: int) -> float:
-    """Exact decaying-kernel moments.
-
-    gaussian_r2:    ∫_0^∞ e^{-2 beta r^2} r^m dr = Γ((m+1)/2) / (2 (2 beta)^{(m+1)/2})
-    exponential_r:  ∫_0^∞ e^{-2 beta r}   r^m dr = m! / (beta^{m+1} 2^{m+1})
-    """
-    if beta <= 0:
-        raise UsageError("beta must be positive")
-    if power < 0:
-        raise DivergentIntegralError(f"moment with power {power} diverges at the origin")
-    if kind == "gaussian_r2":
-        return _gauss_moment(2.0 * beta, float(power))
-    if kind == "exponential_r":
-        return _exp_moment(2.0 * beta, float(power))
-    raise UsageError(f"unknown moment kind {kind!r}")
 
 
 def _gauss_moment(c: float, q: float) -> float:

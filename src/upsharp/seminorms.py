@@ -102,10 +102,13 @@ PRINCIPLE_FUNCTIONALS = {
 
 @lru_cache(maxsize=1024)
 def _term_table(fid: FunctionalId, form: Form, mode: Mode):
-    """(coefficient, derivative order, radial power) triples of the identity.
+    """The nonzero rows of the identity, each once, as (key, coefficient,
+    seminorm) with key ``d{deriv}_p{power}``.
 
-    Built once per (fid, form, mode) and shared by every caller, hence tuples;
-    the cache holds the 19 tables of each of 53 modes.
+    Rows whose coefficient vanishes for this mode (e.g. the eigenvalue term
+    at degree 0) are dropped. Built once per (fid, form, mode) and shared by
+    every caller, hence tuples; the cache holds the 19 tables of each of 53
+    modes.
     """
     N, k, ck = mode.dimension, mode.degree, mode.eigenvalue
     raw = {
@@ -158,7 +161,11 @@ def _term_table(fid: FunctionalId, form: Form, mode: Mode):
     table = raw if form is Form.RAW else reduced
     if fid not in table:
         raise FormUnavailableError(f"{fid.value} has no {form.value}-form expression")
-    return tuple(table[fid])
+    return tuple(
+        (f"d{deriv}_p{power}", coef, WeightedSeminorm(deriv, power))
+        for coef, deriv, power in table[fid]
+        if coef != 0
+    )
 
 
 @dataclass(frozen=True)
@@ -221,8 +228,8 @@ def eval_mode_functional(
     """Assemble one mode functional term by term in the requested form.
 
     The profile must already be the mode's radial coefficient in that form.
-    Zero-coefficient terms (e.g. the eigenvalue term at degree 0) are skipped
-    before any integral is attempted.
+    Only the nonzero terms of the identity are integrated (see
+    :func:`_term_table`).
     """
     fid, form = FunctionalId(fid), Form(form)
     entries = _term_table(fid, form, mode)
@@ -233,17 +240,14 @@ def eval_mode_functional(
     _check_n2_admissibility(fid, form, mode, profile)
 
     terms: dict[str, float] = {}
-    for coef, deriv, power in entries:
-        if coef == 0:
-            continue
-        seminorm = WeightedSeminorm(deriv, power)
+    for key, coef, seminorm in entries:
         try:
             integral = integrate(profile, seminorm, cfg)
         except DivergentIntegralError as exc:
             raise SingularWeightError(
                 f"{fid.value} ({form.value} form) is singular for this profile: {exc}"
             ) from exc
-        terms[f"d{deriv}_p{power}"] = coef * integral
+        terms[key] = coef * integral
     value = math.fsum(terms.values())
     return ModeFunctionalValue(mode, fid, form, value, terms)
 

@@ -9,7 +9,9 @@ import pytest
 
 import upsharp
 from upsharp.cli import main, parse_float_list, parse_int_range
+from upsharp.constants import PrincipleId
 from upsharp.errors import UsageError
+from upsharp.minimize import QuotientKind
 
 
 def run_cli(capsys, args):
@@ -40,6 +42,8 @@ def test_malformed_numbers_are_usage_errors(capsys):
         ["decompose-check", "--n", "3", "--amplitude", "nan"],
         ["conjecture", "--n", "5", "--k-max", "-1", "--ladder", "96"],
         ["verify", "hup", "--format", "xml"],
+        ["decompose-check", "--beta", "1,7"],
+        ["minimize", "product_hup2", "--n", "2..3"],
     ):
         rc, _ = run_cli(capsys, args)
         assert rc == 2, args
@@ -91,6 +95,38 @@ def test_verify_sweep_passes(capsys):
     assert len(data["reports"]) == 10 * 3 * 2  # dims x betas x modes
     closed = [r for r in data["reports"] if r["mode"] == "closed_form"]
     assert all(r["rel_gap"] < 1e-12 for r in closed)
+
+
+# hardy_1d is left out: at its default grid its discrete minimum sits about 4%
+# above the Hardy constant, outside the default 2% band, so it exits 1.
+@pytest.mark.parametrize("args", [
+    *(["verify", p.value] for p in PrincipleId),
+    ["scan", "hup2_mode"],
+    ["scan", "hyup2_mode"],
+    *(["minimize", k.value] for k in QuotientKind if k is not QuotientKind.HARDY_1D),
+    ["conjecture"],
+    ["decompose-check"],
+], ids=" ".join)
+def test_required_arguments_alone_succeed(capsys, args):
+    rc, out = run_cli(capsys, args)
+    assert rc == 0, args
+    json.loads(out)
+
+
+def test_verify_default_range_starts_at_least_dimension(capsys):
+    for principle, first in (("hup2", 1), ("hyup2", 2)):
+        rc, out = run_cli(capsys, ["verify", principle, "--mode", "closed_form"])
+        data = json.loads(out)
+        assert rc == 0
+        assert data["manifest"]["parameters"]["n"] == f"{first}..10"
+        assert [r["dimension"] for r in data["reports"]][::3] == list(range(first, 11))
+
+
+def test_verify_radial_reports_carry_the_radial_note(capsys):
+    rc, out = run_cli(capsys, ["verify", "hup2_radial", "--n", "2..3"])
+    reports = json.loads(out)["reports"]
+    assert rc == 0 and len(reports) == 2 * 3 * 2
+    assert all("degree-0 scalar quotient" in r["note"] for r in reports)
 
 
 def test_verify_theorem_range_usage_error(capsys):

@@ -7,7 +7,6 @@ from upsharp.constants import CONJECTURAL, PROVED
 from upsharp.errors import QuadratureConvergenceError, UsageError
 from upsharp.extremals import (
     extremal_quotient,
-    radial_extremal_quotient,
     sphere_area,
 )
 from upsharp.quadrature import QuadratureConfig
@@ -45,14 +44,14 @@ def test_first_order_baselines():
 
 
 def test_radial_variants():
-    rep = radial_extremal_quotient("hup2_radial", 4, 2.0)
+    rep = extremal_quotient("hup2_radial", 4, 2.0)
     assert_allclose(rep.quotient, 9.0, rtol=1e-12)
     assert "degree-0" in rep.note
-    rep = radial_extremal_quotient("hyup2_radial", 2, 1.0)
+    rep = extremal_quotient("hyup2_radial", 2, 1.0)
     assert_allclose(rep.quotient, 2.25, rtol=1e-12)
     assert rep.status == PROVED
-    with pytest.raises(UsageError):
-        radial_extremal_quotient("hup2", 3, 1.0)
+    assert "degree-0" in rep.note
+    assert extremal_quotient("hup2", 3, 1.0).note == ""
 
 
 def test_beta_and_amplitude_invariance():

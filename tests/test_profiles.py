@@ -217,17 +217,18 @@ def test_sampled_cubic_integrals_match_exact_polynomial_integrals():
 
 @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
 def test_gauss_squares_match_point_values(spacing):
-    # Squares from the Hermite product against the PPoly evaluation, at the
+    # Squares from the Hermite product against scipy's CubicSpline, at the
     # Gauss nodes built here: one row per Gauss point, one column per interval.
     # Either route gets f'' from the node data only to about
     # eps * max|f'| / min h, which is below 1e-14 of max|f''| on these grids.
     grid = np.linspace(0.5, 6.0, 64) if spacing == "uniform" else np.geomspace(0.5, 6.0, 64)
-    p = SampledProfile(grid, np.exp(-grid) * np.cos(2.0 * grid))
+    values = np.exp(-grid) * np.cos(2.0 * grid)
+    p, cs = SampledProfile(grid, values), CubicSpline(grid, values)
     xi, _ = np.polynomial.legendre.leggauss(SAMPLED_POINTS)
     mid, half = 0.5 * (grid[1:] + grid[:-1]), 0.5 * np.diff(grid)
     nodes = mid + half * xi[:, None]
     for d in (0, 1, 2):
-        want = np.asarray(p.value(nodes, d)) ** 2
+        want = cs(nodes, d) ** 2
         got = p.gauss_squares(d)
         assert got.shape == nodes.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
@@ -293,6 +294,19 @@ def test_json_round_trip():
     sp = SampledProfile(grid, np.exp(-grid))
     back = profile_from_json(profile_to_json(sp))
     assert_allclose(back.values, sp.values)
+
+
+@pytest.mark.parametrize("obj", [
+    {},
+    {"grid": [1, 2]},
+    {"family": "gaussian", "params": {"bogus": 1}},
+    {"family": "gaussian", "params": {"rate": "x"}},
+])
+def test_profile_from_json_rejects_malformed_objects(obj):
+    with pytest.raises(UsageError):
+        profile_from_json(obj)
+    with pytest.raises(UsageError):
+        profile_from_json(json.dumps(obj))
 
 
 def test_shift_power():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate as sciint
 
 from upsharp.errors import DivergentIntegralError, UsageError
 from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
@@ -11,43 +10,12 @@ from upsharp.quadrature import (
     CLOSED_FORM,
     QuadratureConfig,
     WeightedSeminorm,
-    gamma_moment,
     integrate,
     panel_nodes,
 )
 
 PANELS = QuadratureConfig()
 ADAPTIVE = QuadratureConfig(rule="adaptive", abs_tol=1e-13, rel_tol=1e-11)
-
-
-def test_gamma_moment_exponential_factorials():
-    for n in (1, 2, 5, 9):
-        expected = math.factorial(n) / (2 ** (n + 1))
-        assert_allclose(gamma_moment("exponential_r", 1.0, n), expected, rtol=1e-14)
-    # beta scaling: m!/(beta^{m+1} 2^{m+1})
-    assert_allclose(
-        gamma_moment("exponential_r", 1.5, 4),
-        math.factorial(4) / (1.5**5 * 2**5),
-        rtol=1e-14,
-    )
-
-
-def test_gamma_moment_gaussian():
-    assert_allclose(gamma_moment("gaussian_r2", 0.5, 1), 0.5, rtol=1e-14)
-    # Adaptive quadrature oracle for beta=1, m=3 -> Gamma(2)/(2*2^2) = 1/8
-    oracle, err = sciint.quad(lambda r: np.exp(-2 * r * r) * r**3, 0, 20)
-    assert err < 1e-12
-    assert_allclose(gamma_moment("gaussian_r2", 1.0, 3), 0.125, rtol=1e-14)
-    assert_allclose(gamma_moment("gaussian_r2", 1.0, 3), oracle, rtol=1e-12)
-
-
-def test_gamma_moment_rejects():
-    with pytest.raises(DivergentIntegralError):
-        gamma_moment("gaussian_r2", 1.0, -1)
-    with pytest.raises(UsageError):
-        gamma_moment("gaussian_r2", -1.0, 2)
-    with pytest.raises(UsageError):
-        gamma_moment("lorentzian", 1.0, 2)
 
 
 def test_integrate_closed_form_examples():
@@ -221,9 +189,4 @@ def test_config_validation_and_json():
     with pytest.raises(UsageError):
         QuadratureConfig(panels=4, points_per_panel=8)  # enough points, no graded panel
     with pytest.raises(UsageError):
-        QuadratureConfig.from_json({"panels": 4, "points_per_panel": 8})
-    with pytest.raises(UsageError):
         QuadratureConfig(r_max=-3.0)
-    cfg = QuadratureConfig(rule="adaptive", r_max=30.0)
-    back = QuadratureConfig.from_json(cfg.to_json())
-    assert back == cfg
