@@ -155,10 +155,11 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         lambda: [[i, v] for i, v in enumerate(result.history)],
     )
     if not result.converged:
-        sys.stderr.write(
-            "pencil minimization did not converge: t* not bracketed inside the ln t "
-            "range, or the pencil value disagrees with the argmin quotient\n"
+        why = (
+            "t* not bracketed inside the ln t range" if result.exit == "range_end"
+            else "the pencil value disagrees with the argmin quotient"
         )
+        sys.stderr.write(f"pencil minimization did not converge (exit {result.exit}): {why}\n")
         return EXIT_COMPUTE
     if result.target is not None:
         if abs(result.min_value - result.target) > band * result.target:

@@ -29,16 +29,18 @@ eigenproblem as it stands, but by AM–GM
     inf_v sqrt(A B) / C = inf_{t>0} (1/2) * lambda_min(t A + B / t ; C).
 
 One bisection in ln t on the sign of d lambda/d ln t = (t a - b/t)/c, the
-Hellmann–Feynman slope at the eigenvector, finds t*. The Jacobi-scaled forms
-are banded (half-bandwidth 3), and each lambda_min comes from banded Cholesky
-factorizations: inverse iteration on t A + B/t, then a ladder of shifts s
-below the Rayleigh quotient. By Sylvester's law of inertia, a Cholesky of
-t A + B/t - s C that succeeds proves s < lambda_min, so every solve ends with
-a certified bracket; the largest such shift is the next inverse step's
-shift. The eigenvector at t* is the argmin, and its quotient, evaluated from
-the factored forms, is the reported minimum; (lambda*/2)^2 is reported beside
-it as the pencil value, and (sigma/2)^2 of the bracket's lower end at t* as
-the pencil's lower bound.
+Hellmann–Feynman slope at the eigenvector, finds t*. It runs until the slope
+is flat to 1e-12, |t a - b/t| <= 1e-12 (t a + b/t), where AM–GM is an
+equality and lambda(t) is stationary, or the width is 1e-4. The
+Jacobi-scaled forms are banded (half-bandwidth 3), and each lambda_min comes
+from banded Cholesky factorizations: inverse iteration on t A + B/t, then a
+ladder of shifts s below the Rayleigh quotient. By Sylvester's law of
+inertia, a Cholesky of t A + B/t - s C that succeeds proves s < lambda_min,
+so every solve ends with a certified bracket; the largest such shift is the
+next inverse step's shift. The eigenvector at t* is the argmin, and its
+quotient, evaluated from the factored forms, is the reported minimum;
+(lambda*/2)^2 is reported beside it as the pencil value, and (sigma/2)^2 of
+the bracket's lower end at t* as the pencil's lower bound.
 """
 
 from __future__ import annotations
@@ -325,7 +327,11 @@ class MinimizationResult:
     min_value: float
     argmin: SampledProfile
     iterations: int  # pencil evaluations
-    converged: bool  # both ends of the t range moved, pencil agrees with min_value
+    # Why the bisection stopped: "flat" (the slope is flat to 1e-12),
+    # "bracketed" (the width is 1e-4 and both ends of the t range moved) or
+    # "range_end" (the width is 1e-4 and one end never moved).
+    exit: str
+    converged: bool  # exit is not "range_end", pencil agrees with min_value
     history: list[float]  # running minimum of (lambda(t)/2)^2
     target: float | None
     t_star: float
@@ -345,6 +351,7 @@ class MinimizationResult:
             "min_value": self.min_value,
             "target": self.target,
             "iterations": self.iterations,
+            "exit": self.exit,
             "converged": self.converged,
             "t_star": self.t_star,
             "pencil_value": self.pencil_value,
@@ -355,9 +362,12 @@ class MinimizationResult:
         }
 
 
-#: Width in ln t that ends the bisection for t*, and the relative agreement
-#: between the pencil value and the argmin's quotient that counts as converged.
+#: Width in ln t that ends the bisection for t*, the relative Hellmann–Feynman
+#: slope |t a - b/t| / (t a + b/t) that ends it earlier, and the relative
+#: agreement between the pencil value and the argmin's quotient that counts
+#: as converged.
 _LOG_T_WIDTH = 1e-4
+_FLAT_SLOPE = 1e-12
 _AGREEMENT = 1e-6
 
 #: Shift ladder of one pencil solve: the first relative gap below the
@@ -432,7 +442,9 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     as the Rayleigh quotient of the eigenvector in the factored forms, an
     upper bound; SolverError when K does not factor. t* is found by
     bisection in ln t on the sign of the slope (t a - b/t)/c of lambda(t),
-    read from the same eigenvector, down to a width of 1e-4. The range spans
+    read from the same eigenvector, until the slope is flat to 1e-12 of
+    (t a + b/t) or the width is 1e-4; ``exit`` says which ("flat",
+    "bracketed", or "range_end" when t* was not bracketed). The range spans
     the local scales of the splines, widened upward by ln(size) for profiles
     much wider than one spline. The best evaluation gives every reported value.
     """
@@ -445,6 +457,7 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     # Inverse iteration starts from the previous eigenvector (ones at first),
     # so every run of the same problem takes the same path.
     y = np.ones(A.shape[1])
+    reason = "flat"
     while ends[1] - ends[0] > _LOG_T_WIDTH:
         log_t = 0.5 * (ends[0] + ends[1])
         t = math.exp(log_t)
@@ -452,8 +465,12 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         a, b, c = dq.parts(scale * y)
         evaluations.append((log_t, (t * a + b / t) / c, y, lower))
         # Hellmann–Feynman: dlambda/dln t = (t a - b/t)/c; t* lies on its downhill side.
+        if abs(t * a - b / t) <= _FLAT_SLOPE * (t * a + b / t):
+            break
         side = int(t * a >= b / t)
         ends[side], moved[side] = log_t, True
+    else:
+        reason = "bracketed" if all(moved) else "range_end"
     log_t, lam_star, y, lower = min(evaluations, key=lambda e: e[1])
     t = math.exp(log_t)
     residual = float(np.linalg.norm(
@@ -469,7 +486,8 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         min_value=min_value,
         argmin=dq.to_profile(x),
         iterations=len(evaluations),
-        converged=all(moved) and agrees,
+        exit=reason,
+        converged=reason != "range_end" and agrees,
         history=history.tolist(),
         target=dq.target,
         t_star=t,

@@ -433,13 +433,16 @@ def profile_to_json(p: Profile) -> dict:
 
 
 def profile_from_json(obj: dict | str) -> Profile:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
         if "grid" in obj:
             return SampledProfile(obj["grid"], obj["values"])
         if "mixture" in obj:
             return MixtureProfile(tuple(profile_from_json(c) for c in obj["mixture"]))
         return AnalyticProfile(obj["family"], **obj.get("params", {}))
-    except (KeyError, TypeError) as exc:
+    except UsageError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers unreadable JSON text and non-numeric grid or values.
         raise UsageError(f"malformed profile object: {exc!r}") from None

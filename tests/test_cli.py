@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import upsharp
-from upsharp.cli import main, parse_float_list, parse_int_range
+from upsharp.cli import EXIT_COMPUTE, main, parse_float_list, parse_int_range
 from upsharp.constants import PrincipleId
 from upsharp.errors import UsageError
-from upsharp.minimize import QuotientKind
+from upsharp.minimize import QuotientKind, minimize_quotient
 
 
 def run_cli(capsys, args):
@@ -184,6 +185,18 @@ def test_minimize_command(capsys):
     assert data["result"]["min_value"] == pytest.approx(4.0, rel=0.02)
     assert data["result"]["converged"]
     assert data["eigen_crosscheck"] == pytest.approx(data["result"]["min_value"], rel=0.01)
+
+
+def test_unconverged_minimize_names_exit_reason(capsys, monkeypatch):
+    def at_range_end(problem):
+        res = minimize_quotient(problem)
+        return dataclasses.replace(res, exit="range_end", converged=False)
+
+    monkeypatch.setattr(upsharp.cli, "minimize_quotient", at_range_end)
+    rc = main(["minimize", "product_hup2", "--n", "2", "--m", "96"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_COMPUTE
+    assert "exit range_end" in err and "not bracketed" in err
 
 
 def test_minimize_history_csv(capsys, tmp_path):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy import linalg
 from scipy.linalg.blas import dsbmv
 
+from upsharp import minimize
 from upsharp.errors import SolverError, UsageError
 from upsharp.minimize import (
     GridSpec,
@@ -298,6 +299,7 @@ def test_minimization_result_json():
     assert blob["pencil_value"] == pytest.approx(blob["min_value"], rel=1e-6)
     assert blob["t_star"] > 0 and blob["eigen_residual"] >= 0
     assert 0 < blob["pencil_lower"] <= blob["pencil_value"] * (1 + 1e-9)
+    assert blob["exit"] in ("flat", "bracketed") and blob["converged"]
 
 
 #: Every kind with a proved continuum infimum, at the degrees where it holds.
@@ -318,7 +320,7 @@ def test_minima_never_below_proved_constants(size):
             res = minimize_quotient(problem(kind, n, k, size=size))
             assert res.min_value >= res.target * (1 - 1e-9), (kind, n, k)
             assert abs(res.pencil_value - res.min_value) <= 1e-6 * res.min_value, (kind, n, k)
-            assert res.converged, (kind, n, k)
+            assert res.converged and res.exit in ("flat", "bracketed"), (kind, n, k)
             assert res.pencil_lower <= res.pencil_value * (1 + 1e-9), (kind, n, k)
             assert res.iterations <= 20, (kind, n, k)
 
@@ -451,6 +453,28 @@ def test_minimization_is_bit_reproducible():
     p = problem("mode_hyup2_full", 2, 0, size=160)
     first, second = (json.dumps(minimize_quotient(p).to_json()) for _ in range(2))
     assert first == second
+
+
+def test_flat_slope_stop_matches_full_bisection(monkeypatch):
+    # Where the Hellmann–Feynman slope is flat, AM–GM is an equality and the
+    # probe's quotient is the minimum over t, so stopping there gives the
+    # full bisection's minimum (to rounding) for well under its solves.
+    cases = [
+        (kind, n, k, size)
+        for kind in QuotientKind if kind is not QuotientKind.HARDY_1D
+        for n in (2, 3, 5) for k in (0, 1) for size in (96, 512)
+    ]
+    p = problem("mode_hyup2_full", 5, 0, size=512)
+    first, second = (minimize_quotient(p) for _ in range(2))
+    assert first.exit == "flat"
+    assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+    flat = [minimize_quotient(problem(*case)) for case in cases]
+    monkeypatch.setattr(minimize, "_FLAT_SLOPE", 0.0)
+    full = [minimize_quotient(problem(*case)) for case in cases]
+    for case, res, ref in zip(cases, flat, full):
+        assert ref.converged and res.converged, case
+        assert ref.min_value <= res.min_value <= ref.min_value * (1 + 1e-12), case
+    assert sum(r.iterations for r in flat) <= 0.6 * sum(r.iterations for r in full)
 
 
 def test_mode_mixtures_never_beat_best_single_mode(rng):

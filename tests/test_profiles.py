@@ -301,6 +301,8 @@ def test_json_round_trip():
     {"grid": [1, 2]},
     {"family": "gaussian", "params": {"bogus": 1}},
     {"family": "gaussian", "params": {"rate": "x"}},
+    {"grid": ["a"] * 8, "values": [1] * 8},
+    "{bad",
 ])
 def test_profile_from_json_rejects_malformed_objects(obj):
     with pytest.raises(UsageError):
