@@ -63,7 +63,7 @@ def _emit(args: argparse.Namespace, parameters: dict, payload: dict, header: lis
         text = render_csv(header, rows())
     else:
         manifest = RunManifest.create(args.command, parameters, args.seed)
-        text = render_json({"manifest": manifest.to_json(), **payload})
+        text = render_json({"manifest": manifest, **payload})
     write_report(text, args.out)
 
 
@@ -86,9 +86,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(
         args,
         {"principle": principle.value, "n": dims, "beta": args.beta, "mode": args.mode},
-        {"reports": [rep.to_json() for rep in reports], "failures": len(failures)},
+        {"reports": reports, "failures": len(failures)},
         ["principle", "N", "beta", "quotient", "predicted", "rel_gap"],
-        lambda: [rep.csv_row().split(",") for rep in reports],
+        lambda: [[rep.principle.value, rep.dimension, rep.rate, rep.quotient, rep.predicted,
+                  rep.rel_gap] for rep in reports],
     )
     if failures:
         sys.stderr.write(
@@ -125,7 +126,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _emit(
         args,
         {"formula": formula, "n": args.n, "k_max": args.k_max},
-        {"results": [res.to_json() for res in results], "annotations": annotated,
+        {"results": results, "annotations": annotated,
          "mismatches": len(mismatches)},
         ["formula", "N", "k", "num", "den", "value"],
         lambda: [
@@ -149,7 +150,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     _emit(
         args,
         {"quotient": kind.value, "n": args.n, "k": args.k, "m": args.m},
-        {"result": result.to_json(), "eigen_crosscheck": result.pencil_value,
+        {"result": result, "eigen_crosscheck": result.pencil_value,
          "tolerance_band": band},
         ["iteration", "value"],
         lambda: [[i, v] for i, v in enumerate(result.history)],
@@ -177,9 +178,9 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     _emit(
         args,
         {"n": args.n, "k_max": args.k_max, "ladder": list(resolutions)},
-        {"report": report.to_json()},
+        {"report": report},
         ["k", "resolution", "min_value"],
-        lambda: [list(r) for r in report.csv_rows()],
+        lambda: [[entry["degree"], entry["size"], entry["min_value"]] for entry in report.ladder],
     )
     return EXIT_OK
 

@@ -147,25 +147,6 @@ class ScanResult:
     certified_from: int
     monotone_from: int
 
-    def to_json(self) -> dict:
-        return {
-            "formula": self.formula,
-            "dimension": self.dimension,
-            "k_range": [0, self.k_max],
-            "values": [
-                {"num": v.numerator, "den": v.denominator, "float": float(v)}
-                for v in self.values
-            ],
-            "argmin": self.argmin,
-            "infimum": {
-                "num": self.infimum.numerator,
-                "den": self.infimum.denominator,
-                "float": float(self.infimum),
-            },
-            "certified_from": self.certified_from,
-            "monotone_from": self.monotone_from,
-        }
-
 
 def scan_infimum(formula: str, dimension: int, k_max: int = 64) -> ScanResult:
     """Scan a mode-bound formula over k in [0, k_max] and certify the tail.

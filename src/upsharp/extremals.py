@@ -71,30 +71,6 @@ class QuotientReport:
     sphere_factor: float
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "principle": self.principle.value,
-            "dimension": self.dimension,
-            "family": self.family,
-            "rate": self.rate,
-            "amplitude": self.amplitude,
-            "numerator_terms": dict(self.numerator_terms),
-            "denominator": self.denominator,
-            "quotient": self.quotient,
-            "predicted": self.predicted,
-            "rel_gap": self.rel_gap,
-            "status": self.status,
-            "mode": self.mode,
-            "sphere_factor": self.sphere_factor,
-            "note": self.note,
-        }
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.principle.value},{self.dimension},{self.rate},"
-            f"{self.quotient!r},{self.predicted!r},{self.rel_gap!r}"
-        )
-
 
 def extremal_quotient(
     principle: PrincipleId | str,

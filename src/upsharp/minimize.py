@@ -70,7 +70,6 @@ from .profiles import (
     Profile,
     SampledProfile,
     make_mode,
-    profile_to_json,
 )
 from .quadrature import CLOSED_FORM, WeightedSeminorm, gauss_panels, integrate
 from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _hardy_rows, _term_table
@@ -160,6 +159,11 @@ class VariationalProblem:
     mode: Mode
     kind: QuotientKind
     grid: GridSpec
+
+    def __post_init__(self) -> None:
+        if self.mode.dimension < 2:
+            raise UsageError("the variational quotients need dimension >= 2; "
+                             "n1_quotient_check covers N = 1")
 
     @classmethod
     def for_mode(
@@ -307,10 +311,11 @@ class DiscreteQuotient:
 
 @dataclass
 class MinimizationResult:
-    """Outcome of one t-pencil minimization.
+    """Outcome of one t-pencil minimization; its JSON report is these fields.
 
-    ``argmin`` is w = v' for the product kinds and the degree-0
-    mode_hyup2_full (``_kind_forms`` reduces their rows), v otherwise.
+    ``kind``, ``mode`` and ``grid`` are the problem's. ``argmin`` is w = v'
+    for the product kinds and the degree-0 mode_hyup2_full (``_kind_forms``
+    reduces their rows), v otherwise.
 
     ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
     Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
@@ -323,7 +328,9 @@ class MinimizationResult:
     (seen at N = 2, k = 1 and N = 2, k = 2 on 2048-node grids).
     """
 
-    problem: VariationalProblem
+    kind: QuotientKind
+    mode: Mode
+    grid: GridSpec
     min_value: float
     argmin: SampledProfile
     iterations: int  # pencil evaluations
@@ -338,28 +345,6 @@ class MinimizationResult:
     pencil_value: float
     pencil_lower: float
     eigen_residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "mode": {"N": self.problem.mode.dimension, "k": self.problem.mode.degree},
-            "kind": self.problem.kind.value,
-            "grid": {
-                "r_min": self.problem.grid.r_min,
-                "r_max": self.problem.grid.r_max,
-                "size": self.problem.grid.size,
-            },
-            "min_value": self.min_value,
-            "target": self.target,
-            "iterations": self.iterations,
-            "exit": self.exit,
-            "converged": self.converged,
-            "t_star": self.t_star,
-            "pencil_value": self.pencil_value,
-            "pencil_lower": self.pencil_lower,
-            "eigen_residual": self.eigen_residual,
-            "history": list(self.history),
-            "argmin": profile_to_json(self.argmin),
-        }
 
 
 #: Width in ln t that ends the bisection for t*, the relative Hellmann–Feynman
@@ -440,7 +425,9 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     when that bound and the Rayleigh quotient agree to 1e-12, or when the
     quotient stops falling and a higher shift fails. lambda(t) is then read
     as the Rayleigh quotient of the eigenvector in the factored forms, an
-    upper bound; SolverError when K does not factor. t* is found by
+    upper bound; SolverError when K does not factor, or before any solve
+    when a form's diagonal underflows to 0 or overflows, which leaves no
+    finite t range (extreme r_min or r_max). t* is found by
     bisection in ln t on the sign of the slope (t a - b/t)/c of lambda(t),
     read from the same eigenvector, until the slope is flat to 1e-12 of
     (t a + b/t) or the width is 1e-4; ``exit`` says which ("flat",
@@ -448,10 +435,14 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     the local scales of the splines, widened upward by ln(size) for profiles
     much wider than one spline. The best evaluation gives every reported value.
     """
-    dq = problem.assemble()
-    scale, A, B, C = _scaled_bands(dq)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            dq = problem.assemble()
+            scale, A, B, C = _scaled_bands(dq)
+            local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
+        except FloatingPointError as exc:
+            raise SolverError(f"the forms are not finite on this grid ({exc})") from None
     evaluations: list[tuple[float, float, np.ndarray, float]] = []
-    local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
     ends = [local.min(), local.max() + math.log(problem.grid.size)]
     moved = [False, False]
     # Inverse iteration starts from the previous eigenvector (ones at first),
@@ -482,7 +473,9 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     agrees = pencil - min_value <= _AGREEMENT * pencil
     history = np.minimum.accumulate([(e[1] / 2.0) ** 2 for e in evaluations])
     return MinimizationResult(
-        problem=problem,
+        kind=problem.kind,
+        mode=problem.mode,
+        grid=problem.grid,
         min_value=min_value,
         argmin=dq.to_profile(x),
         iterations=len(evaluations),
@@ -513,22 +506,6 @@ class ModeBoundRow:
     exact_bound: Fraction
     converged: bool
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "min_value": self.min_value,
-            "eigen_value": self.eigen_value,
-            "continuum": self.continuum,
-            "factor": {"num": self.factor.numerator, "den": self.factor.denominator},
-            "bound": self.bound,
-            "exact_bound": {
-                "num": self.exact_bound.numerator,
-                "den": self.exact_bound.denominator,
-                "float": float(self.exact_bound),
-            },
-            "converged": self.converged,
-        }
-
 
 @dataclass
 class CombinedBound:
@@ -540,22 +517,6 @@ class CombinedBound:
     combined: float
     argmin_degree: int
     exact_combined: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "quotient": self.quotient,
-            "dimension": self.dimension,
-            "k_max": self.k_max,
-            "size": self.size,
-            "rows": [row.to_json() for row in self.rows],
-            "combined": self.combined,
-            "argmin_degree": self.argmin_degree,
-            "exact_combined": {
-                "num": self.exact_combined.numerator,
-                "den": self.exact_combined.denominator,
-                "float": float(self.exact_combined),
-            },
-        }
 
 
 def mode_combined_bound(
@@ -620,31 +581,11 @@ class ConjectureReport:
     k_max: int
     resolutions: tuple[int, ...]
     ladder: list[dict]
-    combined: CombinedBound
+    combined_bound: CombinedBound
     estimated_infimum: float
     argmin_degree: int
     counterexample: dict | None
     status: str
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "conjectured": self.conjectured,
-            "k_max": self.k_max,
-            "resolutions": list(self.resolutions),
-            "ladder": self.ladder,
-            "combined_bound": self.combined.to_json(),
-            "estimated_infimum": self.estimated_infimum,
-            "argmin_degree": self.argmin_degree,
-            "counterexample": self.counterexample,
-            "status": self.status,
-        }
-
-    def csv_rows(self) -> list[tuple[int, int, float]]:
-        return [
-            (entry["degree"], entry["size"], entry["min_value"])
-            for entry in self.ladder
-        ]
 
 
 def explore_conjecture(
@@ -699,7 +640,7 @@ def explore_conjecture(
                     "degree": k,
                     "size": size,
                     "min_value": res.min_value,
-                    "profile": profile_to_json(res.argmin),
+                    "profile": res.argmin,
                 }
                 if counterexample is None or cand["min_value"] < counterexample["min_value"]:
                     counterexample = cand
@@ -712,7 +653,7 @@ def explore_conjecture(
         k_max=k_max,
         resolutions=resolutions,
         ladder=ladder,
-        combined=combined,
+        combined_bound=combined,
         estimated_infimum=per_mode_finest[argmin_degree],
         argmin_degree=argmin_degree,
         counterexample=counterexample,

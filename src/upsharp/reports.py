@@ -2,7 +2,10 @@
 
 Every CLI report embeds a manifest; with the same command, parameters and
 seed the numeric payload is bit-identical between runs (only the timestamp
-differs). JSON is emitted with sorted keys and shortest-roundtrip floats.
+differs). ``render_json`` is the one place that knows the JSON format: a
+dataclass is written as its fields, a ``Fraction`` as ``{num, den, float}``,
+a mode as ``{N, k}`` and a profile as ``profile_to_json`` writes it; enums
+are written as their values. Keys are sorted and floats shortest-roundtrip.
 """
 
 from __future__ import annotations
@@ -11,12 +14,16 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import scipy
+
+from .errors import UsageError
+from .profiles import Mode, Profile, profile_to_json
 
 
 @dataclass(frozen=True)
@@ -37,18 +44,22 @@ class RunManifest:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         return cls(command, dict(parameters), seed, versions, stamp)
 
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "versions": self.versions,
-            "timestamp": self.timestamp,
-        }
+
+def _encode(obj):
+    """JSON form of what ``json`` cannot write itself."""
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator, "float": float(obj)}
+    if isinstance(obj, Mode):
+        return {"N": obj.dimension, "k": obj.degree}
+    if isinstance(obj, Profile):
+        return profile_to_json(obj)
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True, default=_encode)
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:
@@ -60,10 +71,14 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 
 
 def write_report(text: str, out: str | Path | None) -> None:
-    """Write to the given path, or stdout when no path is given."""
+    """Write to the given path, or stdout when no path is given; a path that
+    cannot be written is a usage error."""
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}") from None

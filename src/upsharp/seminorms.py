@@ -176,15 +176,6 @@ class ModeFunctionalValue:
     value: float
     terms: dict
 
-    def to_json(self) -> dict:
-        return {
-            "mode": {"N": self.mode.dimension, "k": self.mode.degree},
-            "id": self.id.value,
-            "form": self.form.value,
-            "terms": dict(self.terms),
-            "value": self.value,
-        }
-
 
 def _check_n2_admissibility(fid: FunctionalId, form: Form, mode: Mode, profile: Profile) -> None:
     """Boundary admissibility near r=0 in dimension 2.

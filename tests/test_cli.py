@@ -13,6 +13,7 @@ from upsharp.cli import EXIT_COMPUTE, main, parse_float_list, parse_int_range
 from upsharp.constants import PrincipleId
 from upsharp.errors import UsageError
 from upsharp.minimize import QuotientKind, minimize_quotient
+from upsharp.reports import render_json
 
 
 def run_cli(capsys, args):
@@ -224,6 +225,12 @@ def test_conjecture_calibration_command(capsys):
     assert data["counterexample"] is None
     assert "evidence" in data["status"]
 
+    rc, out = run_cli(capsys, ["conjecture", "--n", "5", "--k-max", "1", "--ladder", "96",
+                               "--format", "csv"])
+    lines = out.strip().splitlines()
+    assert rc == 0 and lines[0] == "k,resolution,min_value"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "96"], ["1", "96"]]
+
 
 def test_conjecture_radial_only_matches_radial_theorem(capsys):
     rc, out = run_cli(capsys, [
@@ -290,3 +297,44 @@ def test_manifest_embedded(capsys):
     assert manifest["parameters"]["k_max"] == 8
     assert "upsharp" in manifest["versions"]
     assert re.match(r"\d{4}-\d{2}-\d{2}T", manifest["timestamp"])
+
+
+def test_render_json_rejects_unknown_objects():
+    with pytest.raises(TypeError):
+        render_json({"x": object()})
+
+
+@pytest.mark.parametrize("args", [
+    "product_hup2 --n 2 --r-min 1e-300",
+    "product_hup2 --n 5 --k 3 --r-min 1e-30 --m 128",
+    "hardy_1d --n 3 --r-max 1e300 --m 64",
+    "classic_hyup --n 2 --r-min 1e-200 --m 128",
+    "product_hup2 --n 5 --k 3 --r-min 1e-25 --m 128",
+])
+def test_extreme_grids_are_computation_failures(capsys, args):
+    # A form diagonal that underflows to 0 or overflows leaves no finite t
+    # range: a typed failure (exit 3), raised before any RuntimeWarning (the
+    # suite turns warnings into errors, and an escaping one fails the test).
+    rc = main(["minimize", *args.split()])
+    assert rc == EXIT_COMPUTE
+    assert "computation failed" in capsys.readouterr().err
+
+
+def test_tiny_r_min_still_solves(capsys):
+    rc, out = run_cli(capsys, ["minimize", "product_hup2", "--n", "2", "--r-min", "1e-30"])
+    assert rc == 0 and json.loads(out)["result"]["converged"]
+
+
+def test_minimize_at_dimension_one_is_a_usage_error(capsys):
+    # No per-mode quotient is the N = 1 problem (n1_quotient_check is).
+    for kind in QuotientKind:
+        rc = main(["minimize", kind.value, "--n", "1", "--m", "64"])
+        assert rc == 2, kind
+        assert "dimension >= 2" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    for out in (tmp_path, tmp_path / "missing" / "report.json"):
+        rc = main(["scan", "hup2_mode", "--n", "2", "--k-max", "8", "--out", str(out)])
+        assert rc == 2, out
+        assert "cannot write report" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from upsharp.constants import (
     sharp_constant,
 )
 from upsharp.errors import UsageError
+from upsharp.reports import render_json
 
 
 def test_sharp_constant_registry():
@@ -126,7 +128,8 @@ def test_scan_validation_and_json():
     with pytest.raises(UsageError):
         scan_infimum("hup2_mode", 3, 4)
     res = scan_infimum("hup2_mode", 2, 10)
-    blob = res.to_json()
+    blob = json.loads(render_json(res))
+    assert blob["k_max"] == 10
     assert blob["infimum"] == {"num": 4, "den": 1, "float": 4.0}
     assert blob["argmin"] == 0
     assert len(blob["values"]) == 11

@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 from numpy.testing import assert_allclose
 
+from upsharp.cli import main
 from upsharp.constants import CONJECTURAL, PROVED
 from upsharp.errors import QuadratureConvergenceError, UsageError
 from upsharp.extremals import (
@@ -10,6 +12,7 @@ from upsharp.extremals import (
     sphere_area,
 )
 from upsharp.quadrature import QuadratureConfig
+from upsharp.reports import render_json
 
 BETAS = (0.25, 1.0, 4.0)
 
@@ -99,16 +102,18 @@ def test_conjectural_labels():
         assert_allclose(rep.quotient, (n + 1) ** 2 / 4, rtol=1e-12)
 
 
-def test_report_consistency_and_serialization():
+def test_report_consistency_and_serialization(capsys):
     rep = extremal_quotient("hup2", 3, 1.0)
     a, b = rep.numerator_terms.values()
     assert_allclose(rep.quotient, a * b / rep.denominator**2, rtol=1e-12)
-    blob = rep.to_json()
+    blob = json.loads(render_json(rep))
     assert blob["principle"] == "hup2"
     assert blob["sphere_factor"] == pytest.approx(sphere_area(3))
-    row = rep.csv_row()
+    assert main(["verify", "hup2", "--n", "3", "--beta", "1", "--mode", "closed_form",
+                 "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
     assert row.startswith("hup2,3,1.0,")
-    assert len(row.split(",")) == 6
+    assert row.split(",")[3:] == [repr(rep.quotient), repr(rep.predicted), repr(rep.rel_gap)]
 
 
 def test_rejections():

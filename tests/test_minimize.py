@@ -26,6 +26,7 @@ from upsharp.minimize import (
 )
 from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
 from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
+from upsharp.reports import render_json
 from fractions import Fraction
 
 
@@ -135,7 +136,7 @@ def test_calibration_from_random_init(rng):
         return SampledProfile(r, vals)
 
     for kind, dims, target_fn in (
-        ("classic_hup", (1, 2, 3, 5), lambda n: n * n / 4),
+        ("classic_hup", (2, 3, 5), lambda n: n * n / 4),
         ("classic_hyup", (2, 3, 5), lambda n: (n - 1) ** 2 / 4),
     ):
         for n in dims:
@@ -145,6 +146,9 @@ def test_calibration_from_random_init(rng):
             assert res.min_value <= dq.value(dq.init_from_profile(random_init(dq.r)))
             target = target_fn(n)
             assert abs(res.min_value - target) / target < 0.02, (kind, n)
+    # N = 1 is no per-mode problem; verify hup --n 1 checks its constant 1/4.
+    with pytest.raises(UsageError):
+        problem("classic_hup", 1, 0)
 
 
 def test_dilation_invariance():
@@ -204,8 +208,9 @@ def test_combined_bound_matches_exact_scan():
         assert row.converged
         assert abs(row.eigen_value - row.min_value) / row.eigen_value < 0.01
         assert abs(row.bound - float(row.exact_bound)) < 0.03 * float(row.exact_bound)
-    blob = cb.to_json()
+    blob = json.loads(render_json(cb))
     assert blob["exact_combined"] == {"num": 4, "den": 1, "float": 4.0}
+    assert blob["rows"][1]["factor"] == {"num": 1, "den": 2, "float": 0.5}
     with pytest.raises(UsageError):
         mode_combined_bound("hup", 3)
     with pytest.raises(UsageError):
@@ -228,8 +233,6 @@ def test_explore_conjecture_calibration_quick():
     assert report.argmin_degree == 0
     assert abs(report.estimated_infimum - 9.0) / 9.0 < 0.03
     assert report.counterexample is None
-    rows = report.csv_rows()
-    assert all(len(row) == 3 for row in rows)
     assert {entry["size"] for entry in report.ladder} == {96, 192}
     assert "evidence" in report.status
 
@@ -241,7 +244,8 @@ def test_explore_conjecture_flags_low_dimension_candidate():
     assert report.counterexample is not None
     assert report.counterexample["degree"] == 1
     assert report.counterexample["min_value"] < report.conjectured
-    assert "grid" in report.counterexample["profile"]
+    assert isinstance(report.counterexample["profile"], SampledProfile)
+    assert "grid" in json.loads(render_json(report))["counterexample"]["profile"]
     assert report.estimated_infimum < report.conjectured
 
 
@@ -290,7 +294,7 @@ def test_n1_quotient():
 def test_minimization_result_json():
     p = problem("product_hup2", 3, 1, size=128)
     res = minimize_quotient(p)
-    blob = res.to_json()
+    blob = json.loads(render_json(res))
     assert blob["kind"] == "product_hup2"
     assert blob["mode"] == {"N": 3, "k": 1}
     assert blob["grid"]["size"] == 128
@@ -408,7 +412,7 @@ def test_argmin_reproduces_min_value(kind):
         for k in (0, 1, 2) if kind.startswith("product") else (0,):
             res = minimize_quotient(problem(kind, n, k, size=512))
             v, r_min = res.argmin, res.argmin.grid[0]
-            forms = _kind_forms(res.problem.kind, res.problem.mode)
+            forms = _kind_forms(res.kind, res.mode)
             pinned = any(d == 0 and p <= -1 for rows in forms for _, d, p in rows)
 
             def row_value(coef, d, p):
@@ -431,8 +435,9 @@ def test_radial_hydrogen_n2_robust_across_sizes():
             assert target * (1 - 1e-9) <= res.min_value <= target * 1.03, (n, size)
             assert res.min_value <= previous * (1 + 1e-12), (n, size)
             assert res.converged and res.eigen_residual <= 1e-9, (n, size)
-            blob = res.to_json()
-            twin = minimize_quotient(problem("product_hyup2", n, 0, size=size)).to_json()
+            blob = json.loads(render_json(res))
+            twin = minimize_quotient(problem("product_hyup2", n, 0, size=size))
+            twin = json.loads(render_json(twin))
             assert {**blob, "kind": None} == {**twin, "kind": None}, (n, size)
             previous = res.min_value
 
@@ -451,7 +456,7 @@ def test_radial_hydrogen_n2_survives_indefinite_assembly():
 
 def test_minimization_is_bit_reproducible():
     p = problem("mode_hyup2_full", 2, 0, size=160)
-    first, second = (json.dumps(minimize_quotient(p).to_json()) for _ in range(2))
+    first, second = (render_json(minimize_quotient(p)) for _ in range(2))
     assert first == second
 
 
@@ -467,7 +472,7 @@ def test_flat_slope_stop_matches_full_bisection(monkeypatch):
     p = problem("mode_hyup2_full", 5, 0, size=512)
     first, second = (minimize_quotient(p) for _ in range(2))
     assert first.exit == "flat"
-    assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+    assert render_json(first) == render_json(second)
     flat = [minimize_quotient(problem(*case)) for case in cases]
     monkeypatch.setattr(minimize, "_FLAT_SLOPE", 0.0)
     full = [minimize_quotient(problem(*case)) for case in cases]

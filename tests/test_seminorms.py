@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import IDENTITY_GRID, gaussian_mixture, interior_profile
+from upsharp.reports import render_json
 from upsharp.errors import (
     DegenerateProfileError,
     FormUnavailableError,
@@ -238,7 +240,7 @@ def test_vector_equiv_2d():
 def test_mode_functional_json():
     g = AnalyticProfile("gaussian", 1.0, 1.0)
     mv = eval_mode_functional(FunctionalId.GRAD_ENERGY, make_mode(3, 0), g, Form.RAW, CLOSED_FORM)
-    blob = mv.to_json()
+    blob = json.loads(render_json(mv))
     assert blob["mode"] == {"N": 3, "k": 0}
     assert blob["id"] == "grad_energy"
     assert set(blob) == {"mode", "id", "form", "terms", "value"}
