@@ -26,7 +26,8 @@ class SingularWeightError(UpsharpError, ValueError):
 
 
 class DegenerateProfileError(UpsharpError, ValueError):
-    """Denominator of a quotient fell below tolerance (effectively the zero profile)."""
+    """Denominator of a quotient fell below tolerance (effectively the zero
+    profile), or its moments left the floating-point range."""
 
 
 class InconclusiveScanError(UpsharpError, RuntimeError):

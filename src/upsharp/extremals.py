@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CONJECTURAL, PrincipleId, sharp_constant
-from .errors import UsageError
+from .errors import DegenerateProfileError, UsageError
 from .profiles import AnalyticProfile, make_mode
 from .quadrature import CLOSED_FORM, DEFAULT_CONFIG, QuadratureConfig
 from .seminorms import PRINCIPLE_FUNCTIONALS, Form, eval_mode_functional
@@ -101,10 +103,22 @@ def extremal_quotient(
     ids = PRINCIPLE_FUNCTIONALS[p]
     radial = make_mode(n, 0)
     quad_cfg = CLOSED_FORM if mode == "closed_form" else cfg
-    a, b, c = (
-        eval_mode_functional(fid, radial, profile, Form.RAW, quad_cfg).value for fid in ids
-    )
-    quotient = a * b / c**2
+    # At extreme rates the moments leave the float range: they overflow, or
+    # underflow to 0, and the quotient of such moments means nothing.
+    with np.errstate(all="ignore"):
+        try:
+            a, b, c = (
+                eval_mode_functional(fid, radial, profile, Form.RAW, quad_cfg).value
+                for fid in ids
+            )
+        except (OverflowError, ZeroDivisionError):
+            a = b = c = math.nan
+        quotient = float(np.float64(a) * b / np.square(c))
+    if not all(map(math.isfinite, (a, b, c, quotient))):
+        raise DegenerateProfileError(
+            f"{p.value} moments at beta={beta:g} are out of floating-point range "
+            f"(a={a:g}, b={b:g}, c={c:g})"
+        )
     predicted = float(constant.value)
     status = constant.status
     note = _NOTES.get(p, "")

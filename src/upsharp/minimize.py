@@ -15,13 +15,15 @@ nodes as breakpoints. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
 ∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s. The
 forms are assembled straight into LAPACK upper band storage from a table of
 D_0, D_1 and D_2 of the four splines nonzero on each interval, at its 6
-Gauss–Legendre points. The right end is clamped (v = v' = 0). Below r_min
-the function continues as the constant v(r_min), with v'(r_min) = 0 when a
-row has a second derivative, and each zero-order row gains its exact
-integral over (0, r_min). When a zero-order weight is not integrable at 0
-(p ≤ −1), v(r_min) = 0 is pinned instead (no such kind has a second-order
-row). Every discrete function is therefore an admissible function on
-(0, ∞), so a discrete minimum can never sit below a proved constant.
+Gauss–Legendre points; ``_bspline_basis`` evaluates the splines by de Boor's
+recursion on the clamped knot vector in s. The right end is clamped
+(v = v' = 0). Below r_min the function continues as the constant v(r_min),
+with v'(r_min) = 0 when a row has a second derivative, and each zero-order
+row gains its exact integral over (0, r_min). When a zero-order weight is
+not integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned instead (no such kind
+has a second-order row). Every discrete function is therefore an
+admissible function on (0, ∞), so a discrete minimum can never sit below a
+proved constant.
 
 Solver. The numerator is a product of two quadratic forms, so this is not an
 eigenproblem as it stands, but by AM–GM
@@ -51,7 +53,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import BSpline
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -197,21 +198,56 @@ def _cholesky(band: np.ndarray) -> np.ndarray | None:
     return None if info else factor
 
 
+def _bspline_basis(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values, first and second derivatives of the four cubic B-splines
+    nonzero on each interval, at its row of ``points``: shape (3, spline,
+    interval, point).
+
+    De Boor's triangular recursion (BSPLVB; de Boor, *A Practical Guide to
+    Splines*, ch. X), vectorized over intervals. On the clamped knot vector
+    interval i is knot span j = i + 3. The m splines of order m nonzero on
+    the span are divided by the widths t[j+1+r] - t[j+1+r-m] of their
+    supports; each width covers the span, so is positive. The divided
+    splines give the next order's values, weighted by t[j+1+r] - x and
+    x - t[j+1+r-m], or its derivatives, weighted by -m and m.
+    """
+    span = np.arange(len(points))[:, None] + 3
+    r = np.arange(3)[:, None, None]
+    right = knots[span + 1 + r] - points  # t[j+1+r] - x, shape (r, interval, point)
+    left = points - knots[span - r]       # x - t[j-r]
+
+    def divide(b: np.ndarray) -> np.ndarray:
+        m = len(b)
+        return b / (right[:m] + left[m - 1::-1])
+
+    def raise_order(term: np.ndarray, derivative: bool = False) -> np.ndarray:
+        m = len(term)
+        low, high = (-m, m) if derivative else (right[:m], left[m - 1::-1])
+        out = np.zeros((m + 1, *points.shape))
+        out[:-1] = low * term
+        out[1:] += high * term
+        return out
+
+    term2 = divide(raise_order(divide(np.ones((1, *points.shape)))))
+    term3 = divide(raise_order(term2))
+    table = [
+        raise_order(term3),
+        raise_order(term3, derivative=True),
+        raise_order(divide(raise_order(term2, derivative=True)), derivative=True),
+    ]
+    return np.stack(table)
+
+
 def _spline_table(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """D_0, D_1 and D_2 of the four cubic B-splines nonzero on each interval,
-    at its row of ``points``: shape (3, spline, interval, point). B-splines
-    four apart never overlap, so on an interval each sum of every fourth
-    B-spline is the one of its terms that is nonzero there."""
-    phase = np.arange(len(knots) - 4) % 4
-    sums = BSpline(knots, np.equal.outer(phase, np.arange(4)).astype(float), 3)
-    interval = np.arange(len(points))
-    which = (interval + np.arange(4)[:, None]) % 4  # the sum holding each local spline
-    f0, f1, f2 = (sums(points, nu)[interval, :, which] for nu in range(3))
+    """D_0, D_1 and D_2 = ∂_ss − ∂_s of the four cubic B-splines nonzero on
+    each interval, at its row of ``points``: shape (3, spline, interval, point)."""
+    f0, f1, f2 = _bspline_basis(knots, points)
     return np.stack([f0, f1, f2 - f1])
 
 
 class DiscreteQuotient:
-    """Rayleigh–Ritz realization of one quotient on cubic B-splines in ln r.
+    """Rayleigh–Ritz realization of one quotient on cubic B-splines in ln r,
+    on the clamped knot vector of the nodes, evaluated by de Boor's recursion.
 
     ``x`` holds the coefficients of the free splines (see the module
     docstring for the end conditions). Two arrays carry the discretization:
@@ -305,8 +341,11 @@ class DiscreteQuotient:
         of ``integrate`` on this profile.
         """
         local = np.append(x, 0.0)[self._local]
-        spline = BSpline(self._knots, np.concatenate([local[:, 0], local[-1, 1:]]), 3)
-        return SampledProfile(self.r, spline(np.log(self.r)))
+        s = np.log(self.r)
+        # Each interval supplies its left node; the last also its right node.
+        ends = np.stack([s[:-1], s[1:]], axis=1)
+        values = (_bspline_basis(self._knots, ends)[0] * local.T[:, :, None]).sum(axis=0)
+        return SampledProfile(self.r, np.append(values[:, 0], values[-1, 1]))
 
 
 @dataclass

@@ -336,7 +336,7 @@ class _GridRule:
         b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
         b[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
         b[-1] = (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
-        s, _ = lapack.dgttrs(*self.lu, b)
+        s, _ = lapack.dgttrs(*self.lu, b, overwrite_b=True)
         s.flags.writeable = False
         return s
 

@@ -7,7 +7,9 @@ Three routes:
 * ``gauss_legendre_panels`` — composite Gauss-Legendre with geometric panel
   grading toward 0, compensated panel summation, and a built-in refinement
   error estimate;
-* ``adaptive`` — scipy's adaptive quadrature, used as an independent oracle.
+* ``adaptive`` — scipy's adaptive quadrature (QUADPACK), used as an
+  independent oracle. ``scipy.integrate`` is imported on its first use, so
+  importing the package loads only numpy and ``scipy.linalg``.
 
 Sampled profiles integrate their cubic spline over their own grid:
 ``SAMPLED_POINTS``-point Gauss-Legendre on every grid interval, with the
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .errors import DivergentIntegralError, QuadratureConvergenceError, UsageError
 from .profiles import (
@@ -253,6 +254,10 @@ def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEF
         r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
     fn = _integrand(kt, s.power)
     if cfg.rule == "adaptive":
+        # Loaded here, not at import: scipy.integrate brings in scipy.optimize,
+        # sparse, spatial and special, and only this oracle uses it.
+        from scipy import integrate as _sciint
+
         value, err = _sciint.quad(
             fn, 0.0, r_max, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=400
         )

@@ -72,19 +72,31 @@ def test_bad_config_files_are_usage_errors(capsys, tmp_path):
         assert rc == 2, (args, text)
 
 
+@pytest.mark.parametrize("beta", ["1e300", "1e-300"])
+def test_verify_out_of_range_beta_is_a_computation_failure(capsys, beta):
+    # The moments overflow (1e300) or underflow to 0 (1e-300): a NaN quotient
+    # must fail the computation, not pass the gate.
+    rc = main(["verify", "hup2", "--n", "3", "--beta", beta])
+    assert rc == EXIT_COMPUTE
+    assert "computation failed" in capsys.readouterr().err
+
+
+def run_python(args):
+    """Run a fresh interpreter that imports this checkout's upsharp."""
+    src = str(Path(upsharp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def test_console_usage_error_exits_2_without_traceback(tmp_path):
     # The console entry point, not just main(): a bad config value is an
     # argparse error on stderr and exit status 2.
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"band": "abc"}')
-    src = str(Path(upsharp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "upsharp.cli", "minimize", "product_hup2", "--n", "3",
-         "--config", str(cfg)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python(["-m", "upsharp.cli", "minimize", "product_hup2", "--n", "3",
+                       "--config", str(cfg)])
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -338,3 +350,28 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
         rc = main(["scan", "hup2_mode", "--n", "2", "--k-max", "8", "--out", str(out)])
         assert rc == 2, out
         assert "cannot write report" in capsys.readouterr().err
+
+
+_IMPORT_GUARD = """
+import json, sys
+import upsharp.cli
+heavy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse",
+         "scipy.spatial", "scipy.special", "scipy.fft")
+loaded = [m for m in heavy if m in sys.modules]
+from upsharp.profiles import AnalyticProfile
+from upsharp.quadrature import CLOSED_FORM, QuadratureConfig, WeightedSeminorm, integrate
+u, s = AnalyticProfile("hydrogen_second", 1.0, 0.7), WeightedSeminorm(2, 3)
+values = [integrate(u, s, cfg) for cfg in (QuadratureConfig(rule="adaptive"), CLOSED_FORM)]
+print(json.dumps({"loaded": loaded, "values": values}))
+"""
+
+
+def test_import_loads_only_numpy_and_scipy_linalg():
+    # Start-up imports numpy and scipy.linalg; scipy.integrate comes in only
+    # with the adaptive oracle, which still agrees with the closed form.
+    proc = run_python(["-c", _IMPORT_GUARD])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    adaptive, exact = result["values"]
+    assert adaptive == pytest.approx(exact, rel=1e-9)

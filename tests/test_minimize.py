@@ -20,12 +20,13 @@ from upsharp.minimize import (
     mode_combined_bound,
     n1_quotient_check,
     _BANDS,
+    _bspline_basis,
     _kind_forms,
     _lowest_eigenpair,
     _scaled_bands,
 )
 from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
-from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
+from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, gauss_panels, integrate
 from upsharp.reports import render_json
 from fractions import Fraction
 
@@ -379,6 +380,44 @@ def test_pencil_errors_are_typed(monkeypatch):
     monkeypatch.setattr(VariationalProblem, "assemble", lambda self: dq)
     with pytest.raises(SolverError):
         minimize_quotient(p)
+
+
+def _clamped_knots(s):
+    return np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
+
+
+@pytest.mark.parametrize("size", [96, 512, 2048])
+def test_bspline_basis_matches_scipy(size):
+    # scipy's BSpline is the oracle: on an interval, each sum of every fourth
+    # B-spline is the one of its terms that is nonzero there.
+    from scipy.interpolate import BSpline
+
+    s = np.log(GridSpec(size=size).nodes())
+    points, _ = gauss_panels(s, 6)
+    knots = _clamped_knots(s)
+    basis = _bspline_basis(knots, points)
+    phase = np.arange(size + 2) % 4
+    sums = BSpline(knots, np.equal.outer(phase, np.arange(4)).astype(float), 3)
+    interval = np.arange(size - 1)
+    which = (interval + np.arange(4)[:, None]) % 4
+    for nu in range(3):
+        expected = sums(points, nu)[interval, :, which]
+        scale = np.abs(expected).max()
+        assert np.abs(basis[nu] - expected).max() <= 1e-13 * scale, nu
+        # Partition of unity: the splines sum to 1, their derivatives to 0.
+        assert np.abs(basis[nu].sum(axis=0) - (nu == 0)).max() <= 1e-13 * scale, nu
+
+
+def test_to_profile_matches_scipy_bspline(rng):
+    from scipy.interpolate import BSpline
+
+    dq = problem("mode_hyup2_full", 3, 1, size=512).assemble()
+    x = rng.standard_normal(dq.A.shape[1])
+    local = np.append(x, 0.0)[dq._local]
+    coefficients = np.concatenate([local[:, 0], local[-1, 1:]])
+    expected = BSpline(_clamped_knots(np.log(dq.r)), coefficients, 3)(np.log(dq.r))
+    got = dq.to_profile(x).values
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_criterion_8_minima_match_reference():
