@@ -15,9 +15,9 @@ import math
 import sys
 from pathlib import Path
 
-from .constants import PrincipleId, scan_infimum, sharp_constant
+from .constants import PRINCIPLES, PROVED, PrincipleId, scan_infimum, sharp_constant
 from .errors import UpsharpError, UsageError
-from .extremals import MIN_DIMENSION, extremal_quotient
+from .extremals import extremal_quotient
 from .minimize import QuotientKind, VariationalProblem, explore_conjecture, minimize_quotient
 from .profiles import AnalyticProfile, make_mode, shift_power
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -69,7 +69,7 @@ def _emit(args: argparse.Namespace, parameters: dict, payload: dict, header: lis
 
 def cmd_verify(args: argparse.Namespace) -> int:
     principle = PrincipleId(args.principle)
-    dims = args.n if args.n is not None else f"{MIN_DIMENSION[principle]}..10"
+    dims = args.n if args.n is not None else f"{PRINCIPLES[principle].least_dimension}..10"
     modes = ("closed_form", "quadrature") if args.mode == "both" else (args.mode,)
     reports = [
         extremal_quotient(principle, n, beta, mode=mode)
@@ -104,23 +104,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     formula = args.formula
     results = [scan_infimum(formula, n, args.k_max) for n in parse_int_range(args.n)]
 
+    principle = PrincipleId(formula.removesuffix("_mode"))
     mismatches = []
     annotated = []
     for res in results:
-        n = res.dimension
-        if formula == "hup2_mode":
-            expected = sharp_constant(PrincipleId.HUP2, n).value
-            ok = res.infimum == expected and res.argmin == 0
-        else:
-            expected = sharp_constant(PrincipleId.HYUP2, n).value
-            in_proved_range = n >= 5
-            ok = (res.infimum == expected and res.argmin == 0) if in_proved_range else True
-            if not in_proved_range:
-                annotated.append(
-                    {"dimension": n, "note": "outside proved range; scan reports the computed infimum",
-                     "argmin": res.argmin}
-                )
-        if not ok:
+        expected = sharp_constant(principle, res.dimension)
+        if expected.status != PROVED:
+            annotated.append(
+                {"dimension": res.dimension, "argmin": res.argmin,
+                 "note": "outside proved range; scan reports the computed infimum"}
+            )
+        elif res.infimum != expected.value or res.argmin != 0:
             mismatches.append(res)
 
     _emit(
@@ -152,8 +146,11 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         {"quotient": kind.value, "n": args.n, "k": args.k, "m": args.m},
         {"result": result, "eigen_crosscheck": result.pencil_value,
          "tolerance_band": band},
-        ["iteration", "value"],
-        lambda: [[i, v] for i, v in enumerate(result.history)],
+        ["kind", "N", "k", "size", "min_value", "pencil_value", "pencil_lower", "t_star",
+         "exit", "iterations"],
+        lambda: [[kind.value, result.mode.dimension, result.mode.degree, result.grid.size,
+                  result.min_value, result.pencil_value, result.pencil_lower, result.t_star,
+                  result.exit, result.iterations]],
     )
     if not result.converged:
         why = (

@@ -11,14 +11,17 @@ Their infima over k deliver the sharp constants (N+2)^2/4 (all N >= 2) and
 (N+1)^2/4 (N >= 5).  Everything here is exact rational arithmetic; a scan is
 accepted only when a monotone-tail certificate shows no smaller value can
 exist beyond the scanned range.
+
+``PRINCIPLES`` is the one table of each principle's sharp constant
+(N + shift)^2/4, least dimension and proved range.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InconclusiveScanError, UsageError
 
@@ -36,6 +39,22 @@ PROVED = "proved"
 CONJECTURAL = "conjectural"
 
 
+class PrincipleSpec(NamedTuple):
+    shift: int            # the sharp constant is (N + shift)^2 / 4
+    least_dimension: int  # the least N the principle is stated in
+    proved_from: int      # proved from this N on, conjectured below it
+
+
+PRINCIPLES = {
+    PrincipleId.HUP: PrincipleSpec(0, 1, 1),
+    PrincipleId.HYUP: PrincipleSpec(-1, 2, 2),
+    PrincipleId.HUP2: PrincipleSpec(2, 1, 1),
+    PrincipleId.HYUP2: PrincipleSpec(1, 2, 5),
+    PrincipleId.HUP2_RADIAL: PrincipleSpec(2, 1, 1),
+    PrincipleId.HYUP2_RADIAL: PrincipleSpec(1, 2, 2),
+}
+
+
 @dataclass(frozen=True)
 class SharpConstant:
     value: Fraction
@@ -46,30 +65,15 @@ class SharpConstant:
 
 
 def sharp_constant(principle: PrincipleId | str, dimension: int) -> SharpConstant:
-    """Sharp constant of a principle in a given dimension, with proof status.
-
-    The second-order hydrogen principle is proved for N >= 5 and conjectured
-    (same value) for 2 <= N <= 4; N = 1 is rejected outright. Its radial
-    restriction is proved for every N >= 2.
-    """
+    """Sharp constant (N + shift)^2/4 of a principle in a given dimension, with
+    proof status; UsageError below the principle's least dimension."""
     p = PrincipleId(principle)
     n = int(dimension)
-    if n < 1:
-        raise UsageError("dimension must be >= 1")
-    if p is PrincipleId.HUP:
-        return SharpConstant(Fraction(n * n, 4), PROVED)
-    if p is PrincipleId.HYUP:
-        return SharpConstant(Fraction((n - 1) ** 2, 4), PROVED)
-    if p in (PrincipleId.HUP2, PrincipleId.HUP2_RADIAL):
-        return SharpConstant(Fraction((n + 2) ** 2, 4), PROVED)
-    if p is PrincipleId.HYUP2_RADIAL:
-        if n < 2:
-            raise UsageError("hyup2_radial needs dimension >= 2")
-        return SharpConstant(Fraction((n + 1) ** 2, 4), PROVED)
-    # HYUP2
-    if n < 2:
-        raise UsageError("hyup2 needs dimension >= 2 (no statement covers N=1)")
-    return SharpConstant(Fraction((n + 1) ** 2, 4), PROVED if n >= 5 else CONJECTURAL)
+    spec = PRINCIPLES[p]
+    if n < spec.least_dimension:
+        raise UsageError(f"{p.value} requires dimension >= {spec.least_dimension}")
+    status = PROVED if n >= spec.proved_from else CONJECTURAL
+    return SharpConstant(Fraction((n + spec.shift) ** 2, 4), status)
 
 
 def hardy_correction_factor(quotient: str, dimension: int, degree: int) -> Fraction:

@@ -34,16 +34,6 @@ EXTREMAL_FAMILY = {
     PrincipleId.HYUP2_RADIAL: "hydrogen_second",
 }
 
-#: The least dimension in which each principle is stated.
-MIN_DIMENSION = {
-    PrincipleId.HUP: 1,
-    PrincipleId.HUP2: 1,
-    PrincipleId.HUP2_RADIAL: 1,
-    PrincipleId.HYUP: 2,
-    PrincipleId.HYUP2: 2,
-    PrincipleId.HYUP2_RADIAL: 2,
-}
-
 #: The note every report of a principle carries, for principles that have one.
 _NOTES = dict.fromkeys(
     (PrincipleId.HUP2_RADIAL, PrincipleId.HYUP2_RADIAL),
@@ -96,9 +86,7 @@ def extremal_quotient(
         raise UsageError(f"unknown evaluation mode {mode!r}")
     if beta <= 0:
         raise UsageError("beta must be positive")
-    if n < MIN_DIMENSION[p]:
-        raise UsageError(f"{p.value} requires dimension >= {MIN_DIMENSION[p]}")
-    constant = sharp_constant(p, n)
+    constant = sharp_constant(p, n)  # UsageError below the least dimension
     profile = AnalyticProfile(EXTREMAL_FAMILY[p], amplitude, beta)
     ids = PRINCIPLE_FUNCTIONALS[p]
     radial = make_mode(n, 0)

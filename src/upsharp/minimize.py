@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
@@ -62,6 +63,7 @@ from .constants import (
     hup2_mode_bound,
     hyup2_mode_bound,
     scan_infimum,
+    sharp_constant,
 )
 from .errors import SolverError, UsageError
 from .profiles import (
@@ -72,8 +74,14 @@ from .profiles import (
     SampledProfile,
     make_mode,
 )
-from .quadrature import CLOSED_FORM, WeightedSeminorm, gauss_panels, integrate
-from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _hardy_rows, _term_table
+from .quadrature import CLOSED_FORM, gauss_panels
+from .seminorms import (
+    PRINCIPLE_FUNCTIONALS,
+    Form,
+    _hardy_rows,
+    _term_table,
+    eval_mode_functional,
+)
 
 
 class QuotientKind(str, Enum):
@@ -85,7 +93,26 @@ class QuotientKind(str, Enum):
     MODE_HYUP2_FULL = "mode_hyup2_full"  # true second-order hydrogen quotient, one mode
 
 
-_GAUSS_KINDS = (QuotientKind.PRODUCT_HUP2, QuotientKind.CLASSIC_HUP, QuotientKind.HARDY_1D)
+class KindSpec(NamedTuple):
+    principle: PrincipleId | None  # None: the weighted 1-d Hardy ratio
+    form: Form
+    product: bool  # drops the zero-order rows, which the Hardy correction factor covers
+    r_min: float  # default grid ends
+    r_max: float
+
+
+#: Principle, form, product flag and default grid ends of each quotient kind.
+#: r_max is 14 where the extremal is Gaussian, 24 where it is hydrogen-like.
+#: The Hardy infimum is not attained, and hardy_1d's domain error shrinks like
+#: (pi / ln(r_max / r_min))^2, hence its small r_min.
+KINDS = {
+    QuotientKind.PRODUCT_HUP2: KindSpec(PrincipleId.HUP2, Form.REDUCED, True, 1e-3, 14.0),
+    QuotientKind.PRODUCT_HYUP2: KindSpec(PrincipleId.HYUP2, Form.REDUCED, True, 1e-3, 24.0),
+    QuotientKind.CLASSIC_HUP: KindSpec(PrincipleId.HUP, Form.RAW, False, 1e-3, 14.0),
+    QuotientKind.CLASSIC_HYUP: KindSpec(PrincipleId.HYUP, Form.RAW, False, 1e-3, 24.0),
+    QuotientKind.HARDY_1D: KindSpec(None, Form.REDUCED, False, 1e-9, 14.0),
+    QuotientKind.MODE_HYUP2_FULL: KindSpec(PrincipleId.HYUP2, Form.REDUCED, False, 1e-3, 24.0),
+}
 
 
 @dataclass(frozen=True)
@@ -106,28 +133,17 @@ class GridSpec:
         )
 
 
-#: Principle, form and product flag behind each quotient kind. A product kind
-#: drops the zero-order rows of its reduced quotient; they are what the Hardy
-#: correction factor accounts for.
-_KIND_QUOTIENT = {
-    QuotientKind.PRODUCT_HUP2: (PrincipleId.HUP2, Form.REDUCED, True),
-    QuotientKind.PRODUCT_HYUP2: (PrincipleId.HYUP2, Form.REDUCED, True),
-    QuotientKind.CLASSIC_HUP: (PrincipleId.HUP, Form.RAW, False),
-    QuotientKind.CLASSIC_HYUP: (PrincipleId.HYUP, Form.RAW, False),
-    QuotientKind.MODE_HYUP2_FULL: (PrincipleId.HYUP2, Form.REDUCED, False),
-}
-
-
 def _kind_forms(kind: QuotientKind, mode: Mode):
     """Nonzero (A, B, C) rows (coef, deriv, power) of the function the kind is
     solved in: w = v', every deriv one lower, when no row is zero-order."""
-    if kind is QuotientKind.HARDY_1D:
+    spec = KINDS[kind]
+    if spec.principle is None:
         num, den = _hardy_rows(mode)
         forms = ([num], [den], [den])
     else:
-        principle, form, product = _KIND_QUOTIENT[kind]
-        tables = (_term_table(fid, form, mode) for fid in PRINCIPLE_FUNCTIONALS[principle])
-        forms = [[(c, s.deriv, s.power) for _, c, s in t if s.deriv or not product]
+        tables = (_term_table(fid, spec.form, mode)
+                  for fid in PRINCIPLE_FUNCTIONALS[spec.principle])
+        forms = [[(c, s.deriv, s.power) for _, c, s in t if s.deriv or not spec.product]
                  for t in tables]
     if all(d >= 1 for rows in forms for _, d, _ in rows):
         forms = [[(c, d - 1, p) for c, d, p in rows] for rows in forms]
@@ -137,22 +153,19 @@ def _kind_forms(kind: QuotientKind, mode: Mode):
 def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
     """Known continuum infimum of the quotient, when one is established.
 
-    For the full per-mode second-order hydrogen quotient the value returned is
-    the full-space constant (N+1)^2/4 as a reference: it is the degree-0
-    infimum, while for higher degrees no proved per-mode value exists.
+    A product kind, its zero-order rows dropped, is the degree-0 quotient of
+    its principle in dimension N + 2k, so its target is that constant. Any
+    other kind's target is its principle's constant at degree 0 (for
+    mode_hyup2_full the full-space constant, conjectured for 2 <= N <= 4) and
+    None above it; the Hardy ratio's is (N+2k)^2/4.
     """
     N, k = mode.dimension, mode.degree
-    if kind is QuotientKind.PRODUCT_HUP2:
-        return (N + 2 * k + 2) ** 2 / 4.0
-    if kind is QuotientKind.PRODUCT_HYUP2:
-        return (N + 2 * k + 1) ** 2 / 4.0
-    if kind is QuotientKind.HARDY_1D:
+    spec = KINDS[kind]
+    if spec.principle is None:
         return (N + 2 * k) ** 2 / 4.0
-    if kind is QuotientKind.CLASSIC_HUP:
-        return N * N / 4.0 if k == 0 else None
-    if kind is QuotientKind.CLASSIC_HYUP:
-        return (N - 1) ** 2 / 4.0 if k == 0 else None
-    return (N + 1) ** 2 / 4.0 if k == 0 else None
+    if spec.product:
+        return float(sharp_constant(spec.principle, N + 2 * k))
+    return float(sharp_constant(spec.principle, N)) if k == 0 else None
 
 
 @dataclass(frozen=True)
@@ -177,10 +190,9 @@ class VariationalProblem:
         r_max: float | None = None,
     ) -> "VariationalProblem":
         kind = QuotientKind(kind)
-        r_min = 1e-3 if r_min is None else r_min
-        if r_max is None:
-            r_max = 14.0 if kind in _GAUSS_KINDS else 24.0
-        grid = GridSpec(r_min, r_max, size)
+        spec = KINDS[kind]
+        grid = GridSpec(spec.r_min if r_min is None else r_min,
+                        spec.r_max if r_max is None else r_max, size)
         return cls(make_mode(dimension, degree), kind, grid)
 
     def assemble(self) -> "DiscreteQuotient":
@@ -352,9 +364,10 @@ class DiscreteQuotient:
 class MinimizationResult:
     """Outcome of one t-pencil minimization; its JSON report is these fields.
 
-    ``kind``, ``mode`` and ``grid`` are the problem's. ``argmin`` is w = v'
-    for the product kinds and the degree-0 mode_hyup2_full (``_kind_forms``
-    reduces their rows), v otherwise.
+    ``kind``, ``mode`` and ``grid`` are the problem's; ``target`` is
+    ``continuum_target``. ``argmin`` is w = v' for the product kinds and the
+    degree-0 mode_hyup2_full (no row of theirs is zero-order, so their rows
+    are reduced), v otherwise.
 
     ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
     Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
@@ -378,7 +391,6 @@ class MinimizationResult:
     # "range_end" (the width is 1e-4 and one end never moved).
     exit: str
     converged: bool  # exit is not "range_end", pencil agrees with min_value
-    history: list[float]  # running minimum of (lambda(t)/2)^2
     target: float | None
     t_star: float
     pencil_value: float
@@ -510,7 +522,6 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     min_value = dq.value(x)
     pencil = (lam_star / 2.0) ** 2
     agrees = pencil - min_value <= _AGREEMENT * pencil
-    history = np.minimum.accumulate([(e[1] / 2.0) ** 2 for e in evaluations])
     return MinimizationResult(
         kind=problem.kind,
         mode=problem.mode,
@@ -520,7 +531,6 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         iterations=len(evaluations),
         exit=reason,
         converged=reason != "range_end" and agrees,
-        history=history.tolist(),
         target=dq.target,
         t_star=t,
         pencil_value=pencil,
@@ -538,7 +548,6 @@ def eigen_crosscheck(problem: VariationalProblem) -> float:
 class ModeBoundRow:
     degree: int
     min_value: float
-    eigen_value: float
     continuum: float
     factor: Fraction
     bound: float
@@ -571,11 +580,12 @@ def mode_combined_bound(
     exact correction factor; the minimum over k sits next to the exact scan
     value for comparison.
     """
-    if quotient not in ("hup2", "hyup2"):
+    products = {spec.principle.value: kind for kind, spec in KINDS.items() if spec.product}
+    if quotient not in products:
         raise UsageError("combined bounds exist for quotient 'hup2' or 'hyup2'")
     if k_max < 4:
         raise UsageError("k_max must be at least 4")
-    kind = QuotientKind.PRODUCT_HUP2 if quotient == "hup2" else QuotientKind.PRODUCT_HYUP2
+    kind = products[quotient]
     exact_fn = hup2_mode_bound if quotient == "hup2" else hyup2_mode_bound
     rows: list[ModeBoundRow] = []
     for k in range(k_max + 1):
@@ -586,8 +596,7 @@ def mode_combined_bound(
             ModeBoundRow(
                 degree=k,
                 min_value=res.min_value,
-                eigen_value=res.pencil_value,
-                continuum=continuum_target(kind, problem.mode),
+                continuum=res.target,
                 factor=factor,
                 bound=float(factor) * res.min_value,
                 exact_bound=exact_fn(dimension, k),
@@ -649,12 +658,10 @@ def explore_conjecture(
     so no mode mixture goes below the best single mode.
     """
     n = int(dimension)
-    if n < 2:
-        raise UsageError("the conjecture explorer needs dimension >= 2")
+    conjectured = float(sharp_constant(PrincipleId.HYUP2, n))  # UsageError below N = 2
     resolutions = tuple(sorted(set(resolutions)))
     if k_max < 0 or not resolutions:
         raise UsageError("the conjecture explorer needs k_max >= 0 and at least one resolution")
-    conjectured = (n + 1) ** 2 / 4.0
     ladder: list[dict] = []
     finest = max(resolutions)
     counterexample = None
@@ -669,7 +676,6 @@ def explore_conjecture(
                 "degree": k,
                 "size": size,
                 "min_value": res.min_value,
-                "eigen_value": res.pencil_value,
                 "converged": res.converged,
             })
             if size == finest:
@@ -711,7 +717,7 @@ def n1_quotient_check(u: AnalyticProfile | MixtureProfile) -> float:
     for comp in components:
         if comp.kernel != "gauss" or comp.power != int(comp.power) or int(comp.power) % 2:
             raise UsageError("the line quotient needs an even, smooth profile")
-    a, b, c = (
-        integrate(u, WeightedSeminorm(d, p), CLOSED_FORM) for d, p in ((2, 0), (1, 2), (1, 0))
-    )
+    line = make_mode(1, 0)  # each functional has a single row here
+    a, b, c = (eval_mode_functional(fid, line, u, Form.RAW, CLOSED_FORM).value
+               for fid in PRINCIPLE_FUNCTIONALS[PrincipleId.HUP2])
     return a * b / (c * c)

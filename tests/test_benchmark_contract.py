@@ -1,32 +1,36 @@
-"""The benchmark's CLI jobs pass their own gates.
+"""The benchmark's CLI jobs pass their own gates, and its tracer still fits.
 
 ``perfbench/workloads.py`` reads the CLI's JSON reports; running its CLI
 jobs here through their own ``prepare``/``call``/``check`` makes a change of
-report schema fail the test suite before it fails the benchmark.
+report schema fail the test suite before it fails the benchmark. Likewise
+``perfbench/tracing.py`` wraps functions by name and its hooks read result
+fields; installing it around one job makes a rename of either fail here.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from upsharp.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 COMMANDS = {"verify", "scan", "minimize", "conjecture", "decompose-check"}
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolves the module of the classes it decorates by name.
-    sys.modules["workloads"] = module
+    sys.modules[name] = module
     try:
         spec.loader.exec_module(module)
     finally:
-        del sys.modules["workloads"]
+        del sys.modules[name]
     return module
 
 
 def test_benchmark_cli_jobs_pass_their_gates():
-    wl = _workloads()
+    wl = _load("workloads")
     jobs = [job for name in wl.WORKLOADS for job in wl.build(name, 3)
             if job.name.split()[0] in COMMANDS]
     assert len(jobs) == 25
@@ -35,3 +39,17 @@ def test_benchmark_cli_jobs_pass_their_gates():
         outcome = job.check(args, job.call(args))
         assert outcome.ok, (job.name, outcome.note)
         assert outcome.below_proved == 0, job.name
+
+
+def test_tracer_wraps_one_minimize_job(capsys):
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        rc = main(["minimize", "product_hup2", "--n", "3", "--m", "128"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    layers = tracer.per_layer()
+    assert layers["minimize.descent.calls"] == 1
+    assert layers["minimize.assemble.calls"] == 1

@@ -111,13 +111,11 @@ def test_verify_sweep_passes(capsys):
     assert all(r["rel_gap"] < 1e-12 for r in closed)
 
 
-# hardy_1d is left out: at its default grid its discrete minimum sits about 4%
-# above the Hardy constant, outside the default 2% band, so it exits 1.
 @pytest.mark.parametrize("args", [
     *(["verify", p.value] for p in PrincipleId),
     ["scan", "hup2_mode"],
     ["scan", "hyup2_mode"],
-    *(["minimize", k.value] for k in QuotientKind if k is not QuotientKind.HARDY_1D),
+    *(["minimize", k.value] for k in QuotientKind),
     ["conjecture"],
     ["decompose-check"],
 ], ids=" ".join)
@@ -128,7 +126,9 @@ def test_required_arguments_alone_succeed(capsys, args):
 
 
 def test_verify_default_range_starts_at_least_dimension(capsys):
-    for principle, first in (("hup2", 1), ("hyup2", 2)):
+    least = {"hup": 1, "hyup": 2, "hup2": 1, "hyup2": 2, "hup2_radial": 1, "hyup2_radial": 2}
+    assert set(least) == {p.value for p in PrincipleId}
+    for principle, first in least.items():
         rc, out = run_cli(capsys, ["verify", principle, "--mode", "closed_form"])
         data = json.loads(out)
         assert rc == 0
@@ -212,18 +212,21 @@ def test_unconverged_minimize_names_exit_reason(capsys, monkeypatch):
     assert "exit range_end" in err and "not bracketed" in err
 
 
-def test_minimize_history_csv(capsys, tmp_path):
-    out_path = tmp_path / "history.csv"
+def test_minimize_csv_row(capsys, tmp_path):
+    out_path = tmp_path / "result.csv"
     rc, _ = run_cli(capsys, [
         "minimize", "classic_hyup", "--n", "3", "--m", "128", "--budget", "3000",
         "--restarts", "1", "--format", "csv", "--out", str(out_path),
     ])
     assert rc == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,value"
-    values = [float(line.split(",")[1]) for line in lines[1:]]
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
-    assert values[-1] == pytest.approx(1.0, rel=0.02)  # (N-1)^2/4 at N=3
+    header, row = (line.split(",") for line in out_path.read_text().strip().splitlines())
+    assert header == ["kind", "N", "k", "size", "min_value", "pencil_value", "pencil_lower",
+                      "t_star", "exit", "iterations"]
+    row = dict(zip(header, row))
+    assert (row["kind"], row["N"], row["k"], row["size"]) == ("classic_hyup", "3", "0", "128")
+    assert float(row["min_value"]) == pytest.approx(1.0, rel=0.02)  # (N-1)^2/4 at N=3
+    assert float(row["pencil_value"]) == pytest.approx(float(row["min_value"]), rel=1e-6)
+    assert row["exit"] in ("flat", "bracketed") and int(row["iterations"]) >= 1
 
 
 def test_conjecture_calibration_command(capsys):

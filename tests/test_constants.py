@@ -39,12 +39,14 @@ def test_sharp_constant_statuses():
 
 
 def test_sharp_constant_rejects():
-    with pytest.raises(UsageError):
-        sharp_constant("hyup2", 1)
-    with pytest.raises(UsageError):
-        sharp_constant("hyup2_radial", 1)
-    with pytest.raises(UsageError):
-        sharp_constant("hup", 0)
+    # Below its least dimension a principle states nothing, whatever its proof
+    # range: asking for its constant there is a usage error (hyup at N = 1 too).
+    least = {"hup": 1, "hyup": 2, "hup2": 1, "hyup2": 2, "hup2_radial": 1, "hyup2_radial": 2}
+    assert set(least) == {p.value for p in PrincipleId}
+    for principle, first in least.items():
+        assert sharp_constant(principle, first).value >= 0
+        with pytest.raises(UsageError):
+            sharp_constant(principle, first - 1)
     with pytest.raises(ValueError):
         sharp_constant("nope", 3)
 
