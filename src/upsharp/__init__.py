@@ -46,7 +46,7 @@ from .profiles import (
     reduce_profile,
     unreduce_profile,
 )
-from .quadrature import QuadratureConfig, WeightedSeminorm, integrate
+from .quadrature import QuadratureRule, WeightedSeminorm, integrate
 from .seminorms import (
     Form,
     FunctionalId,

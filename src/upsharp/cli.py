@@ -15,12 +15,15 @@ import math
 import sys
 from pathlib import Path
 
-from .constants import PRINCIPLES, PROVED, PrincipleId, scan_infimum, sharp_constant
-from .errors import UpsharpError, UsageError
+import numpy as np
+
+from .constants import (PRINCIPLES, PROVED, PrincipleId, mode_principle, scan_infimum,
+                        sharp_constant)
+from .errors import DegenerateProfileError, UpsharpError, UsageError
 from .extremals import extremal_quotient
 from .minimize import QuotientKind, VariationalProblem, explore_conjecture, minimize_quotient
 from .profiles import AnalyticProfile, make_mode, shift_power
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import PANEL_COUNT, PANEL_POINTS, PANEL_REL_TOL, QuadratureRule
 from .reports import RunManifest, render_csv, render_json, write_report
 from .seminorms import Form, FunctionalId, eval_mode_functional, vector_equiv_check_2d
 
@@ -104,7 +107,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     formula = args.formula
     results = [scan_infimum(formula, n, args.k_max) for n in parse_int_range(args.n)]
 
-    principle = PrincipleId(formula.removesuffix("_mode"))
+    principle = mode_principle(formula)
     mismatches = []
     annotated = []
     for res in results:
@@ -190,38 +193,49 @@ _DECOMPOSE_IDS = (
 )
 
 
-def cmd_decompose_check(args: argparse.Namespace) -> int:
-    n, beta, k, amplitude = args.n, args.beta, args.mode_k, args.amplitude
+def _decompose_pairs(n: int, k: int, amplitude: float, beta: float) -> list[tuple]:
+    """(check, lhs, rhs) of every decompose-check row."""
     radial = (
         AnalyticProfile("gaussian", amplitude, beta)
         if k == 0
         else AnalyticProfile("monomial_cutoff", amplitude, beta, power=float(k))
     )
-
-    rows = []
+    pairs = []
     if n == 2:
-        lhs, rhs = vector_equiv_check_2d(radial, degree=k)
-        denom = abs(rhs) if rhs != 0.0 else 1.0
-        rows.append(
-            {"check": "vector_field_energy_vs_scalar", "lhs": lhs, "rhs": rhs,
-             "rel_error": abs(lhs - rhs) / denom}
-        )
+        pairs.append(("vector_field_energy_vs_scalar", *vector_equiv_check_2d(radial, degree=k)))
     # Raw versus reduced assembly of each mode functional, on independent
     # quadrature routes (graded panels vs adaptive). The comparison profile
     # vanishes two orders beyond the mode degree so every raw-form term is
     # individually finite in dimension 2 as well.
-    adaptive = QuadratureConfig(rule="adaptive", abs_tol=1e-12, rel_tol=1e-10)
     mode = make_mode(n, k)
     comparison = AnalyticProfile("monomial_cutoff", amplitude, beta, power=float(k + 2))
     reduced = shift_power(comparison, -k)
     for fid in _DECOMPOSE_IDS:
-        raw = eval_mode_functional(fid, mode, comparison, Form.RAW, DEFAULT_CONFIG).value
-        red = eval_mode_functional(fid, mode, reduced, Form.REDUCED, adaptive).value
-        denom = abs(red) if red != 0.0 else 1.0
-        rows.append(
-            {"check": f"{fid.value}_raw_vs_reduced", "lhs": raw, "rhs": red,
-             "rel_error": abs(raw - red) / denom}
-        )
+        raw = eval_mode_functional(fid, mode, comparison, Form.RAW, QuadratureRule.PANELS)
+        red = eval_mode_functional(fid, mode, reduced, Form.REDUCED, QuadratureRule.ADAPTIVE)
+        pairs.append((f"{fid.value}_raw_vs_reduced", raw.value, red.value))
+    return pairs
+
+
+def cmd_decompose_check(args: argparse.Namespace) -> int:
+    n, beta, k, amplitude = args.n, args.beta, args.mode_k, args.amplitude
+    degenerate = f"the profile at amplitude={amplitude:g}, beta={beta:g} is degenerate"
+    # A profile out of the float range overflows or underflows its integrals;
+    # the checks below report that, so numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        try:
+            pairs = _decompose_pairs(n, k, amplitude, beta)
+        except UpsharpError:
+            raise
+        except (OverflowError, ValueError) as exc:  # float overflow; inf - inf in fsum
+            raise DegenerateProfileError(f"{degenerate}: {exc}") from exc
+    rows = []
+    for check, lhs, rhs in pairs:
+        # Each side is positive for a nonzero profile: 0 means it underflowed.
+        if lhs == 0.0 or rhs == 0.0 or not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise DegenerateProfileError(f"{degenerate}: {check} gives {lhs:g} and {rhs:g}")
+        rows.append({"check": check, "lhs": lhs, "rhs": rhs,
+                     "rel_error": abs(lhs - rhs) / abs(rhs)})
 
     failures = [row for row in rows if row["rel_error"] >= DECOMPOSE_GATE]
     _emit(
@@ -242,9 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
             "closed-form extremal quotients, exact per-mode scans, variational "
             "minimization, and the low-dimension conjecture explorer. "
             "Default quadrature: graded Gauss-Legendre panels "
-            f"({DEFAULT_CONFIG.panels} panels x {DEFAULT_CONFIG.points_per_panel} "
-            f"points, abs_tol {DEFAULT_CONFIG.abs_tol:g}, rel_tol "
-            f"{DEFAULT_CONFIG.rel_tol:g}); closed forms where available."
+            f"({PANEL_COUNT} panels x {PANEL_POINTS} points, rel_tol {PANEL_REL_TOL:g}); "
+            "closed forms where available."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

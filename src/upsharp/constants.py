@@ -13,7 +13,8 @@ accepted only when a monotone-tail certificate shows no smaller value can
 exist beyond the scanned range.
 
 ``PRINCIPLES`` is the one table of each principle's sharp constant
-(N + shift)^2/4, least dimension and proved range.
+(N + shift)^2/4, least dimension and proved range; ``MODE_BOUNDS`` holds the
+correction factor and tail certificate of each per-mode bound.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import InconclusiveScanError, UsageError
 
@@ -76,46 +77,71 @@ def sharp_constant(principle: PrincipleId | str, dimension: int) -> SharpConstan
     return SharpConstant(Fraction((n + spec.shift) ** 2, 4), status)
 
 
+def _hup2_correction(n: int, k: int) -> Fraction:
+    return 1 - Fraction(8 * k, (n + 2 * k) ** 2)
+
+
+def _hyup2_correction(n: int, k: int) -> Fraction:
+    if k == 0:  # no Hardy step at degree 0
+        return Fraction(1)
+    t2 = (n + 2 * k - 3) ** 2
+    return Fraction(t2, t2 + 4 * k) ** 2
+
+
+def _hup2_tail(n: int, k_max: int) -> int | None:
+    return next((k for k in range(k_max + 1) if growth_certificate(n, n + 2 * k) >= 0), None)
+
+
+def _hyup2_tail(n: int, k_max: int) -> int | None:
+    k = max(1, -(-(7 - n) // 2))  # ceil((7-N)/2), at least 1
+    return k if k <= k_max else None
+
+
+class ModeBoundSpec(NamedTuple):
+    correction: Callable[[int, int], Fraction]  # Hardy correction factor at (N, k)
+    certified_from: Callable[[int, int], int | None]  # tail start up to k_max, or None
+
+
+#: The per-mode bound of each principle that has one: correction(N, k) times
+#: the principle's sharp-constant formula at N+2k, (N+2k+shift)^2/4.
+MODE_BOUNDS = {
+    PrincipleId.HUP2: ModeBoundSpec(_hup2_correction, _hup2_tail),
+    PrincipleId.HYUP2: ModeBoundSpec(_hyup2_correction, _hyup2_tail),
+}
+_MODE_NAMES = {f"{p.value}{suffix}": p for p in MODE_BOUNDS for suffix in ("", "_mode")}
+
+
+def mode_principle(name: str) -> PrincipleId:
+    """The principle of a per-mode bound named "hup2" or "hyup2" (or "…_mode")."""
+    principle = _MODE_NAMES.get(name)
+    if principle is None:
+        raise UsageError(f"per-mode bounds exist for hup2 and hyup2 only, not {name!r}")
+    return principle
+
+
+def mode_bound(principle: PrincipleId, n: int, k: int) -> Fraction:
+    """Exact per-mode bound of a ``MODE_BOUNDS`` principle; N >= 2, k >= 0 unchecked."""
+    shift = PRINCIPLES[principle].shift
+    return MODE_BOUNDS[principle].correction(n, k) * Fraction((n + 2 * k + shift) ** 2, 4)
+
+
 def hardy_correction_factor(quotient: str, dimension: int, degree: int) -> Fraction:
     """Multiplier coupling a per-mode product constant into the global bound.
 
     ``hup2``: 1 - 8k/(N+2k)^2; ``hyup2``: ((N+2k-3)^2 / ((N+2k-3)^2 + 4k))^2,
     which is 1 at degree 0 (no Hardy step).
     """
-    n, k = int(dimension), int(degree)
-    if quotient == "hup2":
-        return 1 - Fraction(8 * k, (n + 2 * k) ** 2)
-    if quotient == "hyup2":
-        if k == 0:
-            return Fraction(1)
-        t2 = (n + 2 * k - 3) ** 2
-        return Fraction(t2, t2 + 4 * k) ** 2
-    raise UsageError(f"unknown combined quotient {quotient!r}")
+    return MODE_BOUNDS[mode_principle(quotient)].correction(int(dimension), int(degree))
 
 
 def hup2_mode_bound(dimension: int, degree: int) -> Fraction:
-    """Exact S(N, k); the factored and expanded forms are checked against each other."""
-    n, k = _check_nk(dimension, degree)
-    t = Fraction(n + 2 * k)
-    factored = hardy_correction_factor("hup2", n, k) * Fraction((n + 2 * k + 2) ** 2, 4)
-    expanded = (
-        Fraction(n * n, 4)
-        + n
-        - 3
-        + n * k
-        + k * k
-        + Fraction(4 * (n - 1)) / t
-        + Fraction(4 * n) / t**2
-    )
-    if factored != expanded:
-        raise AssertionError(f"mode-bound forms disagree at N={n}, k={k}")
-    return factored
+    """Exact S(N, k) = (1 - 8k/(N+2k)^2) (N+2k+2)^2/4."""
+    return mode_bound(PrincipleId.HUP2, *_check_nk(dimension, degree))
 
 
 def hyup2_mode_bound(dimension: int, degree: int) -> Fraction:
     """Exact f(N, k); degree 0 carries no Hardy correction and equals (N+1)^2/4."""
-    n, k = _check_nk(dimension, degree)
-    return hardy_correction_factor("hyup2", n, k) * Fraction((n + 2 * k + 1) ** 2, 4)
+    return mode_bound(PrincipleId.HYUP2, *_check_nk(dimension, degree))
 
 
 def _check_nk(dimension: int, degree: int) -> tuple[int, int]:
@@ -135,9 +161,6 @@ def growth_certificate(dimension: int, t: int) -> int:
     """
     n = int(dimension)
     return t**4 - 8 * (n - 1) * t - 16 * n
-
-
-SCAN_FORMULAS = ("hup2_mode", "hyup2_mode")
 
 
 @dataclass(frozen=True)
@@ -160,22 +183,12 @@ def scan_infimum(formula: str, dimension: int, k_max: int = 64) -> ScanResult:
     increasing-tail argument, valid once k >= 1 and N+2k-3 >= 4, for
     ``hyup2_mode``). A scan whose minimum could move beyond k_max raises.
     """
-    if formula not in SCAN_FORMULAS:
-        raise UsageError(f"unknown scan formula {formula!r}")
-    n = int(dimension)
+    principle = mode_principle(formula)
     if k_max < 8:
         raise UsageError("k_max must be at least 8")
-    fn = hup2_mode_bound if formula == "hup2_mode" else hyup2_mode_bound
-    values = tuple(fn(n, k) for k in range(k_max + 1))
-
-    if formula == "hup2_mode":
-        certified_from = next(
-            (k for k in range(k_max + 1) if growth_certificate(n, n + 2 * k) >= 0), None
-        )
-    else:
-        certified_from = max(1, -(-(7 - n) // 2))  # ceil((7-N)/2), at least 1
-        if certified_from > k_max:
-            certified_from = None
+    n, _ = _check_nk(dimension, 0)
+    values = tuple(mode_bound(principle, n, k) for k in range(k_max + 1))
+    certified_from = MODE_BOUNDS[principle].certified_from(n, k_max)
 
     monotone_from = k_max
     for k in range(k_max - 1, -1, -1):

@@ -26,8 +26,8 @@ class SingularWeightError(UpsharpError, ValueError):
 
 
 class DegenerateProfileError(UpsharpError, ValueError):
-    """Denominator of a quotient fell below tolerance (effectively the zero
-    profile), or its moments left the floating-point range."""
+    """Denominator of a quotient is zero (the zero profile), or its moments or
+    integrals left the floating-point range."""
 
 
 class InconclusiveScanError(UpsharpError, RuntimeError):

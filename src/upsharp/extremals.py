@@ -22,7 +22,7 @@ import numpy as np
 from .constants import CONJECTURAL, PrincipleId, sharp_constant
 from .errors import DegenerateProfileError, UsageError
 from .profiles import AnalyticProfile, make_mode
-from .quadrature import CLOSED_FORM, DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import QuadratureRule
 from .seminorms import PRINCIPLE_FUNCTIONALS, Form, eval_mode_functional
 
 EXTREMAL_FAMILY = {
@@ -70,7 +70,6 @@ def extremal_quotient(
     beta: float = 1.0,
     mode: str = "closed_form",
     amplitude: float = 1.0,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuotientReport:
     """Evaluate one principle's quotient on its extremal family member.
 
@@ -90,13 +89,13 @@ def extremal_quotient(
     profile = AnalyticProfile(EXTREMAL_FAMILY[p], amplitude, beta)
     ids = PRINCIPLE_FUNCTIONALS[p]
     radial = make_mode(n, 0)
-    quad_cfg = CLOSED_FORM if mode == "closed_form" else cfg
+    rule = QuadratureRule.CLOSED_FORM if mode == "closed_form" else QuadratureRule.PANELS
     # At extreme rates the moments leave the float range: they overflow, or
     # underflow to 0, and the quotient of such moments means nothing.
     with np.errstate(all="ignore"):
         try:
             a, b, c = (
-                eval_mode_functional(fid, radial, profile, Form.RAW, quad_cfg).value
+                eval_mode_functional(fid, radial, profile, Form.RAW, rule).value
                 for fid in ids
             )
         except (OverflowError, ZeroDivisionError):

@@ -58,10 +58,10 @@ from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .constants import (
+    MODE_BOUNDS,
     PrincipleId,
-    hardy_correction_factor,
-    hup2_mode_bound,
-    hyup2_mode_bound,
+    mode_bound,
+    mode_principle,
     scan_infimum,
     sharp_constant,
 )
@@ -580,18 +580,16 @@ def mode_combined_bound(
     exact correction factor; the minimum over k sits next to the exact scan
     value for comparison.
     """
-    products = {spec.principle.value: kind for kind, spec in KINDS.items() if spec.product}
-    if quotient not in products:
-        raise UsageError("combined bounds exist for quotient 'hup2' or 'hyup2'")
+    principle = mode_principle(quotient)
     if k_max < 4:
         raise UsageError("k_max must be at least 4")
-    kind = products[quotient]
-    exact_fn = hup2_mode_bound if quotient == "hup2" else hyup2_mode_bound
+    kind = next(kind for kind, spec in KINDS.items()
+                if spec.product and spec.principle is principle)
     rows: list[ModeBoundRow] = []
     for k in range(k_max + 1):
         problem = VariationalProblem.for_mode(kind, dimension, k, size=size)
         res = minimize_quotient(problem)
-        factor = hardy_correction_factor(quotient, dimension, k)
+        factor = MODE_BOUNDS[principle].correction(dimension, k)
         rows.append(
             ModeBoundRow(
                 degree=k,
@@ -599,14 +597,14 @@ def mode_combined_bound(
                 continuum=res.target,
                 factor=factor,
                 bound=float(factor) * res.min_value,
-                exact_bound=exact_fn(dimension, k),
+                exact_bound=mode_bound(principle, dimension, k),
                 converged=res.converged,
             )
         )
     argmin = min(range(len(rows)), key=lambda i: rows[i].bound)
-    exact = scan_infimum(f"{quotient}_mode", dimension, max(k_max, 8)).infimum
+    exact = scan_infimum(quotient, dimension, max(k_max, 8)).infimum
     return CombinedBound(
-        quotient=quotient,
+        quotient=principle.value,
         dimension=dimension,
         k_max=k_max,
         size=size,

@@ -1,15 +1,15 @@
 """Weighted radial integrals  I = ∫ r^p |f^(d)(r)|^2 dr  on (0, ∞).
 
-Three routes:
+Three routes, the members of :class:`QuadratureRule`:
 
 * ``closed_form_gamma`` — exact Gamma/factorial moments for analytic families
   (both kernels, real exponents, mixtures included);
 * ``gauss_legendre_panels`` — composite Gauss-Legendre with geometric panel
-  grading toward 0, compensated panel summation, and a built-in refinement
-  error estimate;
-* ``adaptive`` — scipy's adaptive quadrature (QUADPACK), used as an
-  independent oracle. ``scipy.integrate`` is imported on its first use, so
-  importing the package loads only numpy and ``scipy.linalg``.
+  grading toward 0, compensated panel summation, and a refinement error
+  estimate held to ``PANEL_REL_TOL``;
+* ``adaptive`` — scipy's adaptive quadrature (QUADPACK) at ``ADAPTIVE_REL_TOL``,
+  used as an independent oracle. ``scipy.integrate`` is imported on its first
+  use, so importing the package loads only numpy and ``scipy.linalg``.
 
 Sampled profiles integrate their cubic spline over their own grid:
 ``SAMPLED_POINTS``-point Gauss-Legendre on every grid interval, with the
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -36,8 +37,17 @@ from .profiles import (
     SampledProfile,
 )
 
-RULES = ("closed_form_gamma", "gauss_legendre_panels", "adaptive")
 
+#: Panel rule: panels, Gauss points per panel, and points added per panel for
+#: the refined value; the two values differ by the rule's error estimate.
+PANEL_COUNT = 48
+PANEL_POINTS = 24
+PANEL_REFINE = 8
+#: Relative tolerances of the panel rule's estimate and of QUADPACK. An
+#: integral scales with the squared amplitude and a power of the rate, so an
+#: absolute floor would pass small integrals unresolved.
+PANEL_REL_TOL = 1e-9
+ADAPTIVE_REL_TOL = 1e-10
 # Deepest panel edge relative to r_max; resolves integrable power singularities
 # down to r^{-1+eps} without losing the smooth bulk.
 _GRADING_EPS = 1e-30
@@ -48,6 +58,23 @@ _CANCEL_TOL = 1e-12
 #: the squared derivatives of their cubic pieces times polynomial weights
 #: up to degree 1.
 SAMPLED_POINTS = 4
+
+
+class QuadratureRule(str, Enum):
+    """The route ``integrate`` takes for analytic profiles."""
+
+    CLOSED_FORM = "closed_form_gamma"
+    PANELS = "gauss_legendre_panels"
+    ADAPTIVE = "adaptive"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError(f"unknown quadrature rule {value!r}")
+
+
+#: The closed-form and default rules by the names perfbench/workloads.py uses.
+CLOSED_FORM = QuadratureRule.CLOSED_FORM
+DEFAULT_CONFIG = QuadratureRule.PANELS
 
 
 @dataclass(frozen=True)
@@ -62,33 +89,6 @@ class WeightedSeminorm:
             raise UsageError("seminorm derivative order must be 0, 1 or 2")
         if self.power < -5:
             raise UsageError("radial powers below r^-5 are not used anywhere")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rule: str = "gauss_legendre_panels"
-    panels: int = 48
-    points_per_panel: int = 24
-    r_max: float | None = None
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise UsageError(f"unknown quadrature rule {self.rule!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise UsageError("tolerances must be positive")
-        if self.r_max is not None and not self.r_max > 0:
-            raise UsageError("r_max must be positive")
-        if self.panels < 5:
-            # _graded_edges keeps at least 4 uniform panels and needs one graded one.
-            raise UsageError("panels must be at least 5")
-        if self.panels * self.points_per_panel < 32:
-            raise UsageError("panels * points_per_panel must be at least 32")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
-CLOSED_FORM = QuadratureConfig(rule="closed_form_gamma")
 
 
 def _gauss_moment(c: float, q: float) -> float:
@@ -202,19 +202,19 @@ def panel_nodes(r_max: float, panels: int, points: int) -> tuple[np.ndarray, np.
     return nodes, weights, points
 
 
-def panel_integrate(fn, r_max: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    """Composite GL integral of a vectorized integrand with a refinement estimate.
+def panel_integrate(fn, r_max: float) -> tuple[float, float]:
+    """Composite GL integral of a vectorized integrand on (0, r_max) with a refinement estimate.
 
     Returns (value, error_estimate); the value comes from the refined rule.
     """
 
     def run(points: int) -> float:
-        r, w, _ = panel_nodes(r_max, cfg.panels, points)
-        vals = (fn(r) * w).reshape(cfg.panels, points)
+        r, w, _ = panel_nodes(r_max, PANEL_COUNT, points)
+        vals = (fn(r) * w).reshape(PANEL_COUNT, points)
         return math.fsum(vals.sum(axis=1).tolist())
 
-    coarse = run(cfg.points_per_panel)
-    fine = run(cfg.points_per_panel + 8)
+    coarse = run(PANEL_POINTS)
+    fine = run(PANEL_POINTS + PANEL_REFINE)
     return fine, abs(fine - coarse)
 
 
@@ -225,14 +225,17 @@ def _integrand(kt: KernelTerms, power: int):
     return fn
 
 
-def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Evaluate ∫ r^p |f^(d)|^2 dr per the configured rule.
+def integrate(profile: Profile, s: WeightedSeminorm,
+              rule: QuadratureRule = QuadratureRule.PANELS) -> float:
+    """Evaluate ∫ r^p |f^(d)|^2 dr by the given rule.
 
     Sampled profiles integrate their spline over their grid by Gauss-Legendre
     per interval regardless of the rule (their support is the grid). Analytic
-    profiles are checked for origin divergence first; the panel rule raises
-    when its refinement estimate misses the configured tolerance.
+    profiles are checked for origin divergence first; the numerical rules
+    integrate up to ``default_r_max`` and raise when their error estimate
+    misses their relative tolerance. An unknown rule name is a UsageError.
     """
+    rule = QuadratureRule(rule)
     if isinstance(profile, SampledProfile):
         # One dot per Gauss point, each as long as the grid has intervals.
         # OpenBLAS runs a ddot of up to 10 000 elements on the calling thread,
@@ -244,31 +247,29 @@ def integrate(profile: Profile, s: WeightedSeminorm, cfg: QuadratureConfig = DEF
     kt = profile.kernel_terms(s.deriv)
     if not any(c != 0.0 for c, _, _ in kt.terms):
         return 0.0
-    if cfg.rule == "closed_form_gamma":
+    if rule is QuadratureRule.CLOSED_FORM:
         return closed_form_weighted_square(kt, float(s.power))
 
     _check_origin_convergence(kt, float(s.power))
-    if cfg.r_max is not None:
-        r_max = cfg.r_max
-    else:
-        r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
+    r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
     fn = _integrand(kt, s.power)
-    if cfg.rule == "adaptive":
+    if rule is QuadratureRule.ADAPTIVE:
         # Loaded here, not at import: scipy.integrate brings in scipy.optimize,
         # sparse, spatial and special, and only this oracle uses it.
         from scipy import integrate as _sciint
 
-        value, err = _sciint.quad(
-            fn, 0.0, r_max, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=400
+        # full_output keeps quad from warning; a missed tolerance raises below.
+        value, err, *_ = _sciint.quad(
+            fn, 0.0, r_max, epsabs=0.0, epsrel=ADAPTIVE_REL_TOL, limit=400, full_output=1
         )
-        if err > 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if err > 10.0 * ADAPTIVE_REL_TOL * abs(value):
             raise QuadratureConvergenceError(
                 f"adaptive rule reports error {err:.3e} for value {value:.6e}"
             )
         return float(value)
 
-    value, est = panel_integrate(fn, r_max, cfg)
-    if est > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    value, est = panel_integrate(fn, r_max)
+    if est > PANEL_REL_TOL * abs(value):
         raise QuadratureConvergenceError(
             f"panel rule estimate {est:.3e} exceeds tolerance for value {value:.6e}"
         )

@@ -36,8 +36,7 @@ from .profiles import (
 )
 from .quadrature import (
     CLOSED_FORM,
-    DEFAULT_CONFIG,
-    QuadratureConfig,
+    QuadratureRule,
     WeightedSeminorm,
     default_r_max,
     gauss_panels,
@@ -214,13 +213,13 @@ def eval_mode_functional(
     mode: Mode,
     profile: Profile,
     form: Form = Form.RAW,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    rule: QuadratureRule = QuadratureRule.PANELS,
 ) -> ModeFunctionalValue:
     """Assemble one mode functional term by term in the requested form.
 
     The profile must already be the mode's radial coefficient in that form.
     Only the nonzero terms of the identity are integrated (see
-    :func:`_term_table`).
+    :func:`_term_table`), each by ``rule`` (see :func:`quadrature.integrate`).
     """
     fid, form = FunctionalId(fid), Form(form)
     entries = _term_table(fid, form, mode)
@@ -233,7 +232,7 @@ def eval_mode_functional(
     terms: dict[str, float] = {}
     for key, coef, seminorm in entries:
         try:
-            integral = integrate(profile, seminorm, cfg)
+            integral = integrate(profile, seminorm, rule)
         except DivergentIntegralError as exc:
             raise SingularWeightError(
                 f"{fid.value} ({form.value} form) is singular for this profile: {exc}"
@@ -263,14 +262,16 @@ def _hardy_rows(mode: Mode):
     return (1, 1, p + 1), (1, 0, p - 1)
 
 
-def hardy_1d_ratio(mode: Mode, v: Profile, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Weighted 1-d Hardy quotient ∫ r^{N+2k+1}|v'|^2 / ∫ r^{N+2k-1}|v|^2.
+def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule.PANELS) -> float:
+    """Weighted 1-d Hardy quotient ∫ r^{N+2k+1}|v'|^2 / ∫ r^{N+2k-1}|v|^2 by ``rule``.
 
     For any admissible profile the continuum value is at least (N+2k)^2/4.
+    The quotient is amplitude-invariant; only a zero or non-finite
+    denominator raises.
     """
-    num, den = (integrate(v, WeightedSeminorm(d, p), cfg) for _, d, p in _hardy_rows(mode))
-    if den < cfg.abs_tol:
-        raise DegenerateProfileError("profile norm below tolerance in the Hardy quotient")
+    num, den = (integrate(v, WeightedSeminorm(d, p), rule) for _, d, p in _hardy_rows(mode))
+    if den == 0.0 or not math.isfinite(den):
+        raise DegenerateProfileError(f"Hardy quotient denominator is {den:g}")
     return num / den
 
 

@@ -1,12 +1,16 @@
-"""The benchmark's CLI jobs pass their own gates, and its tracer still fits.
+"""The benchmark's jobs pass their own gates, and its tracer still fits.
 
-``perfbench/workloads.py`` reads the CLI's JSON reports; running its CLI
-jobs here through their own ``prepare``/``call``/``check`` makes a change of
-report schema fail the test suite before it fails the benchmark. Likewise
-``perfbench/tracing.py`` wraps functions by name and its hooks read result
-fields; installing it around one job makes a rename of either fail here.
+``perfbench/workloads.py`` reads the CLI's JSON reports and calls library
+functions by name (``quadrature.integrate`` with ``CLOSED_FORM`` and
+``DEFAULT_CONFIG``, ``seminorms.eval_mode_functional``); running its jobs
+here through their own ``prepare``/``call``/``check`` makes a change of
+report schema or a rename fail the test suite before it fails the benchmark.
+Likewise ``perfbench/tracing.py`` wraps functions by name and its hooks read
+result fields; installing it around one job makes a rename of either fail
+here.
 """
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -53,3 +57,38 @@ def test_tracer_wraps_one_minimize_job(capsys):
     layers = tracer.per_layer()
     assert layers["minimize.descent.calls"] == 1
     assert layers["minimize.assemble.calls"] == 1
+
+
+@functools.cache
+def _library_jobs():
+    """Certify's first identity job of each (N, k) and first mixture job of
+    each degree."""
+    firsts = {}
+    for job in _load("workloads").build("certify", 3):
+        if job.name.split()[0] in ("identity", "mixture"):
+            firsts.setdefault(job.name, job)
+    return list(firsts.values())
+
+
+def test_benchmark_library_jobs_pass_their_gates():
+    jobs = _library_jobs()
+    assert len(jobs) == 7 * 7 + 4
+    for job in jobs:
+        args = job.prepare()
+        outcome = job.check(args, job.call(args))
+        assert outcome.ok, (job.name, outcome.note)
+
+
+def test_tracer_wraps_one_mixture_job():
+    job = next(job for job in _library_jobs() if job.name.startswith("mixture"))
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        rows = job.call(job.prepare())
+    finally:
+        tracer.uninstall()
+    assert job.check(None, rows).ok
+    layers = tracer.per_layer()
+    # Nine seminorms, each by the closed form and by the panel rule.
+    assert layers["quadrature.integrate.calls"] == 2 * 9
+    assert layers["quadrature.panel_integrate.calls"] == 9

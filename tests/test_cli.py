@@ -280,6 +280,25 @@ def test_decompose_check(capsys):
     rc, _ = run_cli(capsys, ["decompose-check", "--n", "4"])
     assert rc == 2
 
+    # At beta = 1000 the integrals are small (down to 4e-15); the adaptive
+    # rule still resolves them to its relative tolerance.
+    rc, out = run_cli(capsys, ["decompose-check", "--n", "2", "--mode-k", "2", "--beta", "1000"])
+    assert rc == 0 and json.loads(out)["failures"] == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--amplitude", "0"], ["--amplitude", "1e-200"], ["--beta", "1e300"], ["--beta", "1e-100"],
+    ["--amplitude", "1e200"], ["--n", "3", "--amplitude", "1e200"], ["--beta", "1e-300"],
+])
+def test_decompose_check_degenerate_profile_is_a_computation_failure(capsys, flags):
+    # Integrals that underflow to 0 or overflow make a row meaningless: a
+    # row with a zero or non-finite side must fail the computation, not pass
+    # the gate, and no floating-point warning may reach stderr.
+    rc = main(["decompose-check", *flags])
+    err = capsys.readouterr().err
+    assert rc == EXIT_COMPUTE
+    assert err.startswith("computation failed") and "Warning" not in err
+
 
 def test_deterministic_reruns_modulo_timestamp(capsys):
     args = ["verify", "hup2", "--n", "2..4", "--seed", "3"]
@@ -362,9 +381,9 @@ heavy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse
          "scipy.spatial", "scipy.special", "scipy.fft")
 loaded = [m for m in heavy if m in sys.modules]
 from upsharp.profiles import AnalyticProfile
-from upsharp.quadrature import CLOSED_FORM, QuadratureConfig, WeightedSeminorm, integrate
+from upsharp.quadrature import CLOSED_FORM, QuadratureRule, WeightedSeminorm, integrate
 u, s = AnalyticProfile("hydrogen_second", 1.0, 0.7), WeightedSeminorm(2, 3)
-values = [integrate(u, s, cfg) for cfg in (QuadratureConfig(rule="adaptive"), CLOSED_FORM)]
+values = [integrate(u, s, rule) for rule in (QuadratureRule.ADAPTIVE, CLOSED_FORM)]
 print(json.dumps({"loaded": loaded, "values": values}))
 """
 

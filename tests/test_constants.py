@@ -58,12 +58,16 @@ def test_hup2_mode_bound_spot_values():
 
 
 def test_hup2_mode_bound_forms_agree_exactly():
-    # The factored and expanded expressions are checked internally; evaluate
-    # across the whole documented range so any mismatch trips the assertion.
+    # The expanded form of S(N, k) is the reference for the factored one the
+    # package evaluates, across the whole documented range.
     for n in range(2, 51):
         for k in range(0, 51):
-            value = hup2_mode_bound(n, k)
-            assert value.denominator >= 1
+            t = Fraction(n + 2 * k)
+            expanded = (
+                Fraction(n * n, 4) + n - 3 + n * k + k * k
+                + Fraction(4 * (n - 1)) / t + Fraction(4 * n) / t**2
+            )
+            assert hup2_mode_bound(n, k) == expanded, (n, k)
 
 
 def test_hyup2_mode_bound_values():

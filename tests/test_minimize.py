@@ -8,6 +8,7 @@ from scipy import linalg
 from scipy.linalg.blas import dsbmv
 
 from upsharp import minimize
+from upsharp.constants import hardy_correction_factor
 from upsharp.errors import SolverError, UsageError
 from upsharp.minimize import (
     GridSpec,
@@ -16,7 +17,6 @@ from upsharp.minimize import (
     continuum_target,
     eigen_crosscheck,
     explore_conjecture,
-    hardy_correction_factor,
     minimize_quotient,
     mode_combined_bound,
     n1_quotient_check,

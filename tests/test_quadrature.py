@@ -8,14 +8,15 @@ from upsharp.errors import DivergentIntegralError, UsageError
 from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
 from upsharp.quadrature import (
     CLOSED_FORM,
-    QuadratureConfig,
+    QuadratureRule,
     WeightedSeminorm,
     integrate,
+    panel_integrate,
     panel_nodes,
 )
 
-PANELS = QuadratureConfig()
-ADAPTIVE = QuadratureConfig(rule="adaptive", abs_tol=1e-13, rel_tol=1e-11)
+PANELS = QuadratureRule.PANELS
+ADAPTIVE = QuadratureRule.ADAPTIVE
 
 
 def test_integrate_closed_form_examples():
@@ -100,6 +101,11 @@ def test_adaptive_agrees_with_closed_form():
     exact = integrate(h, WeightedSeminorm(2, 4), CLOSED_FORM)
     got = integrate(h, WeightedSeminorm(2, 4), ADAPTIVE)
     assert_allclose(got, exact, rtol=1e-9)
+    # A small integral (exactly 5e-25) is held to the relative tolerance too.
+    v = AnalyticProfile("monomial_cutoff", 1.0, 1e8, power=2.0)
+    exact = integrate(v, WeightedSeminorm(1, 3), CLOSED_FORM)
+    assert_allclose(exact, 5e-25, rtol=1e-13)
+    assert_allclose(integrate(v, WeightedSeminorm(1, 3), ADAPTIVE), exact, rtol=1e-10)
 
 
 def test_quadratic_scaling():
@@ -113,12 +119,10 @@ def test_quadratic_scaling():
 
 
 def test_monotone_in_r_max():
-    g = AnalyticProfile("gaussian", 1.0, 1.0)
-    s = WeightedSeminorm(0, 4)
-    values = [
-        integrate(g, s, QuadratureConfig(r_max=r, abs_tol=1e-12, rel_tol=1e-9))
-        for r in (2.0, 4.0, 8.0, 12.0)
-    ]
+    def fn(r):  # r^4 |e^{-r^2}|^2
+        return r**4 * np.exp(-2.0 * r * r)
+
+    values = [panel_integrate(fn, r)[0] for r in (2.0, 4.0, 8.0, 12.0)]
     for small, big in zip(values, values[1:]):
         assert big >= small - 1e-12
 
@@ -180,13 +184,6 @@ def test_closed_form_requires_analytic():
 
 
 def test_config_validation_and_json():
+    g = AnalyticProfile("gaussian", 1.0, 1.0)
     with pytest.raises(UsageError):
-        QuadratureConfig(rule="trapezoid")
-    with pytest.raises(UsageError):
-        QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(UsageError):
-        QuadratureConfig(panels=2, points_per_panel=2)
-    with pytest.raises(UsageError):
-        QuadratureConfig(panels=4, points_per_panel=8)  # enough points, no graded panel
-    with pytest.raises(UsageError):
-        QuadratureConfig(r_max=-3.0)
+        integrate(g, WeightedSeminorm(0, 2), "trapezoid")

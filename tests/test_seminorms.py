@@ -20,7 +20,7 @@ from upsharp.profiles import (
     shift_power,
     unreduce_profile,
 )
-from upsharp.quadrature import CLOSED_FORM, QuadratureConfig, WeightedSeminorm, integrate
+from upsharp.quadrature import CLOSED_FORM, QuadratureRule, WeightedSeminorm, integrate
 from upsharp.seminorms import (
     BOTH_FORMS,
     Form,
@@ -31,7 +31,7 @@ from upsharp.seminorms import (
     vector_equiv_check_2d,
 )
 
-ADAPTIVE = QuadratureConfig(rule="adaptive", abs_tol=1e-13, rel_tol=1e-11)
+ADAPTIVE = QuadratureRule.ADAPTIVE
 
 
 def test_degree_zero_forms_coincide():
@@ -192,9 +192,13 @@ def test_hardy_near_extremal_monotone_approach():
 
 def test_hardy_degenerate_profile():
     mode = make_mode(2, 0)
-    v = AnalyticProfile("gaussian", 1e-9, 1.0)
+    v = AnalyticProfile("gaussian", 0.0, 1.0)
     with pytest.raises(DegenerateProfileError):
         hardy_1d_ratio(mode, v, CLOSED_FORM)
+    # The quotient is amplitude-invariant, small amplitudes included.
+    small = hardy_1d_ratio(mode, AnalyticProfile("gaussian", 1e-9, 1.0), CLOSED_FORM)
+    one = hardy_1d_ratio(mode, AnalyticProfile("gaussian", 1.0, 1.0), CLOSED_FORM)
+    assert_allclose(small, one, rtol=1e-13)
 
 
 def test_form_unavailable():
