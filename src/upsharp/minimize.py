@@ -16,7 +16,9 @@ nodes as breakpoints. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
 forms are assembled straight into LAPACK upper band storage from a table of
 D_0, D_1 and D_2 of the four splines nonzero on each interval, at its 6
 Gauss–Legendre points; ``_bspline_basis`` evaluates the splines by de Boor's
-recursion on the clamped knot vector in s. The right end is clamped
+recursion on the clamped knot vector in s. That table, the Gauss rule and
+the splines at the nodes depend on the grid alone and are built once per
+grid (``_grid_tables``). The right end is clamped
 (v = v' = 0). Below r_min the function continues as the constant v(r_min),
 with v'(r_min) = 0 when a row has a second derivative, and each zero-order
 row gains its exact integral over (0, r_min). When a zero-order weight is
@@ -39,18 +41,25 @@ from banded Cholesky factorizations: inverse iteration on t A + B/t, then a
 ladder of shifts s below the Rayleigh quotient. By Sylvester's law of
 inertia, a Cholesky of t A + B/t - s C that succeeds proves s < lambda_min,
 so every solve ends with a certified bracket; the largest such shift is the
-next inverse step's shift. The eigenvector at t* is the argmin, and its
-quotient, evaluated from the factored forms, is the reported minimum;
+next inverse step's shift. The scaled bands are kept column-major, LAPACK's
+band layout, so BLAS and LAPACK take them without a copy. The eigenvector at
+t* is the argmin, and its quotient, evaluated from the factored forms, is the
+reported minimum;
 (lambda*/2)^2 is reported beside it as the pencil value, and (sigma/2)^2 of
 the bracket's lower end at t* as the pencil's lower bound.
+
+The conjecture explorer solves each distinct discrete problem (the kind's
+rows and the grid) once per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -139,15 +148,16 @@ def _kind_forms(kind: QuotientKind, mode: Mode):
     spec = KINDS[kind]
     if spec.principle is None:
         num, den = _hardy_rows(mode)
-        forms = ([num], [den], [den])
+        forms = ((num,), (den,), (den,))
     else:
         tables = (_term_table(fid, spec.form, mode)
                   for fid in PRINCIPLE_FUNCTIONALS[spec.principle])
-        forms = [[(c, s.deriv, s.power) for _, c, s in t if s.deriv or not spec.product]
-                 for t in tables]
+        forms = tuple(tuple((c, s.deriv, s.power) for _, c, s in t
+                            if s.deriv or not spec.product)
+                      for t in tables)
     if all(d >= 1 for rows in forms for _, d, _ in rows):
-        forms = [[(c, d - 1, p) for c, d, p in rows] for rows in forms]
-    return tuple(forms)
+        forms = tuple(tuple((c, d - 1, p) for c, d, p in rows) for rows in forms)
+    return forms
 
 
 def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
@@ -204,9 +214,11 @@ class VariationalProblem:
 _BANDS = 3
 
 
-def _cholesky(band: np.ndarray) -> np.ndarray | None:
-    """Upper banded Cholesky factor, or None when the matrix is not positive definite."""
-    factor, info = dpbtrf(band)
+def _cholesky(band: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
+    """Upper banded Cholesky factor, or None when the matrix is not positive
+    definite. ``overwrite`` lets LAPACK factor a Fortran-ordered ``band`` in
+    place."""
+    factor, info = dpbtrf(band, overwrite_ab=overwrite)
     return None if info else factor
 
 
@@ -257,6 +269,33 @@ def _spline_table(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.stack([f0, f1, f2 - f1])
 
 
+class _GridTables(NamedTuple):
+    """What a discrete quotient needs from its grid alone (read-only arrays)."""
+
+    r: np.ndarray           # the nodes
+    table: np.ndarray       # _spline_table at the Gauss points of each interval
+    sq: np.ndarray          # those Gauss points, one row per interval
+    wq: np.ndarray          # their weights
+    rq: np.ndarray          # e^{sq}
+    node_basis: np.ndarray  # the four splines at each interval's ends: (spline, interval, end)
+
+
+@lru_cache(maxsize=8)
+def _grid_tables(grid: GridSpec) -> _GridTables:
+    """The tables of ``grid``, built once per grid and shared; read-only."""
+    r = grid.nodes()
+    s = np.log(r)
+    sq, wq = gauss_panels(s, 6)
+    knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
+    # Each interval supplies its left node; the last also its right node.
+    ends = np.stack([s[:-1], s[1:]], axis=1)
+    tables = _GridTables(r, _spline_table(knots, sq), sq, wq, np.exp(sq),
+                         _bspline_basis(knots, ends)[0])
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
 class DiscreteQuotient:
     """Rayleigh–Ritz realization of one quotient on cubic B-splines in ln r,
     on the clamped knot vector of the nodes, evaluated by de Boor's recursion.
@@ -268,34 +307,32 @@ class DiscreteQuotient:
     where an end condition sets it to 0). From them ``parts`` evaluates the
     three forms factored, row by row, and ``A``, ``B`` and ``C`` are
     accumulated straight into the upper band storage the pencil works on.
+    The table, the Gauss rule and the splines at the nodes depend on the
+    grid alone; they are built once per grid and shared (``_grid_tables``).
     """
 
     def __init__(self, problem: VariationalProblem):
         self.problem = problem
-        r = problem.grid.nodes()
-        s = np.log(r)
+        self._grid = grid = _grid_tables(problem.grid)
+        r, sq, wq = grid.r, grid.sq, grid.wq
         forms = _kind_forms(problem.kind, problem.mode)
         rows = [row for form in forms for row in form]
         second = any(d == 2 for _, d, _ in rows)
         pin = any(d == 0 and p <= -1 for _, d, p in rows)
 
-        # Free coefficient of each of the len(s) + 2 splines. The clamped knot
+        # Free coefficient of each of the len(r) + 2 splines. The clamped knot
         # vector makes v(end) the end coefficient and v_s(end) a multiple of
         # the difference of the two end coefficients, so the last two are 0;
         # a pin sets the first to 0, and v_s(s_0) = 0 makes the first two agree.
-        free = np.arange(len(s) + 2) - int(pin or second)
+        free = np.arange(len(r) + 2) - int(pin or second)
         free[0] = -1 if pin else 0
         free[-2:] = -1
-        self._local = free[np.arange(len(s) - 1)[:, None] + np.arange(4)]
+        self._local = free[np.arange(len(r) - 1)[:, None] + np.arange(4)]
         self._size = free.max() + 1
         a, b = self._local[:, :, None], self._local[:, None, :]
         self._upper = (a >= 0) & (a <= b)
         self._slot = ((_BANDS + a - b) * self._size + b)[self._upper]
-
-        sq, wq = gauss_panels(s, 6)
-        self._knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
-        self._table = _spline_table(self._knots, sq)
-        self._projection = (wq, np.exp(sq))
+        self._table = grid.table
 
         # Each form is its (coef, deriv, weights) terms, with value
         # sum coef * sum weights * (D_deriv x)^2, and the weight of v(r_min)^2
@@ -305,6 +342,7 @@ class DiscreteQuotient:
             terms = [(c, d, wq * np.exp((p + 1 - 2 * d) * sq)) for c, d, p in form]
             edge = sum(c * r[0] ** (p + 1) / (p + 1) for c, d, p in form if d == 0 and not pin)
             self._forms.append((terms, edge))
+        self._orders = sorted({d for _, d, _ in rows})
         self.A, self.B, self.C = (self._band(*form) for form in self._forms)
         self.r = r
         self.target = continuum_target(problem.kind, problem.mode)
@@ -319,9 +357,16 @@ class DiscreteQuotient:
 
     def parts(self, x: np.ndarray) -> tuple[float, float, float]:
         local = np.append(x, 0.0)[self._local]  # index −1 reads the appended 0
-        values = (self._table * local.T[:, :, None]).sum(axis=1)
+        squares = {}
+        for d in self._orders:
+            # D_d x at the Gauss points: the four splines' terms, added in order.
+            spline = self._table[d]
+            value = spline[0] * local[:, 0, None]
+            for j in range(1, 4):
+                value += spline[j] * local[:, j, None]
+            squares[d] = np.square(value, out=value)
         return tuple(
-            math.fsum([c * float(np.vdot(w, np.square(values[d]))) for c, d, w in terms]
+            math.fsum([c * float(np.vdot(w, squares[d])) for c, d, w in terms]
                       + [edge * local[0, 0] ** 2])
             for terms, edge in self._forms
         )
@@ -334,11 +379,11 @@ class DiscreteQuotient:
 
     def init_from_profile(self, profile: Profile) -> np.ndarray:
         """L2(ds) projection of the profile onto the free splines."""
-        wq, rq = self._projection
+        wq = self._grid.wq
         factor = _cholesky(self._band([(1.0, 0, wq)]))
         if factor is None:
             raise SolverError("spline Gram matrix is not positive definite")
-        f = wq * np.asarray(profile.value(rq, 0), dtype=float)
+        f = wq * np.asarray(profile.value(self._grid.rq, 0), dtype=float)
         free = self._local >= 0
         rhs = np.einsum("iq,aiq->ia", f, self._table[0])[free]
         return dpbtrs(factor, np.bincount(self._local[free], rhs, self._size))[0]
@@ -353,10 +398,7 @@ class DiscreteQuotient:
         of ``integrate`` on this profile.
         """
         local = np.append(x, 0.0)[self._local]
-        s = np.log(self.r)
-        # Each interval supplies its left node; the last also its right node.
-        ends = np.stack([s[:-1], s[1:]], axis=1)
-        values = (_bspline_basis(self._knots, ends)[0] * local.T[:, :, None]).sum(axis=0)
+        values = (self._grid.node_basis * local.T[:, :, None]).sum(axis=0)
         return SampledProfile(self.r, np.append(values[:, 0], values[-1, 1]))
 
 
@@ -418,7 +460,8 @@ def _lowest_eigenpair(
 ) -> tuple[float, np.ndarray]:
     """Certified lower shift and eigenvector of the lowest eigenpair of (K; C).
 
-    K and C are upper band storage. Inverse iteration starts from y; each
+    K and C are upper band storage, Fortran-ordered as LAPACK stores bands,
+    so no call copies them. Inverse iteration starts from y; each
     shift s that a Cholesky of K - sC accepts is below lambda_min (Sylvester's
     law of inertia), so the returned shift is a lower bound of the assembled
     pencil's lambda_min up to the factorization's backward error, while the
@@ -430,7 +473,7 @@ def _lowest_eigenpair(
         raise SolverError("t A + B/t is not positive definite")
 
     def inverse_step(factor: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-        z = dpbtrs(factor, dsbmv(_BANDS, 1.0, C, y))[0]
+        z = dpbtrs(factor, dsbmv(_BANDS, 1.0, C, y), overwrite_b=True)[0]
         z /= math.sqrt(z @ dsbmv(_BANDS, 1.0, C, z))
         return z, float(z @ dsbmv(_BANDS, 1.0, K, z))
 
@@ -439,7 +482,7 @@ def _lowest_eigenpair(
     lo, gap = 0.0, _FIRST_GAP
     for _ in range(_LADDER_CAP):
         s = max(lo, hi * (1.0 - gap))
-        shifted = _cholesky(K - s * C)
+        shifted = _cholesky(K - s * C, overwrite=True)
         if shifted is None:
             gap *= 10.0
         else:
@@ -457,11 +500,14 @@ def _lowest_eigenpair(
 
 
 def _scaled_bands(dq: DiscreteQuotient) -> tuple[np.ndarray, ...]:
-    """Jacobi scale 1/sqrt(diag C), then the scaled A, B and C in band storage."""
+    """Jacobi scale 1/sqrt(diag C), then the scaled A, B and C in band storage,
+    Fortran-ordered (column-major, LAPACK's band layout), so that the sums
+    t A + B/t and K - sC stay in that order and BLAS and LAPACK take them
+    without a copy."""
     scale = 1.0 / np.sqrt(dq.C[_BANDS])
     # Row _BANDS - k of band storage holds entry (j - k, j) in column j.
     rows = np.array([np.pad(scale[: len(scale) - k], (k, 0)) for k in range(_BANDS, -1, -1)])
-    return (scale, *(m * rows * scale for m in (dq.A, dq.B, dq.C)))
+    return (scale, *(np.asfortranarray(m * rows * scale) for m in (dq.A, dq.B, dq.C)))
 
 
 def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
@@ -539,6 +585,27 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     )
 
 
+#: The results of one explore_conjecture call by discrete problem (the
+#: kind's rows and the grid), so that it solves each problem once; None
+#: outside such a call.
+_SOLVED: ContextVar[dict | None] = ContextVar("_SOLVED", default=None)
+
+
+def _solve(problem: VariationalProblem) -> MinimizationResult:
+    """``minimize_quotient``, reusing an earlier solve of the same discrete
+    problem within one explore_conjecture call. The reused result is relabelled
+    with this problem's kind, mode and target; its numbers and argmin are
+    those of the shared problem."""
+    solved = _SOLVED.get()
+    if solved is None:
+        return minimize_quotient(problem)
+    key = (_kind_forms(problem.kind, problem.mode), problem.grid)
+    if key not in solved:
+        solved[key] = minimize_quotient(problem)
+    return replace(solved[key], kind=problem.kind, mode=problem.mode,
+                   target=continuum_target(problem.kind, problem.mode))
+
+
 def eigen_crosscheck(problem: VariationalProblem) -> float:
     """Pencil value (lambda*/2)^2 of the problem's t-pencil minimization."""
     return minimize_quotient(problem).pencil_value
@@ -588,7 +655,7 @@ def mode_combined_bound(
     rows: list[ModeBoundRow] = []
     for k in range(k_max + 1):
         problem = VariationalProblem.for_mode(kind, dimension, k, size=size)
-        res = minimize_quotient(problem)
+        res = _solve(problem)
         factor = MODE_BOUNDS[principle].correction(dimension, k)
         rows.append(
             ModeBoundRow(
@@ -654,6 +721,10 @@ def explore_conjecture(
         (sum a_k)(sum b_k) >= (sum sqrt(a_k b_k))^2 >= min_k q_k (sum c_k)^2,
 
     so no mode mixture goes below the best single mode.
+
+    Each distinct discrete problem is solved once per call: the combined
+    bound's degree-0 product_hyup2 row has the rows and grid of the finest
+    degree-0 rung, and takes that rung's result.
     """
     n = int(dimension)
     conjectured = float(sharp_constant(PrincipleId.HYUP2, n))  # UsageError below N = 2
@@ -664,31 +735,35 @@ def explore_conjecture(
     finest = max(resolutions)
     counterexample = None
     per_mode_finest: dict[int, float] = {}
-    for size in resolutions:
-        for k in range(k_max + 1):
-            problem = VariationalProblem.for_mode(
-                QuotientKind.MODE_HYUP2_FULL, n, k, size=size
-            )
-            res = minimize_quotient(problem)
-            ladder.append({
-                "degree": k,
-                "size": size,
-                "min_value": res.min_value,
-                "converged": res.converged,
-            })
-            if size == finest:
-                per_mode_finest[k] = res.min_value
-            if res.min_value < conjectured * (1.0 - 3.0 * DISCRETIZATION_BUDGET):
-                cand = {
+    token = _SOLVED.set({})
+    try:
+        for size in resolutions:
+            for k in range(k_max + 1):
+                problem = VariationalProblem.for_mode(
+                    QuotientKind.MODE_HYUP2_FULL, n, k, size=size
+                )
+                res = _solve(problem)
+                ladder.append({
                     "degree": k,
                     "size": size,
                     "min_value": res.min_value,
-                    "profile": res.argmin,
-                }
-                if counterexample is None or cand["min_value"] < counterexample["min_value"]:
-                    counterexample = cand
+                    "converged": res.converged,
+                })
+                if size == finest:
+                    per_mode_finest[k] = res.min_value
+                if res.min_value < conjectured * (1.0 - 3.0 * DISCRETIZATION_BUDGET):
+                    cand = {
+                        "degree": k,
+                        "size": size,
+                        "min_value": res.min_value,
+                        "profile": res.argmin,
+                    }
+                    if counterexample is None or cand["min_value"] < counterexample["min_value"]:
+                        counterexample = cand
 
-    combined = mode_combined_bound("hyup2", n, k_max=max(k_max, 4), size=finest)
+        combined = mode_combined_bound("hyup2", n, k_max=max(k_max, 4), size=finest)
+    finally:
+        _SOLVED.reset(token)
     argmin_degree = min(per_mode_finest, key=per_mode_finest.get)
     return ConjectureReport(
         dimension=n,

@@ -132,14 +132,51 @@ def _check_origin_convergence(kt: KernelTerms, power: float) -> None:
             return
 
 
+def _log_pair_term(ci: float, cj: float, q: float, c: float, gauss: bool) -> float:
+    """ci * cj * ∫_0^∞ r^q e^{-c r^2 or -c r} dr from log magnitudes; q > -1,
+    so the moment is positive. ±inf when even the result overflows."""
+    if gauss:
+        s = 0.5 * (q + 1.0)
+        log_moment = math.lgamma(s) - math.log(2.0) - s * math.log(c)
+    else:
+        log_moment = math.lgamma(q + 1.0) - (q + 1.0) * math.log(c)
+    try:
+        magnitude = math.exp(math.log(abs(ci)) + math.log(abs(cj)) + log_moment)
+    except OverflowError:
+        magnitude = math.inf
+    return math.copysign(magnitude, ci * cj)
+
+
 def closed_form_weighted_square(kt: KernelTerms, power: float) -> float:
-    """Exact ∫ r^power |f|^2 dr for f given as kernel terms."""
-    total = sum(abs(c) for c, _, _ in _squared_pairs(kt, power))
-    if total == 0.0:
+    """Exact ∫ r^power |f|^2 dr for f given as kernel terms.
+
+    Each pair of terms contributes ci * cj times a Gamma moment. At extreme
+    rates the coefficient product under- or overflows before the moment
+    rescales it, so a pair whose direct term is 0 or not finite is formed
+    from log magnitudes instead. A term out of range even then makes the sum
+    inf or nan, which is returned for the caller to reject.
+    """
+    nonzero = [term for term in kt.terms if term[0] != 0.0]
+    if not nonzero:
         return 0.0
     _check_origin_convergence(kt, power)
-    moment = _gauss_moment if kt.kernel == GAUSS_KERNEL else _exp_moment
-    return math.fsum(c * moment(b, e) for c, e, b in _squared_pairs(kt, power) if c != 0.0)
+    gauss = kt.kernel == GAUSS_KERNEL
+    moment = _gauss_moment if gauss else _exp_moment
+    terms = []
+    for ci, ei, bi in nonzero:
+        for cj, ej, bj in nonzero:
+            q, c = ei + ej + power, bi + bj
+            try:
+                term = ci * cj * moment(c, q)
+            except (OverflowError, ZeroDivisionError):
+                term = 0.0
+            if not 0.0 < abs(term) < math.inf:
+                term = _log_pair_term(ci, cj, q, c, gauss)
+            terms.append(term)
+    try:
+        return math.fsum(terms)
+    except ValueError:  # inf - inf
+        return math.nan
 
 
 def default_r_max(profile: AnalyticProfile | MixtureProfile, power: float = 0.0) -> float:

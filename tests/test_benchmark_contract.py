@@ -59,6 +59,26 @@ def test_tracer_wraps_one_minimize_job(capsys):
     assert layers["minimize.assemble.calls"] == 1
 
 
+def test_tracer_counts_one_solve_per_explore_problem(capsys):
+    # Explore's N = 5 job: 12 ladder rungs and 5 combined rows, of which the
+    # degree-0 row reuses the finest degree-0 rung, all through the wrapped
+    # entry points.
+    wl = _load("workloads")
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        rc = main(["conjecture", "--n", "5", *wl.EXPLORE_FLAGS])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    layers = tracer.per_layer()
+    assert layers["minimize.explore.calls"] == 1
+    assert layers["minimize.combined.calls"] == 1
+    assert layers["minimize.descent.calls"] == 16
+    assert layers["minimize.assemble.calls"] == 16
+
+
 @functools.cache
 def _library_jobs():
     """Certify's first identity job of each (N, k) and first mixture job of

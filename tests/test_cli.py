@@ -286,9 +286,21 @@ def test_decompose_check(capsys):
     assert rc == 0 and json.loads(out)["failures"] == 0
 
 
+@pytest.mark.parametrize("beta", ["1e-100", "1e100"])
+def test_decompose_check_extreme_rates_stay_exact(capsys, beta):
+    # The closed-form moments of a Gaussian at rate 1e-100 or 1e100 are in
+    # range even though its coefficient products are not: every row still
+    # agrees to rounding.
+    rc, out = run_cli(capsys, ["decompose-check", "--n", "2", "--mode-k", "0", "--beta", beta])
+    data = json.loads(out)
+    assert rc == 0 and data["failures"] == 0
+    assert all(row["rel_error"] < 1e-13 for row in data["rows"])
+
+
 @pytest.mark.parametrize("flags", [
-    ["--amplitude", "0"], ["--amplitude", "1e-200"], ["--beta", "1e300"], ["--beta", "1e-100"],
+    ["--amplitude", "0"], ["--amplitude", "1e-200"], ["--beta", "1e300"],
     ["--amplitude", "1e200"], ["--n", "3", "--amplitude", "1e200"], ["--beta", "1e-300"],
+    ["--n", "3", "--beta", "1e300"],
 ])
 def test_decompose_check_degenerate_profile_is_a_computation_failure(capsys, flags):
     # Integrals that underflow to 0 or overflow make a row meaningless: a

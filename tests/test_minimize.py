@@ -261,6 +261,43 @@ def test_explore_conjecture_calibration_quick():
     assert "evidence" in report.status
 
 
+def test_explore_conjecture_solves_each_problem_once(monkeypatch):
+    # The combined bound's degree-0 product_hyup2 row has the rows and grid
+    # of the finest degree-0 rung and takes its result: 12 rungs and 5
+    # combined rows make 16 solves, not 17.
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return minimize_quotient(p)
+
+    monkeypatch.setattr(minimize, "minimize_quotient", counted)
+    report = explore_conjecture(3, k_max=3, resolutions=(128, 256, 512))
+    assert len(calls) == 16
+    finest = next(entry for entry in report.ladder
+                  if entry["size"] == 512 and entry["degree"] == 0)
+    assert report.combined_bound.rows[0].min_value == finest["min_value"]
+    # Nothing is kept past the call.
+    mode_combined_bound("hyup2", 3, k_max=4, size=512)
+    assert len(calls) == 16 + 5
+
+
+def test_grid_tables_are_shared_and_read_only():
+    first = problem("mode_hyup2_full", 3, 1, size=128).assemble()
+    second = problem("product_hyup2", 3, 0, size=128).assemble()
+    assert first.problem.grid == second.problem.grid
+    shared = minimize._grid_tables(first.problem.grid)
+    assert second._grid is first._grid is shared
+    for array in shared:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+    other = minimize._grid_tables(GridSpec(1e-3, 14.0, 128))
+    assert other is not shared and other.r[-1] != shared.r[-1]
+    assert not np.array_equal(other.table, shared.table)
+    _, *bands = _scaled_bands(first)
+    assert all(band.flags.f_contiguous for band in bands)
+
+
 def test_explore_conjecture_flags_low_dimension_candidate():
     report = explore_conjecture(2, k_max=1, resolutions=(96, 192))
     # The degree-1 sector sits well below the reference value in dimension 2;
