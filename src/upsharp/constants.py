@@ -125,15 +125,6 @@ def mode_bound(principle: PrincipleId, n: int, k: int) -> Fraction:
     return MODE_BOUNDS[principle].correction(n, k) * Fraction((n + 2 * k + shift) ** 2, 4)
 
 
-def hardy_correction_factor(quotient: str, dimension: int, degree: int) -> Fraction:
-    """Multiplier coupling a per-mode product constant into the global bound.
-
-    ``hup2``: 1 - 8k/(N+2k)^2; ``hyup2``: ((N+2k-3)^2 / ((N+2k-3)^2 + 4k))^2,
-    which is 1 at degree 0 (no Hardy step).
-    """
-    return MODE_BOUNDS[mode_principle(quotient)].correction(int(dimension), int(degree))
-
-
 def hup2_mode_bound(dimension: int, degree: int) -> Fraction:
     """Exact S(N, k) = (1 - 8k/(N+2k)^2) (N+2k+2)^2/4."""
     return mode_bound(PrincipleId.HUP2, *_check_nk(dimension, degree))

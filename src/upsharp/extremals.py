@@ -90,8 +90,8 @@ def extremal_quotient(
     ids = PRINCIPLE_FUNCTIONALS[p]
     radial = make_mode(n, 0)
     rule = QuadratureRule.CLOSED_FORM if mode == "closed_form" else QuadratureRule.PANELS
-    # At extreme rates the moments leave the float range: they overflow, or
-    # underflow to 0, and the quotient of such moments means nothing.
+    # At extreme rates the moments overflow or fall below the normal range,
+    # and the quotient of such moments means nothing.
     with np.errstate(all="ignore"):
         try:
             a, b, c = (
@@ -101,7 +101,7 @@ def extremal_quotient(
         except (OverflowError, ZeroDivisionError):
             a = b = c = math.nan
         quotient = float(np.float64(a) * b / np.square(c))
-    if not all(map(math.isfinite, (a, b, c, quotient))):
+    if not all(np.finfo(float).tiny <= abs(v) < math.inf for v in (a, b, c, quotient)):
         raise DegenerateProfileError(
             f"{p.value} moments at beta={beta:g} are out of floating-point range "
             f"(a={a:g}, b={b:g}, c={c:g})"

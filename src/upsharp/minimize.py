@@ -262,18 +262,11 @@ def _bspline_basis(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.stack(table)
 
 
-def _spline_table(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """D_0, D_1 and D_2 = ∂_ss − ∂_s of the four cubic B-splines nonzero on
-    each interval, at its row of ``points``: shape (3, spline, interval, point)."""
-    f0, f1, f2 = _bspline_basis(knots, points)
-    return np.stack([f0, f1, f2 - f1])
-
-
 class _GridTables(NamedTuple):
     """What a discrete quotient needs from its grid alone (read-only arrays)."""
 
     r: np.ndarray           # the nodes
-    table: np.ndarray       # _spline_table at the Gauss points of each interval
+    table: np.ndarray       # D_0, D_1, D_2 at the Gauss points: (3, spline, interval, point)
     sq: np.ndarray          # those Gauss points, one row per interval
     wq: np.ndarray          # their weights
     rq: np.ndarray          # e^{sq}
@@ -287,13 +280,21 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     s = np.log(r)
     sq, wq = gauss_panels(s, 6)
     knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
+    f0, f1, f2 = _bspline_basis(knots, sq)
     # Each interval supplies its left node; the last also its right node.
     ends = np.stack([s[:-1], s[1:]], axis=1)
-    tables = _GridTables(r, _spline_table(knots, sq), sq, wq, np.exp(sq),
+    tables = _GridTables(r, np.stack([f0, f1, f2 - f1]), sq, wq, np.exp(sq),
                          _bspline_basis(knots, ends)[0])
     for array in tables:
         array.flags.writeable = False
     return tables
+
+
+def _quotient(a: float, b: float, c: float) -> float:
+    """A·B/C² from the forms' values; SolverError unless C is positive and finite."""
+    if c <= 0.0 or not np.isfinite(c):
+        raise SolverError("normalization term collapsed")
+    return a * b / (c * c)
 
 
 class DiscreteQuotient:
@@ -302,11 +303,11 @@ class DiscreteQuotient:
 
     ``x`` holds the coefficients of the free splines (see the module
     docstring for the end conditions). Two arrays carry the discretization:
-    the per-interval table of ``_spline_table`` at the Gauss points, and
-    ``_local``, the free coefficient of each interval's four splines (−1
-    where an end condition sets it to 0). From them ``parts`` evaluates the
-    three forms factored, row by row, and ``A``, ``B`` and ``C`` are
-    accumulated straight into the upper band storage the pencil works on.
+    the per-interval table of D_0, D_1 and D_2 of the splines at the Gauss
+    points, and ``_local``, the free coefficient of each interval's four
+    splines (−1 where an end condition sets it to 0). From them ``parts``
+    evaluates the three forms factored, row by row, and ``A``, ``B`` and ``C``
+    are accumulated straight into the upper band storage the pencil works on.
     The table, the Gauss rule and the splines at the nodes depend on the
     grid alone; they are built once per grid and shared (``_grid_tables``).
     """
@@ -372,10 +373,7 @@ class DiscreteQuotient:
         )
 
     def value(self, x: np.ndarray) -> float:
-        a, b, c = self.parts(x)
-        if c <= 0.0 or not np.isfinite(c):
-            raise SolverError("normalization term collapsed")
-        return a * b / (c * c)
+        return _quotient(*self.parts(x))
 
     def init_from_profile(self, profile: Profile) -> np.ndarray:
         """L2(ds) projection of the profile onto the free splines."""
@@ -539,19 +537,23 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
             local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
         except FloatingPointError as exc:
             raise SolverError(f"the forms are not finite on this grid ({exc})") from None
-    evaluations: list[tuple[float, float, np.ndarray, float]] = []
     ends = [local.min(), local.max() + math.log(problem.grid.size)]
     moved = [False, False]
     # Inverse iteration starts from the previous eigenvector (ones at first),
     # so every run of the same problem takes the same path.
     y = np.ones(A.shape[1])
     reason = "flat"
+    iterations = 0
+    best = None  # the lowest probe: (lambda, t, eigenvector, lower shift, parts)
     while ends[1] - ends[0] > _LOG_T_WIDTH:
         log_t = 0.5 * (ends[0] + ends[1])
         t = math.exp(log_t)
         lower, y = _lowest_eigenpair(t * A + B / t, C, y)
-        a, b, c = dq.parts(scale * y)
-        evaluations.append((log_t, (t * a + b / t) / c, y, lower))
+        iterations += 1
+        a, b, c = parts = dq.parts(scale * y)
+        lam = (t * a + b / t) / c
+        if best is None or lam < best[0]:
+            best = (lam, t, y, lower, parts)
         # Hellmann–Feynman: dlambda/dln t = (t a - b/t)/c; t* lies on its downhill side.
         if abs(t * a - b / t) <= _FLAT_SLOPE * (t * a + b / t):
             break
@@ -559,13 +561,11 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         ends[side], moved[side] = log_t, True
     else:
         reason = "bracketed" if all(moved) else "range_end"
-    log_t, lam_star, y, lower = min(evaluations, key=lambda e: e[1])
-    t = math.exp(log_t)
+    lam_star, t, y, lower, parts = best
     residual = float(np.linalg.norm(
         dsbmv(_BANDS, 1.0, t * A + B / t, y) - lam_star * dsbmv(_BANDS, 1.0, C, y)
     ))
-    x = scale * y
-    min_value = dq.value(x)
+    min_value = _quotient(*parts)
     pencil = (lam_star / 2.0) ** 2
     agrees = pencil - min_value <= _AGREEMENT * pencil
     return MinimizationResult(
@@ -573,8 +573,8 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         mode=problem.mode,
         grid=problem.grid,
         min_value=min_value,
-        argmin=dq.to_profile(x),
-        iterations=len(evaluations),
+        argmin=dq.to_profile(scale * y),
+        iterations=iterations,
         exit=reason,
         converged=reason != "range_end" and agrees,
         target=dq.target,

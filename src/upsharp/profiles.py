@@ -310,6 +310,8 @@ class _GridRule:
         h = np.diff(grid)
         if np.any(h <= 0.0):
             raise UsageError("grid must be strictly increasing")
+        if h.min() ** 2 < np.finfo(float).tiny:
+            raise UsageError("grid steps too fine: their squares underflow")
         self.grid, self.steps = grid, h
         self.ends = (grid[2] - grid[0], grid[-1] - grid[-3])
         diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
@@ -410,7 +412,10 @@ def unreduce_profile(mode: Mode, v: SampledProfile) -> SampledProfile:
 
 
 def shift_power(p: AnalyticProfile | MixtureProfile, delta: float):
-    """Multiply a Gaussian-kernel profile by r^delta (exact family algebra)."""
+    """Multiply a Gaussian-kernel profile by r^delta (exact family algebra);
+    r^0 leaves any profile as it is."""
+    if delta == 0:
+        return p
     if isinstance(p, MixtureProfile):
         return MixtureProfile(tuple(shift_power(c, delta) for c in p.components))
     if p.kernel != GAUSS_KERNEL:

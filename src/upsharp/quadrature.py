@@ -2,14 +2,19 @@
 
 Three routes, the members of :class:`QuadratureRule`:
 
-* ``closed_form_gamma`` — exact Gamma/factorial moments for analytic families
-  (both kernels, real exponents, mixtures included);
+* ``closed_form_gamma`` — exact Gamma moments Γ(s)/(2c^s) or Γ(s)/c^s for
+  analytic families (both kernels, real exponents, mixtures included); a
+  pair term out of the float range is formed with its binary exponents split
+  off exactly;
 * ``gauss_legendre_panels`` — composite Gauss-Legendre with geometric panel
   grading toward 0, compensated panel summation, and a refinement error
   estimate held to ``PANEL_REL_TOL``;
 * ``adaptive`` — scipy's adaptive quadrature (QUADPACK) at ``ADAPTIVE_REL_TOL``,
   used as an independent oracle. ``scipy.integrate`` is imported on its first
   use, so importing the package loads only numpy and ``scipy.linalg``.
+
+Kernel coefficients out of the float range, or |f^(d)|^2 below the normal
+range at every node of a numerical rule, make the integral degenerate.
 
 Sampled profiles integrate their cubic spline over their own grid:
 ``SAMPLED_POINTS``-point Gauss-Legendre on every grid interval, with the
@@ -27,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentIntegralError, QuadratureConvergenceError, UsageError
+from .errors import (DegenerateProfileError, DivergentIntegralError,
+                     QuadratureConvergenceError, UsageError)
 from .profiles import (
     GAUSS_KERNEL,
     AnalyticProfile,
@@ -91,21 +97,16 @@ class WeightedSeminorm:
             raise UsageError("radial powers below r^-5 are not used anywhere")
 
 
-def _gauss_moment(c: float, q: float) -> float:
-    # ∫_0^∞ r^q e^{-c r^2} dr, q > -1
-    s = 0.5 * (q + 1.0)
-    try:
-        return math.gamma(s) / (2.0 * c**s)
-    except OverflowError:
-        return 0.5 * math.exp(math.lgamma(s) - s * math.log(c))
+def _order(q: float, gauss: bool) -> float:
+    return 0.5 * (q + 1.0) if gauss else q + 1.0
 
 
-def _exp_moment(c: float, q: float) -> float:
-    # ∫_0^∞ r^q e^{-c r} dr, q > -1
-    try:
-        return math.gamma(q + 1.0) / c ** (q + 1.0)
-    except OverflowError:
-        return math.exp(math.lgamma(q + 1.0) - (q + 1.0) * math.log(c))
+def _moment(c: float, q: float, gauss: bool) -> float:
+    """∫_0^∞ r^q e^{-c r^2} dr = Γ(s) / (2 c^s) with s = (q + 1)/2, or
+    ∫_0^∞ r^q e^{-c r} dr = Γ(s) / c^s with s = q + 1 (``_order``); q > -1.
+    Raises when Γ(s) or c^s leaves the float range."""
+    s = _order(q, gauss)
+    return math.gamma(s) / ((2.0 if gauss else 1.0) * c**s)
 
 
 def _squared_pairs(kt: KernelTerms, power: float):
@@ -132,46 +133,45 @@ def _check_origin_convergence(kt: KernelTerms, power: float) -> None:
             return
 
 
-def _log_pair_term(ci: float, cj: float, q: float, c: float, gauss: bool) -> float:
-    """ci * cj * ∫_0^∞ r^q e^{-c r^2 or -c r} dr from log magnitudes; q > -1,
-    so the moment is positive. ±inf when even the result overflows."""
-    if gauss:
-        s = 0.5 * (q + 1.0)
-        log_moment = math.lgamma(s) - math.log(2.0) - s * math.log(c)
-    else:
-        log_moment = math.lgamma(q + 1.0) - (q + 1.0) * math.log(c)
+def _exact_exponent_term(ci: float, cj: float, q: float, c: float, gauss: bool) -> float:
+    """ci * cj * _moment(c, q, gauss) with the binary exponents split off:
+    for x = m 2^e (``math.frexp``), c^-s = m_c^-s 2^(-e_c s), so the moment
+    is taken at c's mantissa, 2^(-e_c s) is split into a whole and a
+    fractional power (exactly, for integer q), and one ``ldexp`` joins the
+    pieces. ±inf when even the result overflows."""
+    (mi, ei), (mj, ej), (mc, ec) = math.frexp(ci), math.frexp(cj), math.frexp(c)
+    shift = -ec * _order(q, gauss)
+    whole = math.floor(shift)
+    mantissa = mi * mj * _moment(mc, q, gauss) * 2.0 ** (shift - whole)
     try:
-        magnitude = math.exp(math.log(abs(ci)) + math.log(abs(cj)) + log_moment)
+        return math.ldexp(mantissa, ei + ej + whole)
     except OverflowError:
-        magnitude = math.inf
-    return math.copysign(magnitude, ci * cj)
+        return math.copysign(math.inf, mantissa)
 
 
 def closed_form_weighted_square(kt: KernelTerms, power: float) -> float:
     """Exact ∫ r^power |f|^2 dr for f given as kernel terms.
 
-    Each pair of terms contributes ci * cj times a Gamma moment. At extreme
-    rates the coefficient product under- or overflows before the moment
-    rescales it, so a pair whose direct term is 0 or not finite is formed
-    from log magnitudes instead. A term out of range even then makes the sum
-    inf or nan, which is returned for the caller to reject.
+    Each pair of terms contributes ci * cj times one Gamma moment
+    (``_moment``). At extreme rates the coefficient product or the moment
+    under- or overflows before the other rescales it, so a pair whose direct
+    term is 0, not finite or raises is formed again with its binary exponents
+    split off exactly (``_exact_exponent_term``). A term out of range even
+    then makes the sum inf or nan, which is returned for the caller to reject.
     """
     nonzero = [term for term in kt.terms if term[0] != 0.0]
-    if not nonzero:
-        return 0.0
     _check_origin_convergence(kt, power)
     gauss = kt.kernel == GAUSS_KERNEL
-    moment = _gauss_moment if gauss else _exp_moment
     terms = []
     for ci, ei, bi in nonzero:
         for cj, ej, bj in nonzero:
             q, c = ei + ej + power, bi + bj
             try:
-                term = ci * cj * moment(c, q)
+                term = ci * cj * _moment(c, q, gauss)
             except (OverflowError, ZeroDivisionError):
                 term = 0.0
             if not 0.0 < abs(term) < math.inf:
-                term = _log_pair_term(ci, cj, q, c, gauss)
+                term = _exact_exponent_term(ci, cj, q, c, gauss)
             terms.append(term)
     try:
         return math.fsum(terms)
@@ -227,7 +227,7 @@ def gauss_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=16)
-def panel_nodes(r_max: float, panels: int, points: int) -> tuple[np.ndarray, np.ndarray, int]:
+def panel_nodes(r_max: float, panels: int, points: int) -> tuple[np.ndarray, np.ndarray]:
     """All Gauss-Legendre nodes/weights of the graded composite rule.
 
     Cached (every seminorm of one profile shares its radius), so the arrays
@@ -236,7 +236,7 @@ def panel_nodes(r_max: float, panels: int, points: int) -> tuple[np.ndarray, np.
     nodes, weights = gauss_panels(_graded_edges(r_max, panels), points)
     nodes, weights = nodes.ravel(), weights.ravel()
     nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights, points
+    return nodes, weights
 
 
 def panel_integrate(fn, r_max: float) -> tuple[float, float]:
@@ -246,7 +246,7 @@ def panel_integrate(fn, r_max: float) -> tuple[float, float]:
     """
 
     def run(points: int) -> float:
-        r, w, _ = panel_nodes(r_max, PANEL_COUNT, points)
+        r, w = panel_nodes(r_max, PANEL_COUNT, points)
         vals = (fn(r) * w).reshape(PANEL_COUNT, points)
         return math.fsum(vals.sum(axis=1).tolist())
 
@@ -256,10 +256,16 @@ def panel_integrate(fn, r_max: float) -> tuple[float, float]:
 
 
 def _integrand(kt: KernelTerms, power: int):
-    def fn(r: np.ndarray) -> np.ndarray:
-        return np.asarray(kt(r)) ** 2 * r ** float(power)
+    """r^power |f^(d)|^2, vectorized in r, and a list holding the largest
+    |f^(d)|^2 it has been evaluated at."""
+    peak = [0.0]
 
-    return fn
+    def fn(r: np.ndarray) -> np.ndarray:
+        square = np.asarray(kt(r)) ** 2
+        peak[0] = max(peak[0], square.max())
+        return square * r ** float(power)
+
+    return fn, peak
 
 
 def integrate(profile: Profile, s: WeightedSeminorm,
@@ -282,6 +288,8 @@ def integrate(profile: Profile, s: WeightedSeminorm,
         return math.fsum(rows.tolist())
 
     kt = profile.kernel_terms(s.deriv)
+    if not all(math.isfinite(c) for c, _, _ in kt.terms):
+        raise DegenerateProfileError(f"the coefficients of f^({s.deriv}) leave the float range")
     if not any(c != 0.0 for c, _, _ in kt.terms):
         return 0.0
     if rule is QuadratureRule.CLOSED_FORM:
@@ -289,25 +297,26 @@ def integrate(profile: Profile, s: WeightedSeminorm,
 
     _check_origin_convergence(kt, float(s.power))
     r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
-    fn = _integrand(kt, s.power)
+    fn, peak = _integrand(kt, s.power)
     if rule is QuadratureRule.ADAPTIVE:
         # Loaded here, not at import: scipy.integrate brings in scipy.optimize,
         # sparse, spatial and special, and only this oracle uses it.
         from scipy import integrate as _sciint
 
         # full_output keeps quad from warning; a missed tolerance raises below.
-        value, err, *_ = _sciint.quad(
+        value, est, *_ = _sciint.quad(
             fn, 0.0, r_max, epsabs=0.0, epsrel=ADAPTIVE_REL_TOL, limit=400, full_output=1
         )
-        if err > 10.0 * ADAPTIVE_REL_TOL * abs(value):
-            raise QuadratureConvergenceError(
-                f"adaptive rule reports error {err:.3e} for value {value:.6e}"
-            )
-        return float(value)
-
-    value, est = panel_integrate(fn, r_max)
-    if est > PANEL_REL_TOL * abs(value):
+        tol = 10.0 * ADAPTIVE_REL_TOL
+    else:
+        value, est = panel_integrate(fn, r_max)
+        tol = PANEL_REL_TOL
+    # Squares below the normal range are 0 or have lost their digits, and
+    # the error estimate, made of the same squares, cannot tell.
+    if peak[0] < np.finfo(float).tiny:
+        raise DegenerateProfileError(f"|f^({s.deriv})|^2 underflows at every {rule.value} node")
+    if est > tol * abs(value):
         raise QuadratureConvergenceError(
-            f"panel rule estimate {est:.3e} exceeds tolerance for value {value:.6e}"
+            f"{rule.value} error estimate {est:.3e} exceeds tolerance for value {value:.6e}"
         )
     return float(value)

@@ -32,6 +32,7 @@ from .profiles import (
     Mode,
     Profile,
     SampledProfile,
+    make_mode,
     shift_power,
 )
 from .quadrature import (
@@ -313,9 +314,7 @@ def vector_equiv_check_2d(
 
     The two agree because |∇Ū|^2 integrates to u_xx^2 + u_yy^2 + 2 u_xy^2.
     """
-    if degree < 0:
-        raise UsageError("angular degree must be >= 0")
-
+    mode = make_mode(2, degree)  # UsageError below degree 0
     # Uniform panels: the integrand is smooth, and avoiding tiny radii keeps
     # the 1/r^2 cancellations in the Cartesian assembly benign.
     edges = np.linspace(0.0, default_r_max(radial), _EQUIV_R_PANELS + 1)
@@ -327,16 +326,10 @@ def vector_equiv_check_2d(
     integrand = (u_xx**2 + u_yy**2 + 2.0 * u_xy**2) * r[:, None]
     lhs = float((w_r @ integrand).sum() * w_theta)
 
-    mode = Mode(2, degree, degree * degree)
+    # u = r^k v; at degree 0 the reduced rows are the raw rows.
+    reduced = shift_power(radial, -degree)
+    radial_value = eval_mode_functional(
+        FunctionalId.LAPLACIAN_ENERGY, mode, reduced, Form.REDUCED, CLOSED_FORM
+    ).value
     angular_norm_sq = 2.0 * np.pi if degree == 0 else np.pi
-    if degree == 0:
-        radial_value = eval_mode_functional(
-            FunctionalId.LAPLACIAN_ENERGY, mode, radial, Form.RAW, CLOSED_FORM
-        ).value
-    else:
-        reduced = shift_power(radial, -degree)
-        radial_value = eval_mode_functional(
-            FunctionalId.LAPLACIAN_ENERGY, mode, reduced, Form.REDUCED, CLOSED_FORM
-        ).value
-    rhs = angular_norm_sq * radial_value
-    return lhs, rhs
+    return lhs, angular_norm_sq * radial_value

@@ -297,6 +297,42 @@ def test_decompose_check_extreme_rates_stay_exact(capsys, beta):
     assert all(row["rel_error"] < 1e-13 for row in data["rows"])
 
 
+@pytest.mark.parametrize("beta", ["1e-100", "1e100"])
+def test_extreme_rates_stay_exact_to_rounding(capsys, beta):
+    # At these rates every closed-form pair term leaves the float range and
+    # is formed with its binary exponents split off, which keeps it within a
+    # few ulps.
+    rc, out = run_cli(capsys, ["verify", "hup2", "--n", "3", "--beta", beta])
+    closed = [r for r in json.loads(out)["reports"] if r["mode"] == "closed_form"]
+    assert rc == 0 and closed and all(r["rel_gap"] < 1e-14 for r in closed)
+    rc, out = run_cli(capsys, ["decompose-check", "--n", "2", "--beta", beta])
+    assert rc == 0 and all(row["rel_error"] < 5e-15 for row in json.loads(out)["rows"])
+
+
+@pytest.mark.parametrize("args", [
+    "hyup2 --n 3 --beta 1e-100", "hyup2_radial --n 2..4 --beta 1e-100",
+    "hyup2 --n 3 --beta 1e-90", "hyup2_radial --n 2..4 --beta 1e-90",
+])
+def test_verify_underflowed_squares_are_a_computation_failure(capsys, args):
+    # |f''|^2 ~ beta^4 underflows at every panel node: the quadrature report
+    # must fail the computation (exit 3), not the gate with a wrong value.
+    rc = main(["verify", *args.split()])
+    err = capsys.readouterr().err
+    assert rc == EXIT_COMPUTE
+    assert err.startswith("computation failed") and "Warning" not in err
+
+
+def test_verify_small_rate_still_passes(capsys):
+    rc, _ = run_cli(capsys, ["verify", "hyup2", "--n", "3", "--beta", "1e-70"])
+    assert rc == 0
+
+
+def test_decompose_check_negative_degree_is_a_usage_error(capsys):
+    for n in ("2", "3"):
+        assert main(["decompose-check", "--n", n, "--mode-k", "-1"]) == 2
+        assert "degree must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [
     ["--amplitude", "0"], ["--amplitude", "1e-200"], ["--beta", "1e300"],
     ["--amplitude", "1e200"], ["--n", "3", "--amplitude", "1e200"], ["--beta", "1e-300"],

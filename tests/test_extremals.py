@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from upsharp.cli import main
 from upsharp.constants import CONJECTURAL, PROVED
-from upsharp.errors import QuadratureConvergenceError, UsageError
+from upsharp.errors import DegenerateProfileError, QuadratureConvergenceError, UsageError
 from upsharp.extremals import (
     extremal_quotient,
     sphere_area,
@@ -86,6 +86,22 @@ def test_quadrature_mode_reports_unresolved_integrals():
     u = AnalyticProfile("monomial_cutoff", 1.0, 1.0, power=-0.45)
     with pytest.raises(QuadratureConvergenceError):
         integrate(u, WeightedSeminorm(0, 0))
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "quadrature"])
+def test_coefficients_out_of_float_range_are_degenerate(mode):
+    # The hydrogen coefficient amplitude * rate overflows to inf, and its
+    # derivatives carry inf - inf = nan: a typed failure, not a math domain
+    # error from a Gamma moment of a nan order.
+    with pytest.raises(DegenerateProfileError):
+        extremal_quotient("hyup2", 2, 1e161, mode=mode, amplitude=1e150)
+
+
+def test_moments_below_the_normal_range_are_degenerate():
+    # At rate 1e161 the weighted L2 moment of the Gaussian is 1.25e-323, a
+    # subnormal with two significant bits, so its quotient means nothing.
+    with pytest.raises(DegenerateProfileError):
+        extremal_quotient("hup", 2, 1e161)
 
 
 def test_baseline_ordering():

@@ -8,7 +8,7 @@ from scipy import linalg
 from scipy.linalg.blas import dsbmv
 
 from upsharp import minimize
-from upsharp.constants import hardy_correction_factor
+from upsharp.constants import MODE_BOUNDS, mode_principle
 from upsharp.errors import SolverError, UsageError
 from upsharp.minimize import (
     GridSpec,
@@ -242,12 +242,15 @@ def test_combined_bound_matches_exact_scan():
 
 
 def test_hardy_correction_factors():
-    assert hardy_correction_factor("hup2", 2, 0) == 1
-    assert hardy_correction_factor("hup2", 2, 1) == Fraction(1, 2)
-    assert hardy_correction_factor("hyup2", 3, 0) == 1  # degree 0: no Hardy step
-    assert hardy_correction_factor("hyup2", 5, 1) == Fraction(16, 20) ** 2
+    def correction(quotient, n, k):
+        return MODE_BOUNDS[mode_principle(quotient)].correction(n, k)
+
+    assert correction("hup2", 2, 0) == 1
+    assert correction("hup2", 2, 1) == Fraction(1, 2)
+    assert correction("hyup2", 3, 0) == 1  # degree 0: no Hardy step
+    assert correction("hyup2", 5, 1) == Fraction(16, 20) ** 2
     with pytest.raises(UsageError):
-        hardy_correction_factor("hup", 3, 1)
+        correction("hup", 3, 1)
 
 
 def test_explore_conjecture_calibration_quick():
@@ -579,6 +582,29 @@ def test_flat_slope_stop_matches_full_bisection(monkeypatch):
         assert ref.converged and res.converged, case
         assert ref.min_value <= res.min_value <= ref.min_value * (1 + 1e-12), case
     assert sum(r.iterations for r in flat) <= 0.6 * sum(r.iterations for r in full)
+
+
+def test_one_quotient_evaluation_per_probe(monkeypatch):
+    # Each probe evaluates the forms once on its eigenvector, and the minimum
+    # is read from the lowest probe's parts, not from a further evaluation.
+    counts = {"parts": 0, "solves": 0}
+    parts, solve = minimize.DiscreteQuotient.parts, minimize._lowest_eigenpair
+
+    def counted_parts(self, x):
+        counts["parts"] += 1
+        return parts(self, x)
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(minimize.DiscreteQuotient, "parts", counted_parts)
+    monkeypatch.setattr(minimize, "_lowest_eigenpair", counted_solve)
+    for kind in QuotientKind:
+        for n, k in ((2, 0), (3, 1), (5, 2)):
+            counts.update(parts=0, solves=0)
+            res = minimize_quotient(problem(kind, n, k, size=128))
+            assert counts == {"parts": res.iterations, "solves": res.iterations}, (kind, n, k)
 
 
 def test_mode_mixtures_never_beat_best_single_mode(rng):

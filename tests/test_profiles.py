@@ -311,6 +311,14 @@ def test_profile_from_json_rejects_malformed_objects(obj):
         profile_from_json(json.dumps(obj))
 
 
+def test_grid_whose_squared_steps_underflow_is_a_usage_error():
+    # The first steps of this grid are about 5e-200: their squares underflow
+    # to 0, and 1/h^2 would divide by zero.
+    grid = np.geomspace(1e-200, 10.0, 256)
+    with pytest.raises(UsageError, match="underflow"):
+        SampledProfile(grid, np.exp(-grid**2))
+
+
 def test_shift_power():
     g = AnalyticProfile("gaussian", 2.0, 1.5)
     up = shift_power(g, 3.0)

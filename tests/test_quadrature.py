@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from upsharp.errors import DivergentIntegralError, UsageError
-from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
+from upsharp.errors import DegenerateProfileError, DivergentIntegralError, UsageError
+from upsharp.profiles import AnalyticProfile, KernelTerms, MixtureProfile, SampledProfile
 from upsharp.quadrature import (
     CLOSED_FORM,
     QuadratureRule,
     WeightedSeminorm,
+    closed_form_weighted_square,
     integrate,
     panel_integrate,
     panel_nodes,
@@ -166,14 +167,66 @@ def test_sampled_integration_exact_on_cubic_data(spacing):
 
 
 def test_panel_nodes_are_cached_read_only():
-    nodes, weights, points = panel_nodes(7.5, 48, 24)
+    nodes, weights = panel_nodes(7.5, 48, 24)
     again = panel_nodes(7.5, 48, 24)
-    assert again[0] is nodes and again[1] is weights and points == 24
+    assert again[0] is nodes and again[1] is weights
     assert nodes.shape == weights.shape == (48 * 24,)
     with pytest.raises(ValueError):
         nodes[0] = 1.0
     with pytest.raises(ValueError):
         weights[0] = 1.0
+
+
+def test_closed_form_pair_terms_at_extreme_rates_match_mpmath():
+    # One kernel term a r^e K(b) squares to a single pair term a^2 times the
+    # Gamma moment at rate c = 2b. At these rates c^s leaves the float range,
+    # so every term here is formed with its binary exponents split off.
+    # The amplitude brings each term near 1; terms outside the normal range
+    # are skipped. For integer q the power of two of c^-s is exact.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 200
+    worst = {True: 0.0, False: 0.0}
+    for kernel, order in (("gauss", 2), ("exp", 1)):
+        for rate in (1e250, 3.7e183, 2.9e-171, 1e-250):
+            for e in (0.0, 0.3, 1.0, 1.75):
+                for power in range(7):
+                    q, c = 2 * e + power, 2.0 * rate
+                    s = mpmath.mpf(q + 1) / order
+                    exponent = float(s) * math.log10(c) / 2.0
+                    a = 1.37 * 10.0 ** max(-300.0, min(300.0, exponent))
+                    want = mpmath.mpf(a) ** 2 * mpmath.gamma(s) / (order * mpmath.mpf(c) ** s)
+                    if not mpmath.mpf("1e-300") < want < mpmath.mpf("1e300"):
+                        continue
+                    kt = KernelTerms(kernel, ((a, e, rate),))
+                    got = closed_form_weighted_square(kt, float(power))
+                    integer = float(q).is_integer()
+                    worst[integer] = max(worst[integer], float(abs(got - want) / want))
+    assert worst[True] <= 2e-15
+    assert worst[False] <= 2e-13
+
+
+@pytest.mark.parametrize("rule", [PANELS, ADAPTIVE])
+def test_numerical_rules_reject_underflowed_squares(rule):
+    # f'' of (1 + b r) e^{-b r} is of size b^2, so at b = 1e-100 its square
+    # underflows at every node while the closed form is 7.5e-101: the rules
+    # must not return the remaining terms as the integral.
+    tiny = AnalyticProfile("hydrogen_second", 1.0, 1e-100)
+    assert integrate(tiny, WeightedSeminorm(2, 2), CLOSED_FORM) > 0.0
+    with pytest.raises(DegenerateProfileError):
+        integrate(tiny, WeightedSeminorm(2, 2), rule)
+    small = AnalyticProfile("hydrogen_second", 1.0, 1e-70)
+    assert_allclose(integrate(small, WeightedSeminorm(2, 2), rule),
+                    integrate(small, WeightedSeminorm(2, 2), CLOSED_FORM), rtol=1e-9)
+
+
+def test_non_finite_kernel_coefficients_are_degenerate():
+    # At amplitude 1e150 and rate 1e161 the coefficient a b overflows, and
+    # differentiating turns inf - inf into nan.
+    wide = AnalyticProfile("hydrogen_second", 1e150, 1e161)
+    for rule in QuadratureRule:
+        for d in (0, 1, 2):
+            with pytest.raises(DegenerateProfileError):
+                integrate(wide, WeightedSeminorm(d, 2), rule)
 
 
 def test_closed_form_requires_analytic():

@@ -241,6 +241,23 @@ def test_vector_equiv_2d():
     assert lhs == 0.0 and rhs == 0.0
 
 
+def test_vector_equiv_degree_zero_rhs_is_the_raw_laplacian():
+    # At degree 0 the reduced Laplacian rows are the raw rows, so the one
+    # reduced route gives exactly 2 pi times the raw functional; r^0 leaves
+    # an exponential-kernel profile as it is.
+    mode = make_mode(2, 0)
+    for radial in (AnalyticProfile("gaussian", 1.3, 0.7),
+                   gaussian_mixture(np.random.default_rng(3)),
+                   AnalyticProfile("hydrogen_second", 1.0, 1.0)):
+        raw = eval_mode_functional(
+            FunctionalId.LAPLACIAN_ENERGY, mode, radial, Form.RAW, CLOSED_FORM
+        )
+        _, rhs = vector_equiv_check_2d(radial, 0)
+        assert rhs == 2.0 * np.pi * raw.value
+    with pytest.raises(UsageError):
+        vector_equiv_check_2d(AnalyticProfile("gaussian", 1.0, 1.0), -1)
+
+
 def test_mode_functional_json():
     g = AnalyticProfile("gaussian", 1.0, 1.0)
     mv = eval_mode_functional(FunctionalId.GRAD_ENERGY, make_mode(3, 0), g, Form.RAW, CLOSED_FORM)
