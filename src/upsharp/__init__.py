@@ -20,7 +20,7 @@ from .constants import (
     sharp_constant,
 )
 from .errors import UpsharpError
-from .extremals import QuotientReport, extremal_quotient
+from .extremals import QuotientReport, extremal_quotient, n1_quotient_check
 from .minimize import (
     CombinedBound,
     ConjectureReport,
@@ -32,7 +32,6 @@ from .minimize import (
     explore_conjecture,
     minimize_quotient,
     mode_combined_bound,
-    n1_quotient_check,
 )
 from .profiles import (
     AnalyticProfile,

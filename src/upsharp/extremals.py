@@ -6,7 +6,8 @@ term, read as raw degree-0 mode functionals from the seminorm term table
 equals the sharp constant exactly, independent of the rate beta and the
 amplitude. Quotients are assembled from exact Gamma/factorial moments
 (``closed_form``) or recomputed numerically (``quadrature``); the two routes
-are kept fully independent.
+are kept fully independent. The N = 1 line quotient of the second-order
+Heisenberg principle (``n1_quotient_check``) is assembled the same way.
 
 The sphere-measure factor |S^{N-1}| multiplies every integral and cancels in
 every quotient; it is reported informationally only.
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONJECTURAL, PrincipleId, sharp_constant
-from .errors import DegenerateProfileError, UsageError
-from .profiles import AnalyticProfile, make_mode
-from .quadrature import QuadratureRule
-from .seminorms import PRINCIPLE_FUNCTIONALS, Form, eval_mode_functional
+from .errors import UsageError
+from .profiles import AnalyticProfile, MixtureProfile, Mode, Profile, make_mode
+from .quadrature import CLOSED_FORM, QuadratureRule
+from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _in_float_range, eval_mode_functional
 
 EXTREMAL_FAMILY = {
     PrincipleId.HUP: "gaussian",
@@ -64,6 +65,20 @@ class QuotientReport:
     note: str = ""
 
 
+def _principle_quotient(
+    p: PrincipleId, mode: Mode, profile: Profile, rule: QuadratureRule, subject: str
+) -> tuple[float, float, float, float]:
+    """The principle's raw functionals a, b, c on the profile and a·b/c²;
+    DegenerateProfileError when one leaves the normal float range, where the
+    quotient of such moments means nothing (``subject`` names them)."""
+    def evaluate():
+        a, b, c = (eval_mode_functional(fid, mode, profile, Form.RAW, rule).value
+                   for fid in PRINCIPLE_FUNCTIONALS[p])
+        return a, b, c, float(np.float64(a) * b / np.square(c))
+
+    return _in_float_range(evaluate, subject, ("a", "b", "c"))
+
+
 def extremal_quotient(
     principle: PrincipleId | str,
     dimension: int,
@@ -88,24 +103,10 @@ def extremal_quotient(
     constant = sharp_constant(p, n)  # UsageError below the least dimension
     profile = AnalyticProfile(EXTREMAL_FAMILY[p], amplitude, beta)
     ids = PRINCIPLE_FUNCTIONALS[p]
-    radial = make_mode(n, 0)
     rule = QuadratureRule.CLOSED_FORM if mode == "closed_form" else QuadratureRule.PANELS
-    # At extreme rates the moments overflow or fall below the normal range,
-    # and the quotient of such moments means nothing.
-    with np.errstate(all="ignore"):
-        try:
-            a, b, c = (
-                eval_mode_functional(fid, radial, profile, Form.RAW, rule).value
-                for fid in ids
-            )
-        except (OverflowError, ZeroDivisionError):
-            a = b = c = math.nan
-        quotient = float(np.float64(a) * b / np.square(c))
-    if not all(np.finfo(float).tiny <= abs(v) < math.inf for v in (a, b, c, quotient)):
-        raise DegenerateProfileError(
-            f"{p.value} moments at beta={beta:g} are out of floating-point range "
-            f"(a={a:g}, b={b:g}, c={c:g})"
-        )
+    a, b, c, quotient = _principle_quotient(
+        p, make_mode(n, 0), profile, rule, f"{p.value} moments at beta={beta:g}"
+    )
     predicted = float(constant.value)
     status = constant.status
     note = _NOTES.get(p, "")
@@ -127,3 +128,22 @@ def extremal_quotient(
         sphere_factor=sphere_area(n),
         note=note.strip(),
     )
+
+
+def n1_quotient_check(u: AnalyticProfile | MixtureProfile) -> float:
+    """One-dimensional second-order quotient for even profiles on the line.
+
+    For even u the full-line integrals reduce to half-line ones and the
+    quotient ∫|u''|^2 ∫ r^2|u'|^2 / (∫|u'|^2)^2 is the N=1 case of the
+    second-order Heisenberg principle; Gaussian input returns exactly 9/4.
+    DegenerateProfileError when a moment or the quotient leaves the normal
+    float range (the zero profile included).
+    """
+    components = u.components if isinstance(u, MixtureProfile) else (u,)
+    for comp in components:
+        if comp.kernel != "gauss" or comp.power != int(comp.power) or int(comp.power) % 2:
+            raise UsageError("the line quotient needs an even, smooth profile")
+    # Each functional has a single row on the line.
+    return _principle_quotient(
+        PrincipleId.HUP2, make_mode(1, 0), u, CLOSED_FORM, "hup2 moments on the line"
+    )[-1]

@@ -75,22 +75,8 @@ from .constants import (
     sharp_constant,
 )
 from .errors import SolverError, UsageError
-from .profiles import (
-    AnalyticProfile,
-    MixtureProfile,
-    Mode,
-    Profile,
-    SampledProfile,
-    make_mode,
-)
-from .quadrature import CLOSED_FORM, gauss_panels
-from .seminorms import (
-    PRINCIPLE_FUNCTIONALS,
-    Form,
-    _hardy_rows,
-    _term_table,
-    eval_mode_functional,
-)
+from .profiles import Mode, Profile, SampledProfile, gauss_panels, make_mode
+from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _hardy_rows, _term_table
 
 
 class QuotientKind(str, Enum):
@@ -142,26 +128,10 @@ class GridSpec:
         )
 
 
-def _kind_forms(kind: QuotientKind, mode: Mode):
+def _kind_lookup(kind: QuotientKind, mode: Mode):
     """Nonzero (A, B, C) rows (coef, deriv, power) of the function the kind is
-    solved in: w = v', every deriv one lower, when no row is zero-order."""
-    spec = KINDS[kind]
-    if spec.principle is None:
-        num, den = _hardy_rows(mode)
-        forms = ((num,), (den,), (den,))
-    else:
-        tables = (_term_table(fid, spec.form, mode)
-                  for fid in PRINCIPLE_FUNCTIONALS[spec.principle])
-        forms = tuple(tuple((c, s.deriv, s.power) for _, c, s in t
-                            if s.deriv or not spec.product)
-                      for t in tables)
-    if all(d >= 1 for rows in forms for _, d, _ in rows):
-        forms = tuple(tuple((c, d - 1, p) for c, d, p in rows) for rows in forms)
-    return forms
-
-
-def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
-    """Known continuum infimum of the quotient, when one is established.
+    solved in (w = v', every deriv one lower, when no row is zero-order), and
+    the known continuum infimum of the quotient, None where none is.
 
     A product kind, its zero-order rows dropped, is the degree-0 quotient of
     its principle in dimension N + 2k, so its target is that constant. Any
@@ -172,10 +142,22 @@ def continuum_target(kind: QuotientKind, mode: Mode) -> float | None:
     N, k = mode.dimension, mode.degree
     spec = KINDS[kind]
     if spec.principle is None:
-        return (N + 2 * k) ** 2 / 4.0
-    if spec.product:
-        return float(sharp_constant(spec.principle, N + 2 * k))
-    return float(sharp_constant(spec.principle, N)) if k == 0 else None
+        num, den = _hardy_rows(mode)
+        forms = ((num,), (den,), (den,))
+        target = (N + 2 * k) ** 2 / 4.0
+    else:
+        tables = (_term_table(fid, spec.form, mode)
+                  for fid in PRINCIPLE_FUNCTIONALS[spec.principle])
+        forms = tuple(tuple((c, s.deriv, s.power) for _, c, s in t
+                            if s.deriv or not spec.product)
+                      for t in tables)
+        if spec.product:
+            target = float(sharp_constant(spec.principle, N + 2 * k))
+        else:
+            target = float(sharp_constant(spec.principle, N)) if k == 0 else None
+    if all(d >= 1 for rows in forms for _, d, _ in rows):
+        forms = tuple(tuple((c, d - 1, p) for c, d, p in rows) for rows in forms)
+    return forms, target
 
 
 @dataclass(frozen=True)
@@ -316,7 +298,7 @@ class DiscreteQuotient:
         self.problem = problem
         self._grid = grid = _grid_tables(problem.grid)
         r, sq, wq = grid.r, grid.sq, grid.wq
-        forms = _kind_forms(problem.kind, problem.mode)
+        forms, self.target = _kind_lookup(problem.kind, problem.mode)
         rows = [row for form in forms for row in form]
         second = any(d == 2 for _, d, _ in rows)
         pin = any(d == 0 and p <= -1 for _, d, p in rows)
@@ -346,7 +328,6 @@ class DiscreteQuotient:
         self._orders = sorted({d for _, d, _ in rows})
         self.A, self.B, self.C = (self._band(*form) for form in self._forms)
         self.r = r
-        self.target = continuum_target(problem.kind, problem.mode)
 
     def _band(self, terms: list, edge: float = 0.0) -> np.ndarray:
         """Upper band storage of the Gram matrix of (coef, deriv, weights) terms."""
@@ -404,10 +385,10 @@ class DiscreteQuotient:
 class MinimizationResult:
     """Outcome of one t-pencil minimization; its JSON report is these fields.
 
-    ``kind``, ``mode`` and ``grid`` are the problem's; ``target`` is
-    ``continuum_target``. ``argmin`` is w = v' for the product kinds and the
-    degree-0 mode_hyup2_full (no row of theirs is zero-order, so their rows
-    are reduced), v otherwise.
+    ``kind``, ``mode`` and ``grid`` are the problem's; ``target`` is the
+    kind's continuum target (``_kind_lookup``). ``argmin`` is w = v' for the
+    product kinds and the degree-0 mode_hyup2_full (no row of theirs is
+    zero-order, so their rows are reduced), v otherwise.
 
     ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
     Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
@@ -599,11 +580,11 @@ def _solve(problem: VariationalProblem) -> MinimizationResult:
     solved = _SOLVED.get()
     if solved is None:
         return minimize_quotient(problem)
-    key = (_kind_forms(problem.kind, problem.mode), problem.grid)
+    forms, target = _kind_lookup(problem.kind, problem.mode)
+    key = (forms, problem.grid)
     if key not in solved:
         solved[key] = minimize_quotient(problem)
-    return replace(solved[key], kind=problem.kind, mode=problem.mode,
-                   target=continuum_target(problem.kind, problem.mode))
+    return replace(solved[key], kind=problem.kind, mode=problem.mode, target=target)
 
 
 def eigen_crosscheck(problem: VariationalProblem) -> float:
@@ -731,10 +712,7 @@ def explore_conjecture(
     resolutions = tuple(sorted(set(resolutions)))
     if k_max < 0 or not resolutions:
         raise UsageError("the conjecture explorer needs k_max >= 0 and at least one resolution")
-    ladder: list[dict] = []
-    finest = max(resolutions)
-    counterexample = None
-    per_mode_finest: dict[int, float] = {}
+    solves = []  # (size, degree, result) in ladder order
     token = _SOLVED.set({})
     try:
         for size in resolutions:
@@ -742,29 +720,22 @@ def explore_conjecture(
                 problem = VariationalProblem.for_mode(
                     QuotientKind.MODE_HYUP2_FULL, n, k, size=size
                 )
-                res = _solve(problem)
-                ladder.append({
-                    "degree": k,
-                    "size": size,
-                    "min_value": res.min_value,
-                    "converged": res.converged,
-                })
-                if size == finest:
-                    per_mode_finest[k] = res.min_value
-                if res.min_value < conjectured * (1.0 - 3.0 * DISCRETIZATION_BUDGET):
-                    cand = {
-                        "degree": k,
-                        "size": size,
-                        "min_value": res.min_value,
-                        "profile": res.argmin,
-                    }
-                    if counterexample is None or cand["min_value"] < counterexample["min_value"]:
-                        counterexample = cand
-
-        combined = mode_combined_bound("hyup2", n, k_max=max(k_max, 4), size=finest)
+                solves.append((size, k, _solve(problem)))
+        combined = mode_combined_bound("hyup2", n, k_max=max(k_max, 4), size=resolutions[-1])
     finally:
         _SOLVED.reset(token)
-    argmin_degree = min(per_mode_finest, key=per_mode_finest.get)
+    ladder = [{"degree": k, "size": size, "min_value": res.min_value, "converged": res.converged}
+              for size, k, res in solves]
+    # min keeps the first of equal minima: the lowest degree, the coarsest rung.
+    finest = [s for s in solves if s[0] == resolutions[-1]]
+    _, argmin_degree, best = min(finest, key=lambda s: s[2].min_value)
+    below = [s for s in solves
+             if s[2].min_value < conjectured * (1.0 - 3.0 * DISCRETIZATION_BUDGET)]
+    counterexample = None
+    if below:
+        size, k, res = min(below, key=lambda s: s[2].min_value)
+        counterexample = {"degree": k, "size": size, "min_value": res.min_value,
+                          "profile": res.argmin}
     return ConjectureReport(
         dimension=n,
         conjectured=conjectured,
@@ -772,25 +743,9 @@ def explore_conjecture(
         resolutions=resolutions,
         ladder=ladder,
         combined_bound=combined,
-        estimated_infimum=per_mode_finest[argmin_degree],
+        estimated_infimum=best.min_value,
         argmin_degree=argmin_degree,
         counterexample=counterexample,
         status="numerical evidence only; nothing here proves or refutes the open range",
     )
 
-
-def n1_quotient_check(u: AnalyticProfile | MixtureProfile) -> float:
-    """One-dimensional second-order quotient for even profiles on the line.
-
-    For even u the full-line integrals reduce to half-line ones and the
-    quotient ∫|u''|^2 ∫ r^2|u'|^2 / (∫|u'|^2)^2 is the N=1 case of the
-    second-order Heisenberg principle; Gaussian input returns exactly 9/4.
-    """
-    components = u.components if isinstance(u, MixtureProfile) else (u,)
-    for comp in components:
-        if comp.kernel != "gauss" or comp.power != int(comp.power) or int(comp.power) % 2:
-            raise UsageError("the line quotient needs an even, smooth profile")
-    line = make_mode(1, 0)  # each functional has a single row here
-    a, b, c = (eval_mode_functional(fid, line, u, Form.RAW, CLOSED_FORM).value
-               for fid in PRINCIPLE_FUNCTIONALS[PrincipleId.HUP2])
-    return a * b / (c * c)

@@ -6,15 +6,16 @@ Every functional in the package is evaluated on one of two profile kinds:
   formulas (and exact weighted moments, see :mod:`upsharp.quadrature`);
 * :class:`SampledProfile` — node values on a strictly positive grid, read as
   the not-a-knot cubic spline through them and treated as zero outside the
-  grid. The work that depends on the grid alone (the factored spline system,
-  the Gauss rule of the grid intervals, its weights times r^p, the Hermite
-  basis at the Gauss points) is done once per distinct grid and shared by
-  every profile on it. A new profile costs one tridiagonal back-substitution
-  for its node slopes. Its node values and slopes, as the cubic Hermite data
-  of every interval, are its only representation: its first integral
-  evaluates f, f' and f'' at every Gauss node in one small matrix product of
-  the Hermite basis with that data, and point evaluation applies the same
-  basis at each point's place in its interval.
+  grid, which integrates itself by ``SAMPLED_POINTS``-point Gauss-Legendre
+  on every grid interval (:func:`gauss_panels`). The work that depends on the
+  grid alone (the factored spline system, that Gauss rule, its weights times
+  r^p, the Hermite basis at the Gauss points) is done once per distinct grid
+  and shared by every profile on it. A new profile costs one tridiagonal
+  back-substitution for its node slopes. Its node values and slopes, as the
+  cubic Hermite data of every interval, are its only representation: its
+  first integral evaluates f, f' and f'' at every Gauss node in one small
+  matrix product of the Hermite basis with that data, and point evaluation
+  applies the same basis at each point's place in its interval.
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -32,7 +33,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import UsageError
+from .errors import DegenerateProfileError, UsageError
 
 GAUSS_KERNEL = "gauss"  # decay factor e^{-rate * r^2}
 EXP_KERNEL = "exp"      # decay factor e^{-rate * r}
@@ -43,6 +44,29 @@ FAMILY_KERNELS = {
     "exponential": EXP_KERNEL,
     "hydrogen_second": EXP_KERNEL,
 }
+
+#: Gauss-Legendre points per grid interval for sampled profiles; exact for
+#: the squared derivatives of their cubic pieces times polynomial weights
+#: up to degree 1.
+SAMPLED_POINTS = 4
+
+#: The smallest normal double; below it a value has lost digits or is 0.
+_TINY = float(np.finfo(float).tiny)
+
+
+@lru_cache(maxsize=32)
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, w
+
+
+def gauss_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``points``-point Gauss-Legendre on every interval
+    of ``edges``, one row per interval."""
+    xi, om = _gl_nodes(points)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return mid + half * xi, half * om
 
 
 @dataclass(frozen=True)
@@ -70,6 +94,17 @@ def make_mode(dimension: int, degree: int) -> Mode:
     return Mode(int(dimension), int(degree), int(degree) * (int(degree) + int(dimension) - 2))
 
 
+def _coefficient(x: float, y: float) -> float:
+    """x * y; DegenerateProfileError when nonzero factors give a product below
+    the normal range, which would drop the term or keep it without its digits."""
+    c = x * y
+    if abs(c) < _TINY and x != 0.0 and y != 0.0:
+        raise DegenerateProfileError(
+            f"the kernel coefficient {x:g} * {y:g} leaves the normal float range"
+        )
+    return c
+
+
 @dataclass(frozen=True)
 class KernelTerms:
     """Sum of c * r^e * K(rate, r) terms sharing one kernel type.
@@ -82,18 +117,21 @@ class KernelTerms:
     terms: tuple[tuple[float, float, float], ...]
 
     def differentiate(self) -> "KernelTerms":
+        """The terms of the derivative, each coefficient a ``_coefficient``
+        product; terms that cancel exactly are dropped."""
         acc: dict[tuple[float, float], float] = {}
 
-        def add(c: float, e: float, b: float) -> None:
+        def add(x: float, y: float, e: float, b: float) -> None:
+            c = _coefficient(x, y)
             if c != 0.0:
                 acc[(e, b)] = acc.get((e, b), 0.0) + c
 
         for c, e, b in self.terms:
-            add(c * e, e - 1.0, b)
+            add(c, e, e - 1.0, b)
             if self.kernel == GAUSS_KERNEL:
-                add(-2.0 * b * c, e + 1.0, b)
+                add(-2.0 * b, c, e + 1.0, b)
             else:
-                add(-b * c, e, b)
+                add(-b, c, e, b)
         terms = tuple((c, e, b) for (e, b), c in sorted(acc.items()) if c != 0.0)
         return KernelTerms(self.kernel, terms)
 
@@ -151,7 +189,7 @@ class AnalyticProfile:
         elif self.family == "exponential":
             base = KernelTerms(EXP_KERNEL, ((a, 0.0, b),))
         else:  # hydrogen_second
-            base = KernelTerms(EXP_KERNEL, ((a, 0.0, b), (a * b, 1.0, b)))
+            base = KernelTerms(EXP_KERNEL, ((a, 0.0, b), (_coefficient(a, b), 1.0, b)))
         for _ in range(deriv):
             base = base.differentiate()
         return base
@@ -248,21 +286,19 @@ class SampledProfile:
         outside = (r < grid[0]) | (r > grid[-1])
         return np.where(outside, 0.0, out) if r.ndim else (0.0 if outside else float(out))
 
-    def gauss_squares(self, deriv: int) -> np.ndarray:
-        """|f^(d)|^2 at the Gauss nodes of every grid interval, unweighted.
-
-        One row per Gauss point, one column per interval; :meth:`gauss_weights`
-        holds the matching weights. The first call evaluates all three orders
-        at once (see :meth:`_GridRule.squares`).
-        """
+    def integral(self, deriv: int, power: int) -> float:
+        """∫ r^power |f^(deriv)|^2 dr over the grid by ``SAMPLED_POINTS``-point
+        Gauss-Legendre on every interval. The first call evaluates the squares
+        of all three orders at once (see :meth:`_GridRule.squares`)."""
         _check_deriv(deriv)
         if self._squares is None:
             self._squares = self._rule.squares(self.values, self._slopes)
-        return self._squares[deriv]
-
-    def gauss_weights(self, power: int) -> np.ndarray:
-        """Gauss weights times r^power at the nodes of :meth:`gauss_squares`."""
-        return self._rule.weights(power)
+        # One dot per Gauss point, each as long as the grid has intervals.
+        # OpenBLAS runs a ddot of up to 10 000 elements on the calling thread,
+        # so rows keep grids of up to 10 001 nodes off the BLAS thread pool;
+        # one dot over all four rows would reach it from 2 502 nodes on.
+        rows = np.vecdot(self._squares[deriv], self._rule.weights(power))
+        return math.fsum(rows.tolist())
 
 
 def _hermite_table(t: np.ndarray) -> np.ndarray:
@@ -298,9 +334,6 @@ class _GridRule:
     """
 
     def __init__(self, grid: np.ndarray):
-        # Imported here because quadrature imports this module.
-        from .quadrature import SAMPLED_POINTS, gauss_panels
-
         if len(grid) < 8:
             raise UsageError("sampled profiles need at least 8 nodes")
         if not np.all(np.isfinite(grid)):
@@ -310,7 +343,7 @@ class _GridRule:
         h = np.diff(grid)
         if np.any(h <= 0.0):
             raise UsageError("grid must be strictly increasing")
-        if h.min() ** 2 < np.finfo(float).tiny:
+        if h.min() ** 2 < _TINY:
             raise UsageError("grid steps too fine: their squares underflow")
         self.grid, self.steps = grid, h
         self.ends = (grid[2] - grid[0], grid[-1] - grid[-3])
@@ -355,16 +388,28 @@ class _GridRule:
 
         One product of ``hermite`` with the Hermite data of every interval
         gives h^d f^(d); rescaling by 1/h^d and squaring finish in place.
+        DegenerateProfileError when a square overflows (steep data or fine
+        steps), which would make its integrals inf or nan.
         """
         f = (self.hermite @ self.hermite_data(y, s)).reshape(3, -1, len(self.steps))
-        f[1:] *= self._inverse_steps
-        f *= f
+        try:
+            with np.errstate(over="raise"):
+                f[1:] *= self._inverse_steps
+                f *= f
+        except FloatingPointError:
+            raise DegenerateProfileError("|f^(d)|^2 overflows at the Gauss nodes") from None
         f.flags.writeable = False
         return f
 
     def weights(self, power: int) -> np.ndarray:
+        """The Gauss weights times r^power; DegenerateProfileError when r^power
+        overflows at a node."""
         if power not in self._by_power:
-            table = self._weights * self._nodes ** float(power)
+            try:
+                with np.errstate(over="raise"):
+                    table = self._weights * self._nodes ** float(power)
+            except FloatingPointError:
+                raise DegenerateProfileError(f"r^{power} overflows at the Gauss nodes") from None
             table.flags.writeable = False
             self._by_power[power] = table
         return self._by_power[power]

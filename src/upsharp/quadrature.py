@@ -16,11 +16,8 @@ Three routes, the members of :class:`QuadratureRule`:
 Kernel coefficients out of the float range, or |f^(d)|^2 below the normal
 range at every node of a numerical rule, make the integral degenerate.
 
-Sampled profiles integrate their cubic spline over their own grid:
-``SAMPLED_POINTS``-point Gauss-Legendre on every grid interval, with the
-profile zero outside the grid. The profile supplies the squared derivative at
-the Gauss nodes and its grid's cached table of weights times r^p, both one
-row per Gauss point, so a sampled integral is one dot product per row.
+Sampled profiles integrate themselves over their own grid, whatever the rule
+(:meth:`profiles.SampledProfile.integral`); ``integrate`` hands them on.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from .profiles import (
     MixtureProfile,
     Profile,
     SampledProfile,
+    gauss_panels,
 )
 
 
@@ -60,10 +58,6 @@ _GRADING_EPS = 1e-30
 # Coefficients smaller than this (relative) are treated as exact cancellations
 # when locating the leading exponent near the origin.
 _CANCEL_TOL = 1e-12
-#: Gauss-Legendre points per grid interval for sampled profiles; exact for
-#: the squared derivatives of their cubic pieces times polynomial weights
-#: up to degree 1.
-SAMPLED_POINTS = 4
 
 
 class QuadratureRule(str, Enum):
@@ -195,12 +189,6 @@ def default_r_max(profile: AnalyticProfile | MixtureProfile, power: float = 0.0)
     return max(40.0, power + 25.0) / rate
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 def _graded_edges(r_max: float, panels: int) -> np.ndarray:
     """Geometric grading toward 0 on the inner quarter, uniform panels outside.
 
@@ -215,15 +203,6 @@ def _graded_edges(r_max: float, panels: int) -> np.ndarray:
     geo = theta * r_max * ratio ** np.arange(n_geo - 1, -1, -1)
     uniform = np.linspace(theta * r_max, r_max, n_uniform + 1)[1:]
     return np.concatenate([[0.0], geo, uniform])
-
-
-def gauss_panels(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``points``-point Gauss-Legendre on every interval
-    of ``edges``, one row per interval."""
-    xi, om = _gl_nodes(points)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return mid + half * xi, half * om
 
 
 @lru_cache(maxsize=16)
@@ -280,12 +259,7 @@ def integrate(profile: Profile, s: WeightedSeminorm,
     """
     rule = QuadratureRule(rule)
     if isinstance(profile, SampledProfile):
-        # One dot per Gauss point, each as long as the grid has intervals.
-        # OpenBLAS runs a ddot of up to 10 000 elements on the calling thread,
-        # so rows keep grids of up to 10 001 nodes off the BLAS thread pool;
-        # one dot over all four rows would reach it from 2 502 nodes on.
-        rows = np.vecdot(profile.gauss_squares(s.deriv), profile.gauss_weights(s.power))
-        return math.fsum(rows.tolist())
+        return profile.integral(s.deriv, s.power)
 
     kt = profile.kernel_terms(s.deriv)
     if not all(math.isfinite(c) for c, _, _ in kt.terms):

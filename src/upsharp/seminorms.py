@@ -32,6 +32,7 @@ from .profiles import (
     Mode,
     Profile,
     SampledProfile,
+    gauss_panels,
     make_mode,
     shift_power,
 )
@@ -40,7 +41,6 @@ from .quadrature import (
     QuadratureRule,
     WeightedSeminorm,
     default_r_max,
-    gauss_panels,
     integrate,
 )
 
@@ -263,17 +263,39 @@ def _hardy_rows(mode: Mode):
     return (1, 1, p + 1), (1, 0, p - 1)
 
 
+def _in_float_range(evaluate, subject: str, names: tuple[str, ...]) -> tuple[float, ...]:
+    """The values ``evaluate()`` returns, computed with floating-point warnings
+    off: the integrals a quotient is made of, then the quotient.
+
+    At extreme rates or amplitudes the integrals over- or underflow, and a
+    quotient of such values means nothing: DegenerateProfileError unless every
+    value is a finite double in the normal range. The error names the first
+    values by ``names``.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            values = evaluate()
+        except (OverflowError, ZeroDivisionError):
+            values = (math.nan,) * len(names)
+    if not all(np.finfo(float).tiny <= abs(v) < math.inf for v in values):
+        shown = ", ".join(f"{name}={v:g}" for name, v in zip(names, values))
+        raise DegenerateProfileError(f"{subject} are out of floating-point range ({shown})")
+    return values
+
+
 def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule.PANELS) -> float:
     """Weighted 1-d Hardy quotient ∫ r^{N+2k+1}|v'|^2 / ∫ r^{N+2k-1}|v|^2 by ``rule``.
 
     For any admissible profile the continuum value is at least (N+2k)^2/4.
-    The quotient is amplitude-invariant; only a zero or non-finite
-    denominator raises.
+    The quotient is amplitude-invariant; DegenerateProfileError when an
+    integral or the quotient leaves the normal float range (``_in_float_range``),
+    the zero profile included.
     """
-    num, den = (integrate(v, WeightedSeminorm(d, p), rule) for _, d, p in _hardy_rows(mode))
-    if den == 0.0 or not math.isfinite(den):
-        raise DegenerateProfileError(f"Hardy quotient denominator is {den:g}")
-    return num / den
+    def evaluate():
+        num, den = (integrate(v, WeightedSeminorm(d, p), rule) for _, d, p in _hardy_rows(mode))
+        return num, den, num / den
+
+    return _in_float_range(evaluate, "Hardy quotient integrals", ("num", "den"))[-1]
 
 
 def _cartesian_second_derivatives(f: Profile, degree: int, r: np.ndarray, theta: np.ndarray):

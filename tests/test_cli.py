@@ -322,6 +322,15 @@ def test_verify_underflowed_squares_are_a_computation_failure(capsys, args):
     assert err.startswith("computation failed") and "Warning" not in err
 
 
+def test_verify_underflowed_kernel_coefficient_is_a_computation_failure(capsys):
+    # The 4 beta^2 r^2 term of the Gaussian's f'' underflows at beta 1e-200;
+    # without it the closed form integrated another function (rel_gap 0.2).
+    rc = main(["verify", "hup2", "--n", "3", "--beta", "1e-200", "--mode", "closed_form"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_COMPUTE
+    assert err.startswith("computation failed") and "Warning" not in err
+
+
 def test_verify_small_rate_still_passes(capsys):
     rc, _ = run_cli(capsys, ["verify", "hyup2", "--n", "3", "--beta", "1e-70"])
     assert rc == 0

@@ -9,9 +9,10 @@ from upsharp.constants import CONJECTURAL, PROVED
 from upsharp.errors import DegenerateProfileError, QuadratureConvergenceError, UsageError
 from upsharp.extremals import (
     extremal_quotient,
+    n1_quotient_check,
     sphere_area,
 )
-from upsharp.profiles import AnalyticProfile
+from upsharp.profiles import AnalyticProfile, MixtureProfile
 from upsharp.quadrature import WeightedSeminorm, integrate
 from upsharp.reports import render_json
 
@@ -102,6 +103,33 @@ def test_moments_below_the_normal_range_are_degenerate():
     # subnormal with two significant bits, so its quotient means nothing.
     with pytest.raises(DegenerateProfileError):
         extremal_quotient("hup", 2, 1e161)
+
+
+def test_n1_quotient():
+    g = AnalyticProfile("gaussian", 1.0, 2.0)
+    assert_allclose(n1_quotient_check(g), 2.25, rtol=1e-12)
+    dilated = AnalyticProfile("gaussian", 1.0, 8.0)
+    assert_allclose(n1_quotient_check(dilated), n1_quotient_check(g), rtol=1e-12)
+    mixture = MixtureProfile(
+        (
+            AnalyticProfile("monomial_cutoff", 0.8, 0.7, power=2.0),
+            AnalyticProfile("gaussian", -0.2, 1.3),
+        )
+    )
+    assert n1_quotient_check(mixture) >= 2.25 - 1e-3
+    with pytest.raises(UsageError):
+        n1_quotient_check(AnalyticProfile("exponential", 1.0, 1.0))
+    with pytest.raises(UsageError):
+        n1_quotient_check(AnalyticProfile("monomial_cutoff", 1.0, 1.0, power=1.0))
+
+
+@pytest.mark.parametrize("amplitude,rate", [(0.0, 1.0), (1e-200, 1.0), (1e200, 1.0), (1.0, 1e-200)])
+def test_n1_quotient_out_of_float_range_is_degenerate(amplitude, rate):
+    # The zero profile has no quotient; at amplitude 1e-200 the moments
+    # underflow and at 1e200 they overflow; at rate 1e-200 the 4 b^2 r^2 term
+    # of f'' underflows, and without it the quotient reads 3, not 9/4.
+    with pytest.raises(DegenerateProfileError):
+        n1_quotient_check(AnalyticProfile("gaussian", amplitude, rate))
 
 
 def test_baseline_ordering():

@@ -14,20 +14,18 @@ from upsharp.minimize import (
     GridSpec,
     QuotientKind,
     VariationalProblem,
-    continuum_target,
     eigen_crosscheck,
     explore_conjecture,
     minimize_quotient,
     mode_combined_bound,
-    n1_quotient_check,
     _BANDS,
     _bspline_basis,
-    _kind_forms,
+    _kind_lookup,
     _lowest_eigenpair,
     _scaled_bands,
 )
-from upsharp.profiles import AnalyticProfile, MixtureProfile, SampledProfile
-from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, gauss_panels, integrate
+from upsharp.profiles import AnalyticProfile, SampledProfile, gauss_panels
+from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
 from upsharp.reports import render_json
 from fractions import Fraction
 
@@ -106,7 +104,7 @@ def test_discrete_forms_match_table_rows(kind):
                 profile = AnalyticProfile("monomial_cutoff", 1.0, 1.0, power=power)
                 dq = problem(kind, n, k, size=size).assemble()
                 parts = dq.parts(dq.init_from_profile(profile))
-                for rows, got in zip(_kind_forms(dq.problem.kind, dq.problem.mode), parts):
+                for rows, got in zip(_kind_lookup(dq.problem.kind, dq.problem.mode)[0], parts):
                     exact = math.fsum(
                         c * integrate(profile, WeightedSeminorm(d, p), CLOSED_FORM)
                         for c, d, p in rows
@@ -212,7 +210,7 @@ def test_kind_targets_and_default_grids():
             for kind, target in targets.items():
                 p = VariationalProblem.for_mode(kind, n, k)
                 assert (p.grid.r_min, p.grid.r_max, p.grid.size) == (*grids[kind], 512)
-                assert continuum_target(p.kind, p.mode) == target, (kind, n, k)
+                assert _kind_lookup(p.kind, p.mode)[1] == target, (kind, n, k)
 
 
 def test_hardy_problem_bounds():
@@ -335,24 +333,6 @@ def test_degree_one_hydrogen_trial_quotients_closed_form():
     assert full_quotient(3) < 4.0
     assert full_quotient(4) > 25 / 4
     assert full_quotient(5) > 9.0
-
-
-def test_n1_quotient():
-    g = AnalyticProfile("gaussian", 1.0, 2.0)
-    assert_allclose(n1_quotient_check(g), 2.25, rtol=1e-12)
-    dilated = AnalyticProfile("gaussian", 1.0, 8.0)
-    assert_allclose(n1_quotient_check(dilated), n1_quotient_check(g), rtol=1e-12)
-    mixture = MixtureProfile(
-        (
-            AnalyticProfile("monomial_cutoff", 0.8, 0.7, power=2.0),
-            AnalyticProfile("gaussian", -0.2, 1.3),
-        )
-    )
-    assert n1_quotient_check(mixture) >= 2.25 - 1e-3
-    with pytest.raises(UsageError):
-        n1_quotient_check(AnalyticProfile("exponential", 1.0, 1.0))
-    with pytest.raises(UsageError):
-        n1_quotient_check(AnalyticProfile("monomial_cutoff", 1.0, 1.0, power=1.0))
 
 
 def test_minimization_result_json():
@@ -514,7 +494,7 @@ def test_argmin_reproduces_min_value(kind):
         for k in (0, 1, 2) if kind.startswith("product") else (0,):
             res = minimize_quotient(problem(kind, n, k, size=512))
             v, r_min = res.argmin, res.argmin.grid[0]
-            forms = _kind_forms(res.kind, res.mode)
+            forms, _ = _kind_lookup(res.kind, res.mode)
             pinned = any(d == 0 and p <= -1 for rows in forms for _, d, p in rows)
 
             def row_value(coef, d, p):

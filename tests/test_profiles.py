@@ -1,13 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
-from upsharp.errors import UsageError
+from upsharp.errors import DegenerateProfileError, UsageError
 from upsharp.profiles import (
+    SAMPLED_POINTS,
     AnalyticProfile,
     MixtureProfile,
     SampledProfile,
@@ -20,7 +22,7 @@ from upsharp.profiles import (
     shift_power,
     unreduce_profile,
 )
-from upsharp.quadrature import SAMPLED_POINTS, WeightedSeminorm, integrate
+from upsharp.quadrature import WeightedSeminorm, integrate
 
 
 def test_mode_eigenvalues():
@@ -229,7 +231,7 @@ def test_gauss_squares_match_point_values(spacing):
     nodes = mid + half * xi[:, None]
     for d in (0, 1, 2):
         want = cs(nodes, d) ** 2
-        got = p.gauss_squares(d)
+        got = p._rule.squares(p.values, p._slopes)[d]
         assert got.shape == nodes.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
@@ -238,11 +240,11 @@ def test_gauss_squares_rejects_bad_order_after_caching():
     grid = np.linspace(0.5, 5, 64)
     p = SampledProfile(grid, np.exp(-grid))
     with pytest.raises(UsageError):
-        p.gauss_squares(3)
-    p.gauss_squares(1)
+        p.integral(3, 0)
+    p.integral(1, 0)
     for bad in (3, -1):
         with pytest.raises(UsageError):
-            p.gauss_squares(bad)
+            p.integral(bad, 0)
 
 
 def test_grid_rule_is_shared_by_contents():
@@ -317,6 +319,40 @@ def test_grid_whose_squared_steps_underflow_is_a_usage_error():
     grid = np.geomspace(1e-200, 10.0, 256)
     with pytest.raises(UsageError, match="underflow"):
         SampledProfile(grid, np.exp(-grid**2))
+
+
+@pytest.mark.parametrize("r_min", [1e-110, 1e-130, 1e-150])
+def test_sampled_squares_or_weights_that_overflow_are_degenerate(r_min):
+    # Squared steps are still normal, but near r_min the spline's f'' reaches
+    # 1e170-1e229 and its square overflows; r^-5 overflows at the first
+    # Gauss nodes. Either would integrate to inf or nan with a warning.
+    grid = np.geomspace(r_min, 10.0, 256)
+    p = SampledProfile(grid, np.exp(-grid**2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProfileError, match="overflows"):
+            integrate(p, WeightedSeminorm(2, 3))
+        with pytest.raises(DegenerateProfileError, match="overflows"):
+            SampledProfile(grid, np.ones(256)).integral(0, -5)
+
+
+@pytest.mark.parametrize("profile,deriv", [
+    (AnalyticProfile("gaussian", 1.0, 1e-200), 2),       # 4 b^2 = 4e-400
+    (AnalyticProfile("gaussian", 1e-300, 1e-10), 1),     # -2 b a = -2e-310
+    (AnalyticProfile("hydrogen_second", 1e-150, 1e-161), 0),  # a b = 1e-311
+], ids=["gaussian_f2", "gaussian_f1", "hydrogen_f"])
+def test_underflowed_kernel_coefficient_is_degenerate(profile, deriv):
+    # Dropped, the term would leave a different function; kept as a
+    # subnormal, it would have lost its digits.
+    with pytest.raises(DegenerateProfileError):
+        profile.kernel_terms(deriv)
+
+
+def test_kernel_terms_that_cancel_exactly_are_dropped():
+    # d/dr (1 + b r) e^{-b r} = -b^2 r e^{-b r}: the r^0 terms b and -b cancel.
+    for rate in (1e-100, 1.0, 1e100):
+        h = AnalyticProfile("hydrogen_second", 1.0, rate)
+        assert h.kernel_terms(1).terms == ((-rate * rate, 1.0, rate),)
 
 
 def test_shift_power():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,23 @@ def test_hardy_degenerate_profile():
     small = hardy_1d_ratio(mode, AnalyticProfile("gaussian", 1e-9, 1.0), CLOSED_FORM)
     one = hardy_1d_ratio(mode, AnalyticProfile("gaussian", 1.0, 1.0), CLOSED_FORM)
     assert_allclose(small, one, rtol=1e-13)
+
+
+def test_hardy_ratio_out_of_float_range_is_degenerate():
+    # The closed form reads 3.75 at every rate. On the panels r^4 overflows
+    # at rate 1e-200 and the numerator underflows to 0 at 1e200: a typed
+    # failure, without a floating-point warning.
+    mode = make_mode(3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rate in (1e-200, 1e200):
+            v = AnalyticProfile("gaussian", 1.0, rate)
+            assert hardy_1d_ratio(mode, v, CLOSED_FORM) == pytest.approx(3.75, rel=1e-14)
+            with pytest.raises(DegenerateProfileError):
+                hardy_1d_ratio(mode, v)
+        for rate in (1e-100, 1e100):
+            v = AnalyticProfile("gaussian", 1.0, rate)
+            assert hardy_1d_ratio(mode, v) == pytest.approx(3.75, rel=1e-9)
 
 
 def test_form_unavailable():
