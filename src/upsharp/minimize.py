@@ -11,14 +11,15 @@ admissible v = −∫_r^{r_max} w behind it. In v, constants would lie in the
 kernel of every form and the second-order row would cancel near r_min.
 
 Discretization. Rayleigh–Ritz on cubic B-splines in s = ln r, with the grid
-nodes as breakpoints. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
+nodes as breakpoints: the space of ``profiles.SampledProfile``, on its
+Gauss rule. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
 ∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s. The
 forms are assembled straight into LAPACK upper band storage from a table of
-D_0, D_1 and D_2 of the four splines nonzero on each interval, at its 6
-Gauss–Legendre points; ``_bspline_basis`` evaluates the splines by de Boor's
-recursion on the clamped knot vector in s. That table, the Gauss rule and
-the splines at the nodes depend on the grid alone and are built once per
-grid (``_grid_tables``). The right end is clamped
+D_0, D_1 and D_2 of the four splines nonzero on each interval, at its Gauss
+points in s; ``_bspline_basis`` evaluates the splines by de Boor's
+recursion on the clamped knot vector in s. That table and the splines at
+the nodes depend on the grid alone and are built once per grid
+(``_grid_tables``). The right end is clamped
 (v = v' = 0). Below r_min the function continues as the constant v(r_min),
 with v'(r_min) = 0 when a row has a second derivative, and each zero-order
 row gains its exact integral over (0, r_min). When a zero-order weight is
@@ -43,8 +44,8 @@ inertia, a Cholesky of t A + B/t - s C that succeeds proves s < lambda_min,
 so every solve ends with a certified bracket; the largest such shift is the
 next inverse step's shift. The scaled bands are kept column-major, LAPACK's
 band layout, so BLAS and LAPACK take them without a copy. The eigenvector at
-t* is the argmin, and its quotient, evaluated from the factored forms, is the
-reported minimum;
+t* is the argmin, handed over as the sampled profile of that very spline
+(``to_profile``), and that profile's quotient is the reported minimum;
 (lambda*/2)^2 is reported beside it as the pencil value, and (sigma/2)^2 of
 the bracket's lower end at t* as the pencil's lower bound.
 
@@ -75,7 +76,7 @@ from .constants import (
     sharp_constant,
 )
 from .errors import SolverError, UsageError
-from .profiles import Mode, Profile, SampledProfile, gauss_panels, make_mode
+from .profiles import Mode, Profile, SampledProfile, _grid_rule, _GridRule, make_mode
 from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _hardy_rows, _term_table
 
 
@@ -123,9 +124,8 @@ class GridSpec:
             raise UsageError("grids below 64 nodes are too coarse to be meaningful")
 
     def nodes(self) -> np.ndarray:
-        return self.r_min * (self.r_max / self.r_min) ** (
-            np.arange(self.size) / (self.size - 1)
-        )
+        # Spaced in logarithms, so that no ratio r_max / r_min overflows.
+        return np.geomspace(self.r_min, self.r_max, self.size)
 
 
 def _kind_lookup(kind: QuotientKind, mode: Mode):
@@ -247,28 +247,23 @@ def _bspline_basis(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
 class _GridTables(NamedTuple):
     """What a discrete quotient needs from its grid alone (read-only arrays)."""
 
-    r: np.ndarray           # the nodes
+    rule: _GridRule         # the sampled profiles' rule: nodes, Gauss rule in s, weights
     table: np.ndarray       # D_0, D_1, D_2 at the Gauss points: (3, spline, interval, point)
-    sq: np.ndarray          # those Gauss points, one row per interval
-    wq: np.ndarray          # their weights
-    rq: np.ndarray          # e^{sq}
-    node_basis: np.ndarray  # the four splines at each interval's ends: (spline, interval, end)
+    node_basis: np.ndarray  # v and v_s of the four splines at each node: (2, spline, node)
 
 
 @lru_cache(maxsize=8)
 def _grid_tables(grid: GridSpec) -> _GridTables:
     """The tables of ``grid``, built once per grid and shared; read-only."""
-    r = grid.nodes()
-    s = np.log(r)
-    sq, wq = gauss_panels(s, 6)
+    rule = _grid_rule(grid.nodes().tobytes())
+    s = rule.s
     knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
-    f0, f1, f2 = _bspline_basis(knots, sq)
+    f0, f1, f2 = _bspline_basis(knots, rule.points.T)
     # Each interval supplies its left node; the last also its right node.
-    ends = np.stack([s[:-1], s[1:]], axis=1)
-    tables = _GridTables(r, np.stack([f0, f1, f2 - f1]), sq, wq, np.exp(sq),
-                         _bspline_basis(knots, ends)[0])
-    for array in tables:
-        array.flags.writeable = False
+    ends = _bspline_basis(knots, np.stack([s[:-1], s[1:]], axis=1))[:2]
+    nodes = np.concatenate([ends[..., 0], ends[:, :, -1:, 1]], axis=2)
+    tables = _GridTables(rule, np.stack([f0, f1, f2 - f1]), nodes)
+    tables.table.flags.writeable = tables.node_basis.flags.writeable = False
     return tables
 
 
@@ -284,20 +279,21 @@ class DiscreteQuotient:
     on the clamped knot vector of the nodes, evaluated by de Boor's recursion.
 
     ``x`` holds the coefficients of the free splines (see the module
-    docstring for the end conditions). Two arrays carry the discretization:
-    the per-interval table of D_0, D_1 and D_2 of the splines at the Gauss
-    points, and ``_local``, the free coefficient of each interval's four
-    splines (−1 where an end condition sets it to 0). From them ``parts``
-    evaluates the three forms factored, row by row, and ``A``, ``B`` and ``C``
-    are accumulated straight into the upper band storage the pencil works on.
-    The table, the Gauss rule and the splines at the nodes depend on the
-    grid alone; they are built once per grid and shared (``_grid_tables``).
+    docstring for the end conditions). ``_local`` maps each interval's four
+    splines to their free coefficient (−1 where an end condition sets it to
+    0). ``A``, ``B`` and ``C`` are accumulated straight into the upper band
+    storage the pencil works on, from the per-interval table of D_0, D_1 and
+    D_2 of the splines at the sampled profiles' Gauss points in s, weighted
+    by that rule's weights. ``to_profile`` hands the spline of ``x`` over as
+    a sampled profile, and ``parts`` is that profile's forms. The table and
+    the splines at the nodes depend on the grid alone; they are built once
+    per grid and shared (``_grid_tables``).
     """
 
     def __init__(self, problem: VariationalProblem):
         self.problem = problem
         self._grid = grid = _grid_tables(problem.grid)
-        r, sq, wq = grid.r, grid.sq, grid.wq
+        self.r = r = grid.rule.grid
         forms, self.target = _kind_lookup(problem.kind, problem.mode)
         rows = [row for form in forms for row in form]
         second = any(d == 2 for _, d, _ in rows)
@@ -311,46 +307,38 @@ class DiscreteQuotient:
         free[0] = -1 if pin else 0
         free[-2:] = -1
         self._local = free[np.arange(len(r) - 1)[:, None] + np.arange(4)]
+        self._node_local = np.vstack([self._local, self._local[-1:]]).T  # (spline, node)
         self._size = free.max() + 1
         a, b = self._local[:, :, None], self._local[:, None, :]
         self._upper = (a >= 0) & (a <= b)
         self._slot = ((_BANDS + a - b) * self._size + b)[self._upper]
-        self._table = grid.table
 
-        # Each form is its (coef, deriv, weights) terms, with value
-        # sum coef * sum weights * (D_deriv x)^2, and the weight of v(r_min)^2
-        # that adds the exact integral of its zero-order rows over (0, r_min).
-        self._forms = []
-        for form in forms:
-            terms = [(c, d, wq * np.exp((p + 1 - 2 * d) * sq)) for c, d, p in form]
-            edge = sum(c * r[0] ** (p + 1) / (p + 1) for c, d, p in form if d == 0 and not pin)
-            self._forms.append((terms, edge))
-        self._orders = sorted({d for _, d, _ in rows})
+        # Each form is its (coef, deriv, power) rows and the weight of
+        # v(r_min)^2 that adds the exact integral of its zero-order rows
+        # over (0, r_min).
+        self._forms = [
+            (form, sum(c * r[0] ** (p + 1) / (p + 1) for c, d, p in form if d == 0 and not pin))
+            for form in forms
+        ]
         self.A, self.B, self.C = (self._band(*form) for form in self._forms)
-        self.r = r
 
-    def _band(self, terms: list, edge: float = 0.0) -> np.ndarray:
-        """Upper band storage of the Gram matrix of (coef, deriv, weights) terms."""
-        block = sum(c * np.einsum("iq,aiq,biq->iab", w, self._table[d], self._table[d])
-                    for c, d, w in terms)
+    def _band(self, rows, edge: float = 0.0) -> np.ndarray:
+        """Upper band storage of the Gram matrix of (coef, deriv, power) rows."""
+        table, weights = self._grid.table, self._grid.rule.weights
+        block = sum(c * np.einsum("qi,aiq,biq->iab", weights(p - 2 * d)[0], table[d], table[d])
+                    for c, d, p in rows)
         band = np.bincount(self._slot, block[self._upper], (_BANDS + 1) * self._size)
         band[_BANDS * self._size] += edge
         return band.reshape(_BANDS + 1, self._size)
 
     def parts(self, x: np.ndarray) -> tuple[float, float, float]:
-        local = np.append(x, 0.0)[self._local]  # index −1 reads the appended 0
-        squares = {}
-        for d in self._orders:
-            # D_d x at the Gauss points: the four splines' terms, added in order.
-            spline = self._table[d]
-            value = spline[0] * local[:, 0, None]
-            for j in range(1, 4):
-                value += spline[j] * local[:, j, None]
-            squares[d] = np.square(value, out=value)
+        """A, B and C of the spline with coefficients x: the forms of
+        ``to_profile(x)``, each zero-order row with its integral below r_min."""
+        v = self.to_profile(x)
+        head = v.values[0] ** 2
         return tuple(
-            math.fsum([c * float(np.vdot(w, squares[d])) for c, d, w in terms]
-                      + [edge * local[0, 0] ** 2])
-            for terms, edge in self._forms
+            math.fsum([c * v.integral(d, p) for c, d, p in rows] + [edge * head])
+            for rows, edge in self._forms
         )
 
     def value(self, x: np.ndarray) -> float:
@@ -358,27 +346,27 @@ class DiscreteQuotient:
 
     def init_from_profile(self, profile: Profile) -> np.ndarray:
         """L2(ds) projection of the profile onto the free splines."""
-        wq = self._grid.wq
-        factor = _cholesky(self._band([(1.0, 0, wq)]))
+        rule = self._grid.rule
+        # The weights of r^-1 dr are the Gauss weights in s.
+        factor = _cholesky(self._band([(1.0, 0, -1)]))
         if factor is None:
             raise SolverError("spline Gram matrix is not positive definite")
-        f = wq * np.asarray(profile.value(self._grid.rq, 0), dtype=float)
+        f = rule.weights(-1)[0] * np.asarray(profile.value(rule.radii, 0), dtype=float)
         free = self._local >= 0
-        rhs = np.einsum("iq,aiq->ia", f, self._table[0])[free]
+        rhs = np.einsum("qi,aiq->ia", f, self._grid.table[0])[free]
         return dpbtrs(factor, np.bincount(self._local[free], rhs, self._size))[0]
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
-        """The spline with coefficients x (w = v' for reduced rows), sampled at the nodes.
-
-        The returned profile is the cubic spline in r through those samples,
-        zero outside the grid. The discrete function continues below r_min as
-        its value f(r_min) (unless pinned to 0), so its quotient adds
+        """The spline with coefficients x (w = v' for reduced rows) itself, as
+        a sampled profile from its node values and node slopes in s, zero
+        outside the grid. The discrete function continues below r_min as its
+        value f(r_min) (unless pinned to 0), so its quotient adds
         c * r_min^(p+1) / (p+1) * f(r_min)^2 to every zero-order row (c, 0, p)
-        of ``integrate`` on this profile.
+        of ``integrate`` on this profile; ``parts`` is exactly that.
         """
-        local = np.append(x, 0.0)[self._local]
-        values = (self._grid.node_basis * local.T[:, :, None]).sum(axis=0)
-        return SampledProfile(self.r, np.append(values[:, 0], values[-1, 1]))
+        local = np.append(x, 0.0)[self._node_local]  # index −1 reads the appended 0
+        values, slopes = (self._grid.node_basis * local).sum(axis=1)
+        return SampledProfile._from_slopes(self._grid.rule, values, slopes)
 
 
 @dataclass
@@ -388,7 +376,8 @@ class MinimizationResult:
     ``kind``, ``mode`` and ``grid`` are the problem's; ``target`` is the
     kind's continuum target (``_kind_lookup``). ``argmin`` is w = v' for the
     product kinds and the degree-0 mode_hyup2_full (no row of theirs is
-    zero-order, so their rows are reduced), v otherwise.
+    zero-order, so their rows are reduced), v otherwise: the minimizer's own
+    spline, whose quotient is ``min_value`` (``DiscreteQuotient.to_profile``).
 
     ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
     Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
@@ -420,12 +409,14 @@ class MinimizationResult:
 
 
 #: Width in ln t that ends the bisection for t*, the relative Hellmann–Feynman
-#: slope |t a - b/t| / (t a + b/t) that ends it earlier, and the relative
+#: slope |t a - b/t| / (t a + b/t) that ends it earlier, the relative
 #: agreement between the pencil value and the argmin's quotient that counts
-#: as converged.
+#: as converged, and the ulps of lambda within which a later probe is a tie
+#: that keeps the earlier best (lambda's own rounding).
 _LOG_T_WIDTH = 1e-4
 _FLAT_SLOPE = 1e-12
 _AGREEMENT = 1e-6
+_TIE_ULPS = 4
 
 #: Shift ladder of one pencil solve: the first relative gap below the
 #: Rayleigh quotient, the bracket width that ends it, and its step cap.
@@ -509,7 +500,10 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     (t a + b/t) or the width is 1e-4; ``exit`` says which ("flat",
     "bracketed", or "range_end" when t* was not bracketed). The range spans
     the local scales of the splines, widened upward by ln(size) for profiles
-    much wider than one spline. The best evaluation gives every reported value.
+    much wider than one spline. The best evaluation gives every reported value;
+    a later probe replaces it only when its lambda is lower by more than
+    lambda's rounding (``_TIE_ULPS``), so that ties at the rounding level keep
+    the earlier probe whether or not the bisection stopped where it was flat.
     """
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
@@ -533,7 +527,7 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         iterations += 1
         a, b, c = parts = dq.parts(scale * y)
         lam = (t * a + b / t) / c
-        if best is None or lam < best[0]:
+        if best is None or lam < best[0] - _TIE_ULPS * math.ulp(best[0]):
             best = (lam, t, y, lower, parts)
         # Hellmann–Feynman: dlambda/dln t = (t a - b/t)/c; t* lies on its downhill side.
         if abs(t * a - b / t) <= _FLAT_SLOPE * (t * a + b / t):

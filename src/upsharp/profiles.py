@@ -5,17 +5,17 @@ Every functional in the package is evaluated on one of two profile kinds:
 * :class:`AnalyticProfile` — a closed-form family member with exact derivative
   formulas (and exact weighted moments, see :mod:`upsharp.quadrature`);
 * :class:`SampledProfile` — node values on a strictly positive grid, read as
-  the not-a-knot cubic spline through them and treated as zero outside the
-  grid, which integrates itself by ``SAMPLED_POINTS``-point Gauss-Legendre
-  on every grid interval (:func:`gauss_panels`). The work that depends on the
-  grid alone (the factored spline system, that Gauss rule, its weights times
-  r^p, the Hermite basis at the Gauss points) is done once per distinct grid
-  and shared by every profile on it. A new profile costs one tridiagonal
-  back-substitution for its node slopes. Its node values and slopes, as the
-  cubic Hermite data of every interval, are its only representation: its
-  first integral evaluates f, f' and f'' at every Gauss node in one small
-  matrix product of the Hermite basis with that data, and point evaluation
-  applies the same basis at each point's place in its interval.
+  the not-a-knot cubic spline in s = ln r through them and treated as zero
+  outside the grid: the package's one discrete function space, in which
+  ``minimize`` also works. It integrates itself by ``SAMPLED_POINTS``-point
+  Gauss-Legendre in s on every grid interval (:func:`gauss_panels`). The work
+  that depends on the grid alone (the factored spline system, that Gauss
+  rule, its weights of r^p dr, the Hermite basis at the Gauss points) is done
+  once per distinct grid and shared by every profile on it. A new profile
+  costs one tridiagonal back-substitution for its node slopes in s. Its node
+  values and slopes, as the cubic Hermite data of every interval, are its
+  only representation, evaluated by one small matrix product of the Hermite
+  basis with that data, then the chain rule r f' = v_s, r^2 f'' = v_ss - v_s.
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -45,9 +45,9 @@ FAMILY_KERNELS = {
     "hydrogen_second": EXP_KERNEL,
 }
 
-#: Gauss-Legendre points per grid interval for sampled profiles; exact for
-#: the squared derivatives of their cubic pieces times polynomial weights
-#: up to degree 1.
+#: Gauss-Legendre points per grid interval in s = ln r for sampled profiles;
+#: exact for the squares |D_d v|^2 of their cubic pieces in s (degree 6) where
+#: the weight r^(p+1-2d) is 1, and for every polynomial in s up to degree 7.
 SAMPLED_POINTS = 4
 
 #: The smallest normal double; below it a value has lost digits or is 0.
@@ -238,14 +238,14 @@ class MixtureProfile:
 class SampledProfile:
     """Node values on a strictly increasing positive grid.
 
-    The profile is the not-a-knot cubic spline in r through the nodes, and
-    zero outside the grid (compact-support model); the grid must start
+    The profile is the not-a-knot cubic spline in s = ln r through the nodes,
+    and zero outside the grid (compact-support model); the grid must start
     strictly above zero so that negative radial weights stay finite.
     Instances are immutable after construction and keep private copies of
-    the grid and the values. The node values and slopes are the spline's
-    cubic Hermite data (see :meth:`_GridRule.hermite_data`), from which every
-    evaluation is made. Everything that depends on the grid alone is built
-    once per distinct grid and shared (see :func:`_grid_rule`).
+    the grid and the values. The node values and the node slopes in s are
+    the spline's cubic Hermite data (see :meth:`_GridRule.hermite_data`),
+    from which every evaluation is made. Everything that depends on the grid
+    alone is built once per distinct grid and shared (see :func:`_grid_rule`).
     """
 
     def __init__(self, grid, values):
@@ -255,50 +255,76 @@ class SampledProfile:
             raise UsageError("grid and values must be 1-d arrays of equal length")
         if not np.all(np.isfinite(values)):
             raise UsageError("profile values must be finite")
-        values.flags.writeable = False
-        self._rule = _grid_rule(grid.tobytes())
-        self.grid = self._rule.grid
-        self.values = values
-        self._slopes = self._rule.spline(values)
+        rule = _grid_rule(grid.tobytes())
+        self._hold(rule, values, rule.spline(values))
+
+    @classmethod
+    def _from_slopes(cls, rule: "_GridRule", values: np.ndarray, slopes: np.ndarray):
+        """The cubic in ln r on each interval of ``rule``'s grid with these node
+        values and node slopes in s: a C^2 spline in ln r, not interpolated."""
+        profile = cls.__new__(cls)
+        profile._hold(rule, values, slopes)
+        return profile
+
+    def _hold(self, rule: "_GridRule", values: np.ndarray, slopes: np.ndarray) -> None:
+        values.flags.writeable = slopes.flags.writeable = False
+        self._rule, self.grid, self.values, self._slopes = rule, rule.grid, values, slopes
         self._squares: np.ndarray | None = None
 
     def derivative_values(self, deriv: int) -> np.ndarray:
         """Node values of the spline's deriv-th derivative (deriv in {0, 1, 2})."""
-        if deriv == 0:
-            return self.values
-        _check_deriv(deriv)
-        if deriv == 1:
-            return self._slopes
-        h = self._rule.steps
-        at_start, at_end = _SECOND_AT_ENDS @ self._rule.hermite_data(self.values, self._slopes)
-        return np.append(at_start, at_end[-1]) / np.append(h, h[-1]) ** 2
+        return self.values if deriv == 0 else self.value(self.grid, deriv)
 
     def value(self, r: np.ndarray | float, deriv: int = 0) -> np.ndarray | float:
-        """The spline's deriv-th derivative at r; 0 outside the grid."""
+        """The spline's deriv-th derivative in r at r, by the chain rule
+        r f' = v_s, r^2 f'' = v_ss - v_s at s = ln r; 0 outside the grid."""
         _check_deriv(deriv)
         r = np.asarray(r, dtype=float)
-        grid, h = self.grid, self._rule.steps
-        i = np.clip(np.searchsorted(grid, r, side="right") - 1, 0, len(h) - 1).ravel()
-        t = (r.ravel() - grid[i]) / h[i]
-        basis = _hermite_table(t)[deriv * t.size:(deriv + 1) * t.size]
+        grid, s, h = self.grid, self._rule.s, self._rule.steps
+        inside = np.clip(r, grid[0], grid[-1]).ravel()  # no point outside reaches the log
+        x = np.log(inside)
+        i = np.clip(np.searchsorted(s, x, side="right") - 1, 0, len(h) - 1)
+        t = (x - s[i]) / h[i]
         data = self._rule.hermite_data(self.values, self._slopes)[:, i]
-        out = (np.einsum("jk,kj->j", basis, data) / h[i] ** deriv).reshape(r.shape)
+        basis = _hermite_table(t).reshape(3, t.size, 4)
+        d = np.einsum("djk,kj->dj", basis, data) / h[i] ** [[0], [1], [2]]
+        out = (((d[2] - d[1]) if deriv == 2 else d[deriv]) / inside**deriv).reshape(r.shape)
         outside = (r < grid[0]) | (r > grid[-1])
         return np.where(outside, 0.0, out) if r.ndim else (0.0 if outside else float(out))
 
     def integral(self, deriv: int, power: int) -> float:
-        """∫ r^power |f^(deriv)|^2 dr over the grid by ``SAMPLED_POINTS``-point
-        Gauss-Legendre on every interval. The first call evaluates the squares
-        of all three orders at once (see :meth:`_GridRule.squares`)."""
-        _check_deriv(deriv)
+        """∫ r^power |f^(deriv)|^2 dr over the grid, which is
+        ∫ r^(power+1-2 deriv) |D_deriv v|^2 ds by ``SAMPLED_POINTS``-point
+        Gauss-Legendre in s on every interval (D_0 = 1, D_1 = ∂_s,
+        D_2 = ∂_ss - ∂_s). The first call evaluates the squares of all three
+        orders at once (see :meth:`_GridRule.squares`).
+
+        DegenerateProfileError when the integral overflows. That is tested
+        only where the largest square times the largest weight times their
+        number could overflow; elsewhere no sum of them can.
+        """
         if self._squares is None:
-            self._squares = self._rule.squares(self.values, self._slopes)
+            self._squares, self._peaks = self._rule.squares(self.values, self._slopes)
+        try:
+            peak = self._peaks[deriv]  # keyed by order, so an unknown order is a KeyError
+        except KeyError:
+            _check_deriv(deriv)
+            raise
+        weights, bound = self._rule.weights(power - 2 * deriv)
         # One dot per Gauss point, each as long as the grid has intervals.
         # OpenBLAS runs a ddot of up to 10 000 elements on the calling thread,
         # so rows keep grids of up to 10 001 nodes off the BLAS thread pool;
         # one dot over all four rows would reach it from 2 502 nodes on.
-        rows = np.vecdot(self._squares[deriv], self._rule.weights(power))
-        return math.fsum(rows.tolist())
+        if peak * bound < _HALF_MAX:
+            return math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
+        try:
+            with np.errstate(over="ignore"):
+                total = math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
+        except OverflowError:  # fsum's own partial sums
+            total = math.inf
+        if total < math.inf:
+            return total
+        raise DegenerateProfileError(f"∫ r^{power} |f^({deriv})|^2 overflows on the grid")
 
 
 def _hermite_table(t: np.ndarray) -> np.ndarray:
@@ -316,21 +342,22 @@ def _hermite_table(t: np.ndarray) -> np.ndarray:
     return np.concatenate([np.stack(r, axis=1) for r in rows])
 
 
-#: The h^2 f'' rows of :func:`_hermite_table` at t = 0 and t = 1.
-_SECOND_AT_ENDS = _hermite_table(np.array([0.0, 1.0]))[4:]
+#: Half the largest double: a bound on a sum of products below it leaves
+#: room for the rounding of the bound itself.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 class _GridRule:
     """What a sampled profile needs from its grid alone.
 
     ``lu`` is the LU factorization (LAPACK ``gttrf``) of the not-a-knot
-    tridiagonal system in the node slopes, the system that
+    tridiagonal system in the node slopes in s = ln r, the system that
     ``scipy.interpolate.CubicSpline`` solves; ``hermite`` is
     :func:`_hermite_table` at the Gauss points of the unit interval, which
     :meth:`squares` applies to the :meth:`hermite_data` of a spline. The Gauss
-    nodes and weights are stored one row per Gauss point, so each row is a
-    contiguous run over the intervals, and :meth:`weights` tabulates the
-    weights times r^p per power p.
+    points in s and in r (``points``, ``radii``) and their weights are stored
+    one row per Gauss point, so each row is a contiguous run over the
+    intervals; :meth:`weights` tabulates the weights of r^p dr per power p.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -338,15 +365,15 @@ class _GridRule:
             raise UsageError("sampled profiles need at least 8 nodes")
         if not np.all(np.isfinite(grid)):
             raise UsageError("grid nodes must be finite")
-        if grid[0] <= 0.0:
-            raise UsageError("grid must start strictly above 0")
-        h = np.diff(grid)
+        if np.any(grid <= 0.0):
+            raise UsageError("grid nodes must lie strictly above 0")
+        s = np.log(grid)
+        h = np.diff(s)
+        # A strictly increasing ln r implies a strictly increasing r.
         if np.any(h <= 0.0):
-            raise UsageError("grid must be strictly increasing")
-        if h.min() ** 2 < _TINY:
-            raise UsageError("grid steps too fine: their squares underflow")
-        self.grid, self.steps = grid, h
-        self.ends = (grid[2] - grid[0], grid[-1] - grid[-3])
+            raise UsageError("grid must be strictly increasing in ln r")
+        self.grid, self.s, self.steps = grid, s, h
+        self.ends = (s[2] - s[0], s[-1] - s[-3])
         diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
         upper = np.concatenate([[self.ends[0]], h[:-1]])
         lower = np.concatenate([h[1:], [self.ends[1]]])
@@ -356,12 +383,13 @@ class _GridRule:
         unit, _ = gauss_panels(np.array([0.0, 1.0]), SAMPLED_POINTS)
         self.hermite = _hermite_table(unit[0])
         self._inverse_steps = np.stack((1.0 / h, 1.0 / h**2))[:, None, :]
-        r, w = gauss_panels(grid, SAMPLED_POINTS)
-        self._nodes, self._weights = r.T.copy(), w.T.copy()
-        self._by_power: dict[int, np.ndarray] = {}
+        points, w = gauss_panels(s, SAMPLED_POINTS)
+        self.points, self._weights = points.T.copy(), w.T.copy()
+        self.radii = np.exp(self.points)
+        self._by_power: dict[int, tuple[np.ndarray, float]] = {}
 
     def spline(self, y: np.ndarray) -> np.ndarray:
-        """Node slopes of the not-a-knot spline through y.
+        """Node slopes in s of the not-a-knot spline in s through y.
 
         Same formulas as ``CubicSpline``, so the same spline to rounding.
         """
@@ -371,48 +399,54 @@ class _GridRule:
         b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
         b[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
         b[-1] = (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
-        s, _ = lapack.dgttrs(*self.lu, b, overwrite_b=True)
-        s.flags.writeable = False
-        return s
+        slopes, _ = lapack.dgttrs(*self.lu, b, overwrite_b=True)
+        return slopes
 
-    def hermite_data(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def hermite_data(self, y: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """The rows (y_i, Δy_i, h s_i, h s_{i+1}), one column per interval, of
-        the spline with node values y and slopes s: the data that
+        the spline with node values y and node slopes s_i in s: the data that
         :func:`_hermite_table` weights."""
         h = self.steps
-        return np.stack((y[:-1], np.diff(y), h * s[:-1], h * s[1:]))
+        return np.array((y[:-1], y[1:] - y[:-1], h * slopes[:-1], h * slopes[1:]))
 
-    def squares(self, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """|f|^2, |f'|^2 and |f''|^2 at the Gauss nodes, shape (3, points,
-        intervals), for the spline with node values y and slopes s.
+    def squares(self, y: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
+        """|D_0 v|^2, |D_1 v|^2 and |D_2 v|^2 at the Gauss nodes, shape (3,
+        points, intervals), and the largest of each, for the spline with node
+        values y and node slopes ``slopes`` in s.
 
         One product of ``hermite`` with the Hermite data of every interval
-        gives h^d f^(d); rescaling by 1/h^d and squaring finish in place.
-        DegenerateProfileError when a square overflows (steep data or fine
-        steps), which would make its integrals inf or nan.
+        gives h^d v^(d) in s; rescaling by 1/h^d, one subtraction
+        (D_2 = v_ss - v_s) and squaring finish in place.
+        DegenerateProfileError when a square overflows (steep data or huge
+        values), which would make its integrals inf or nan.
         """
-        f = (self.hermite @ self.hermite_data(y, s)).reshape(3, -1, len(self.steps))
+        f = (self.hermite @ self.hermite_data(y, slopes)).reshape(3, -1, len(self.steps))
         try:
             with np.errstate(over="raise"):
                 f[1:] *= self._inverse_steps
+                f[2] -= f[1]
                 f *= f
         except FloatingPointError:
-            raise DegenerateProfileError("|f^(d)|^2 overflows at the Gauss nodes") from None
+            raise DegenerateProfileError("|D_d v|^2 overflows at the Gauss nodes") from None
         f.flags.writeable = False
-        return f
+        return f, dict(enumerate(f.max(axis=(1, 2)).tolist()))
 
-    def weights(self, power: int) -> np.ndarray:
-        """The Gauss weights times r^power; DegenerateProfileError when r^power
-        overflows at a node."""
-        if power not in self._by_power:
+    def weights(self, power: int) -> tuple[np.ndarray, float]:
+        """The Gauss weights of r^power dr = r^(power+1) ds, and the largest
+        weight times their number (the bound ``integral`` takes it by);
+        DegenerateProfileError when r^(power+1) overflows at a node."""
+        try:
+            return self._by_power[power]
+        except KeyError:
             try:
                 with np.errstate(over="raise"):
-                    table = self._weights * self._nodes ** float(power)
+                    table = self._weights * self.radii ** float(power + 1)
             except FloatingPointError:
-                raise DegenerateProfileError(f"r^{power} overflows at the Gauss nodes") from None
+                raise DegenerateProfileError(
+                    f"r^{power + 1} overflows at the Gauss nodes") from None
             table.flags.writeable = False
-            self._by_power[power] = table
-        return self._by_power[power]
+            self._by_power[power] = table, float(table.max()) * table.size
+            return self._by_power[power]
 
 
 @lru_cache(maxsize=8)

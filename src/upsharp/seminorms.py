@@ -182,31 +182,32 @@ def _check_n2_admissibility(fid: FunctionalId, form: Form, mode: Mode, profile: 
 
     Finiteness of the N=2 second-order integrals needs v_0'(0) = 0 and
     v_1(0) = 0; for sampled data this is enforced as a smallness check at the
-    first node rather than proved.
+    grid start rather than proved. With g[x_0, ..., x_j] the divided
+    differences of the first node values of g and r_1 the second node, the
+    order-m condition g^(m)(0) = 0 is read as
+    |g[x_0, ..., x_m]| <= 50 r_1 |g[x_0, ..., x_{m+1}]|: where g^(m)(0) = 0 the
+    left side is about (r_0 + r_1) / r_1 <= 2 times the right side's
+    |g^(m+1)| / (m+1)! scale, where it is not, about |g^(m)(0)| / m!.
     """
     if mode.dimension != 2 or not isinstance(profile, SampledProfile):
         return
-    r1 = profile.grid[0]
-    head = slice(0, 8)
     if form is Form.REDUCED and fid is FunctionalId.LAPLACIAN_ENERGY and mode.degree == 0:
-        d1, d2 = profile.derivative_values(1), profile.derivative_values(2)
-        ref = np.max(np.abs(d2[head]))
-        if abs(d1[0]) > 50.0 * r1 * ref + 1e-9 * np.max(np.abs(d1), initial=0.0):
-            raise SingularWeightError(
-                "dimension-2 degree-0 profile must have vanishing slope at the origin"
-            )
-    if (
+        g, order = profile.derivative_values(0)[:3], 1
+        message = "dimension-2 degree-0 profile must have vanishing slope at the origin"
+    elif (
         form is Form.RAW
         and mode.degree == 1
         and fid in (FunctionalId.LAPLACIAN_ENERGY, FunctionalId.RADIAL_LAPLACIAN_ENERGY)
     ):
-        v = profile.values / profile.grid
-        dv = profile.derivative_values(1)
-        ref = np.max(np.abs(dv[head]))
-        if abs(v[0]) > 50.0 * r1 * ref + 1e-9 * np.max(np.abs(v), initial=0.0):
-            raise SingularWeightError(
-                "dimension-2 degree-1 profile must vanish to second order at the origin"
-            )
+        g, order = profile.derivative_values(0)[:3] / profile.grid[:3], 0
+        message = "dimension-2 degree-1 profile must vanish to second order at the origin"
+    else:
+        return
+    x = profile.grid[:3]
+    first = np.diff(g) / np.diff(x)
+    divided = (g[0], first[0], (first[1] - first[0]) / (x[2] - x[0]))
+    if abs(divided[order]) > 50.0 * x[1] * abs(divided[order + 1]):
+        raise SingularWeightError(message)
 
 
 def eval_mode_functional(

@@ -112,3 +112,27 @@ def test_tracer_wraps_one_mixture_job():
     # Nine seminorms, each by the closed form and by the panel rule.
     assert layers["quadrature.integrate.calls"] == 2 * 9
     assert layers["quadrature.panel_integrate.calls"] == 9
+
+
+def test_tracer_wraps_the_sampled_profile_of_n2_identity_jobs():
+    # The benchmark reads sampled profiles through two wrapped names: one
+    # quadrature.integrate call per term row of either form, and one
+    # derivative_values read of the node values for the row with an N = 2
+    # origin condition (the reduced Laplacian at k = 0, the raw one at k = 1).
+    from upsharp.profiles import make_mode
+    from upsharp.seminorms import BOTH_FORMS, Form, _term_table
+
+    for k in (0, 1):
+        job = next(job for job in _library_jobs() if job.name == f"identity N=2 k={k}")
+        tracer = _load("tracing").Tracer()
+        tracer.install()
+        try:
+            rows = job.call(job.prepare())
+        finally:
+            tracer.uninstall()
+        assert job.check(None, rows).ok
+        mode = make_mode(2, k)
+        term_rows = sum(len(_term_table(fid, form, mode)) for fid in BOTH_FORMS for form in Form)
+        layers = tracer.per_layer()
+        assert layers["quadrature.integrate.calls"] == term_rows, k
+        assert layers["profiles.derivative_values.calls"] == 1, k

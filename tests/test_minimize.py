@@ -24,7 +24,7 @@ from upsharp.minimize import (
     _lowest_eigenpair,
     _scaled_bands,
 )
-from upsharp.profiles import AnalyticProfile, SampledProfile, gauss_panels
+from upsharp.profiles import AnalyticProfile, SampledProfile, _grid_rule, gauss_panels
 from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
 from upsharp.reports import render_json
 from fractions import Fraction
@@ -284,16 +284,18 @@ def test_explore_conjecture_solves_each_problem_once(monkeypatch):
 
 
 def test_grid_tables_are_shared_and_read_only():
+    # The minimizer's Gauss rule is the sampled profiles' rule of its nodes.
     first = problem("mode_hyup2_full", 3, 1, size=128).assemble()
     second = problem("product_hyup2", 3, 0, size=128).assemble()
     assert first.problem.grid == second.problem.grid
     shared = minimize._grid_tables(first.problem.grid)
     assert second._grid is first._grid is shared
-    for array in shared:
+    assert shared.rule is _grid_rule(first.problem.grid.nodes().tobytes())
+    for array in (shared.table, shared.node_basis, shared.rule.weights(2)[0]):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
     other = minimize._grid_tables(GridSpec(1e-3, 14.0, 128))
-    assert other is not shared and other.r[-1] != shared.r[-1]
+    assert other is not shared and other.rule.grid[-1] != shared.rule.grid[-1]
     assert not np.array_equal(other.table, shared.table)
     _, *bands = _scaled_bands(first)
     assert all(band.flags.f_contiguous for band in bands)
@@ -452,15 +454,25 @@ def test_bspline_basis_matches_scipy(size):
 
 
 def test_to_profile_matches_scipy_bspline(rng):
+    # The exported profile is the B-spline in ln r itself, at the nodes and
+    # between them (scipy's BSpline as the oracle), with r f' = v_s and
+    # r^2 f'' = v_ss - v_s.
     from scipy.interpolate import BSpline
 
     dq = problem("mode_hyup2_full", 3, 1, size=512).assemble()
     x = rng.standard_normal(dq.A.shape[1])
     local = np.append(x, 0.0)[dq._local]
     coefficients = np.concatenate([local[:, 0], local[-1, 1:]])
-    expected = BSpline(_clamped_knots(np.log(dq.r)), coefficients, 3)(np.log(dq.r))
-    got = dq.to_profile(x).values
-    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    spline = BSpline(_clamped_knots(np.log(dq.r)), coefficients, 3)
+    profile = dq.to_profile(x)
+    expected = spline(np.log(dq.r))
+    assert np.abs(profile.values - expected).max() <= 1e-14 * np.abs(expected).max()
+    radii = np.exp(rng.uniform(np.log(dq.r[0]), np.log(dq.r[-1]), 2000))
+    s = np.log(radii)
+    expected = (spline(s), spline(s, 1) / radii, (spline(s, 2) - spline(s, 1)) / radii**2)
+    for d in (0, 1, 2):
+        got = profile.value(radii, d)
+        assert np.abs(got - expected[d]).max() <= 1e-12 * np.abs(expected[d]).max(), d
 
 
 def test_criterion_8_minima_match_reference():
@@ -481,17 +493,15 @@ def test_criterion_8_minima_match_reference():
         assert res.min_value == pytest.approx(value, rel=1e-12), (kind, n, k)
 
 
-@pytest.mark.parametrize(
-    "kind", ["product_hup2", "product_hyup2", "classic_hup", "classic_hyup", "mode_hyup2_full"]
-)
+@pytest.mark.parametrize("kind", [kind.value for kind in QuotientKind])
 def test_argmin_reproduces_min_value(kind):
     # The exported argmin integrates back to the reported minimum: the kind's
     # table rows over the grid, plus the constant continuation below r_min
     # for every zero-order row (absent where v(r_min) is pinned to 0). The
-    # export is cubic in r, the minimizer's spline cubic in ln r; at 512 nodes
-    # their quotients differ by at most 1.2e-8 (mode_hyup2_full, N=5).
+    # export is the minimizer's spline in ln r itself, so the two agree to
+    # rounding.
     for n in (2, 3, 5):
-        for k in (0, 1, 2) if kind.startswith("product") else (0,):
+        for k in (0, 1, 2):
             res = minimize_quotient(problem(kind, n, k, size=512))
             v, r_min = res.argmin, res.argmin.grid[0]
             forms, _ = _kind_lookup(res.kind, res.mode)
@@ -502,7 +512,7 @@ def test_argmin_reproduces_min_value(kind):
                 return coef * (integrate(v, WeightedSeminorm(d, p)) + head)
 
             a, b, c = (math.fsum(row_value(*row) for row in rows) for rows in forms)
-            assert a * b / (c * c) == pytest.approx(res.min_value, rel=2e-8), (n, k)
+            assert a * b / (c * c) == pytest.approx(res.min_value, rel=1e-12), (n, k)
 
 
 def test_radial_hydrogen_n2_robust_across_sizes():

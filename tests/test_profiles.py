@@ -109,14 +109,16 @@ def test_eval_rejects_bad_inputs():
 
 @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
 def test_sampled_polynomial_differentiation_exact(spacing):
-    # The not-a-knot spline reproduces a cubic, so its node derivatives are exact.
+    # The not-a-knot spline in s = ln r reproduces a cubic in s, so its node
+    # derivatives are exact: r f' = q'(s) and r^2 f'' = q''(s) - q'(s).
     grid = np.linspace(0.5, 6.0, 101) if spacing == "uniform" else np.geomspace(0.5, 6.0, 101)
-    poly = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.05])
-    p = SampledProfile(grid, poly(grid))
+    q = np.polynomial.Polynomial([0.3, -1.2, 0.7, 0.05])
+    s = np.log(grid)
+    p = SampledProfile(grid, q(s))
+    exact = {1: q.deriv(1)(s) / grid, 2: (q.deriv(2)(s) - q.deriv(1)(s)) / grid**2}
     for d in (1, 2):
-        exact = poly.deriv(d)(grid)
         got = p.derivative_values(d)
-        assert np.max(np.abs(got - exact)) / np.max(np.abs(exact)) < 1e-10
+        assert np.max(np.abs(got - exact[d])) / np.max(np.abs(exact[d])) < 1e-10
 
 
 def test_sampled_validation():
@@ -175,65 +177,79 @@ def _oracle_grid(spacing, size, rng):
     return np.linspace(0.05, 6.0, size) + rng.uniform(-0.3, 0.3, size) * h
 
 
+def _log_spline_orders(cs, s):
+    """D_0, D_1 and D_2 = ∂_ss - ∂_s of the spline cs in s at s."""
+    d1 = cs(s, 1)
+    return cs(s), d1, cs(s, 2) - d1
+
+
 @pytest.mark.parametrize("size", [8, 101, 4096])
 @pytest.mark.parametrize("spacing", ["uniform", "geometric", "jittered"])
 def test_sampled_matches_cubic_spline(spacing, size, rng):
-    # scipy's not-a-knot CubicSpline is the reference: node derivatives,
-    # values anywhere and the 4-point Gauss integrals of every seminorm.
+    # scipy's not-a-knot CubicSpline in s = ln r is the reference, with the
+    # chain rule r f' = v_s and r^2 f'' = v_ss - v_s: node derivatives, values
+    # anywhere and the 4-point Gauss integrals in s of every seminorm.
     grid = _oracle_grid(spacing, size, rng)
     values = np.exp(-grid) * np.sin(3.0 * grid) + 0.1 * rng.standard_normal(size)
-    p, cs = SampledProfile(grid, values), CubicSpline(grid, values)
+    s = np.log(grid)
+    p, cs = SampledProfile(grid, values), CubicSpline(s, values)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def in_r(radii):
+        orders = _log_spline_orders(cs, np.log(radii))
+        return [orders[d] / radii**d for d in (0, 1, 2)]
+
     radii = rng.uniform(grid[0], grid[-1], 500)
     xi, om = np.polynomial.legendre.leggauss(SAMPLED_POINTS)
-    mid, half = 0.5 * (grid[1:] + grid[:-1]), 0.5 * np.diff(grid)
-    r = (mid[:, None] + half[:, None] * xi).ravel()
+    mid, half = 0.5 * (s[1:] + s[:-1]), 0.5 * np.diff(s)
+    sq = (mid[:, None] + half[:, None] * xi).ravel()
     w = (half[:, None] * om).ravel()
+    orders = _log_spline_orders(cs, sq)
     for d in (0, 1, 2):
-        assert close(p.derivative_values(d), cs(grid, d))
-        assert close(p.value(radii, d), cs(radii, d))
-        squares = w * cs(r, d) ** 2
+        assert close(p.derivative_values(d), in_r(grid)[d])
+        assert close(p.value(radii, d), in_r(radii)[d])
+        squares = w * orders[d] ** 2
         for power in range(-5, 22):
-            want = math.fsum(squares * r**power)
+            want = math.fsum(squares * np.exp(sq) ** (power + 1 - 2 * d))
             got = integrate(p, WeightedSeminorm(d, power))
             assert abs(got - want) <= 1e-12 * want
 
 
 def test_sampled_cubic_integrals_match_exact_polynomial_integrals():
-    # The not-a-knot spline reproduces a cubic q, and 4-point Gauss is exact
-    # to degree 7, so every r^p |q^(d)|^2 with p <= 1 integrates exactly.
+    # The not-a-knot spline in s = ln r reproduces a cubic q(s), and
+    # ∫ r^(2d-1) |f^(d)|^2 dr = ∫ |D_d q|^2 ds is the integral of a degree-6
+    # polynomial in s, which 4-point Gauss integrates exactly.
     grid = np.geomspace(0.05, 4.0, 257)
+    s = np.log(grid)
     q = np.polynomial.Polynomial([-0.8, 1.7, 0.45, -0.3])
-    p = SampledProfile(grid, q(grid))
-    r = np.polynomial.Polynomial([0.0, 1.0])
-    for d in (0, 1, 2):
-        for power in (0, 1):
-            antiderivative = (q.deriv(d) ** 2 * r**power).integ()
-            want = antiderivative(grid[-1]) - antiderivative(grid[0])
-            got = integrate(p, WeightedSeminorm(d, power))
-            assert abs(got - want) <= 1e-13 * abs(want)
+    p = SampledProfile(grid, q(s))
+    for d, dq in enumerate((q, q.deriv(), q.deriv(2) - q.deriv())):
+        antiderivative = (dq**2).integ()
+        want = antiderivative(s[-1]) - antiderivative(s[0])
+        got = integrate(p, WeightedSeminorm(d, 2 * d - 1))
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
 def test_gauss_squares_match_point_values(spacing):
-    # Squares from the Hermite product against scipy's CubicSpline, at the
-    # Gauss nodes built here: one row per Gauss point, one column per interval.
-    # Either route gets f'' from the node data only to about
-    # eps * max|f'| / min h, which is below 1e-14 of max|f''| on these grids.
+    # Squares from the Hermite product against scipy's CubicSpline in s, at
+    # the Gauss nodes in s built here: one row per Gauss point, one column per
+    # interval, with the largest square of each order beside them.
     grid = np.linspace(0.5, 6.0, 64) if spacing == "uniform" else np.geomspace(0.5, 6.0, 64)
     values = np.exp(-grid) * np.cos(2.0 * grid)
-    p, cs = SampledProfile(grid, values), CubicSpline(grid, values)
+    s = np.log(grid)
+    p, cs = SampledProfile(grid, values), CubicSpline(s, values)
     xi, _ = np.polynomial.legendre.leggauss(SAMPLED_POINTS)
-    mid, half = 0.5 * (grid[1:] + grid[:-1]), 0.5 * np.diff(grid)
+    mid, half = 0.5 * (s[1:] + s[:-1]), 0.5 * np.diff(s)
     nodes = mid + half * xi[:, None]
-    for d in (0, 1, 2):
-        want = cs(nodes, d) ** 2
-        got = p._rule.squares(p.values, p._slopes)[d]
-        assert got.shape == nodes.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    squares, peaks = p._rule.squares(p.values, p._slopes)
+    for d, order in enumerate(_log_spline_orders(cs, nodes)):
+        want = order**2
+        assert squares[d].shape == nodes.shape
+        assert np.max(np.abs(squares[d] - want)) <= 1e-13 * np.max(want)
+        assert peaks[d] == squares[d].max()
 
 
 def test_gauss_squares_rejects_bad_order_after_caching():
@@ -313,27 +329,49 @@ def test_profile_from_json_rejects_malformed_objects(obj):
         profile_from_json(json.dumps(obj))
 
 
-def test_grid_whose_squared_steps_underflow_is_a_usage_error():
-    # The first steps of this grid are about 5e-200: their squares underflow
-    # to 0, and 1/h^2 would divide by zero.
-    grid = np.geomspace(1e-200, 10.0, 256)
-    with pytest.raises(UsageError, match="underflow"):
-        SampledProfile(grid, np.exp(-grid**2))
+def test_grid_whose_log_steps_vanish_is_a_usage_error():
+    # Next to 1e10 the gap between doubles is below half an ulp of
+    # ln 1e10 = 23.03: two nodes that differ in r share their ln r, so the
+    # spline in ln r would divide by a zero step.
+    grid = np.geomspace(1.0, 1e10, 64)
+    grid[-2] = np.nextafter(grid[-1], 0.0)
+    assert np.all(np.diff(grid) > 0) and np.log(grid[-2]) == np.log(grid[-1])
+    with pytest.raises(UsageError, match="increasing"):
+        SampledProfile(grid, np.exp(-grid))
 
 
 @pytest.mark.parametrize("r_min", [1e-110, 1e-130, 1e-150])
 def test_sampled_squares_or_weights_that_overflow_are_degenerate(r_min):
-    # Squared steps are still normal, but near r_min the spline's f'' reaches
-    # 1e170-1e229 and its square overflows; r^-5 overflows at the first
-    # Gauss nodes. Either would integrate to inf or nan with a warning.
+    # In s = ln r the squares grow with the values only, so values of 1e160
+    # overflow them; r^-8 (d = 2, p = -5) and r^-4 (d = 0, p = -5) overflow at
+    # the first Gauss nodes. Either would integrate to inf or nan with a
+    # warning.
     grid = np.geomspace(r_min, 10.0, 256)
-    p = SampledProfile(grid, np.exp(-grid**2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateProfileError, match="overflows"):
-            integrate(p, WeightedSeminorm(2, 3))
+            integrate(SampledProfile(grid, 1e160 * np.exp(-grid**2)), WeightedSeminorm(0, 1))
+        p = SampledProfile(grid, np.exp(-grid**2))
+        with pytest.raises(DegenerateProfileError, match="overflows"):
+            integrate(p, WeightedSeminorm(2, -5))
         with pytest.raises(DegenerateProfileError, match="overflows"):
             SampledProfile(grid, np.ones(256)).integral(0, -5)
+
+
+def test_sampled_integral_that_overflows_is_degenerate():
+    # Finite squares times finite weights whose sum leaves the float range
+    # (r^10 and r^21): a typed error, with no warning on the way. At r^5 no
+    # sum can overflow; at r^9 the bound could, but the integral, 4.3e307,
+    # does not.
+    grid = np.linspace(0.1, 10.0, 256)
+    p = SampledProfile(grid, 1e150 * np.exp(-grid**2 / 50.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for power in (10, 21):
+            with pytest.raises(DegenerateProfileError, match="overflows"):
+                p.integral(0, power)
+        for power in (5, 9):
+            assert 0.0 < p.integral(0, power) < math.inf
 
 
 @pytest.mark.parametrize("profile,deriv", [

@@ -152,18 +152,18 @@ def test_sampled_profile_integration():
 
 @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
 def test_sampled_integration_exact_on_cubic_data(spacing):
-    # A sampled cubic is its own spline, so every seminorm with a polynomial
-    # weight of degree <= 1 is integrated exactly over the grid.
+    # Data cubic in s = ln r is its own spline, and with p = 2d - 1 the
+    # seminorm is ∫ |D_d q|^2 ds (D_1 = ∂_s, D_2 = ∂_ss - ∂_s), a degree-6
+    # polynomial in s, which the sampled Gauss rule integrates exactly.
     grid = np.linspace(0.2, 5.0, 64) if spacing == "uniform" else np.geomspace(0.2, 5.0, 64)
+    s = np.log(grid)
     q = np.polynomial.Polynomial([0.4, -1.1, 0.6, -0.07])
-    p = SampledProfile(grid, q(grid))
-    r = np.polynomial.Polynomial([0.0, 1.0])
-    for d in (0, 1, 2):
-        for power in (0, 1):
-            exact = (q.deriv(d) ** 2 * r**power).integ()
-            want = exact(grid[-1]) - exact(grid[0])
-            got = integrate(p, WeightedSeminorm(d, power))
-            assert_allclose(got, want, rtol=1e-12)
+    p = SampledProfile(grid, q(s))
+    for d, dq in enumerate((q, q.deriv(), q.deriv(2) - q.deriv())):
+        exact = (dq**2).integ()
+        want = exact(s[-1]) - exact(s[0])
+        got = integrate(p, WeightedSeminorm(d, 2 * d - 1))
+        assert_allclose(got, want, rtol=1e-12)
 
 
 def test_panel_nodes_are_cached_read_only():

@@ -236,16 +236,28 @@ def test_singular_weight_detection_analytic():
 
 
 def test_singular_weight_detection_sampled():
-    # dimension-2 degree-0 reduced laplacian requires vanishing slope at 0
-    grid = np.linspace(1e-3, 10, 2000)
-    bad = SampledProfile(grid, np.exp(-grid))  # slope -1 at the origin
-    with pytest.raises(SingularWeightError):
-        eval_mode_functional(FunctionalId.LAPLACIAN_ENERGY, make_mode(2, 0), bad, Form.REDUCED)
-    good = SampledProfile(grid, np.exp(-grid**2))
-    val = eval_mode_functional(
-        FunctionalId.LAPLACIAN_ENERGY, make_mode(2, 0), good, Form.REDUCED
-    )
-    assert val.value > 0
+    # Dimension 2: the degree-0 reduced Laplacian needs v'(0) = 0, the
+    # degree-1 raw one u = r v with v(0) = 0. e^{-r} has slope -1 at the
+    # origin and e^{-r^2} slope 0; r e^{-r^2} vanishes to first order only,
+    # r^2 e^{-r} to second. Each on a linear and a geometric grid.
+    cases = [
+        (grid, degree, form, values, admissible)
+        for grid in (np.linspace(1e-3, 10, 2000), np.geomspace(1e-3, 10, 2000))
+        for degree, form, values, admissible in (
+            (0, Form.REDUCED, np.exp(-grid), False),
+            (0, Form.REDUCED, np.exp(-grid**2), True),
+            (1, Form.RAW, grid * np.exp(-grid**2), False),
+            (1, Form.RAW, grid**2 * np.exp(-grid), True),
+        )
+    ]
+    for grid, degree, form, values, admissible in cases:
+        profile, mode = SampledProfile(grid, values), make_mode(2, degree)
+        if admissible:
+            val = eval_mode_functional(FunctionalId.LAPLACIAN_ENERGY, mode, profile, form)
+            assert val.value > 0
+        else:
+            with pytest.raises(SingularWeightError):
+                eval_mode_functional(FunctionalId.LAPLACIAN_ENERGY, mode, profile, form)
 
 
 def test_vector_equiv_2d():
