@@ -16,17 +16,16 @@ Gauss rule. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
 ∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s. The
 forms are assembled straight into LAPACK upper band storage from a table of
 D_0, D_1 and D_2 of the four splines nonzero on each interval, at its Gauss
-points in s; ``_bspline_basis`` evaluates the splines by de Boor's
-recursion on the clamped knot vector in s. That table and the splines at
-the nodes depend on the grid alone and are built once per grid
-(``_grid_tables``). The right end is clamped
-(v = v' = 0). Below r_min the function continues as the constant v(r_min),
-with v'(r_min) = 0 when a row has a second derivative, and each zero-order
-row gains its exact integral over (0, r_min). When a zero-order weight is
-not integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned instead (no such kind
-has a second-order row). Every discrete function is therefore an
-admissible function on (0, ∞), so a discrete minimum can never sit below a
-proved constant.
+points in s, which the sampled profiles' rule evaluates from the splines'
+Hermite data, their closed-form values and slopes at the nodes. Both depend
+on the grid alone and are built once per grid (``_grid_tables``). The right
+end is clamped (v = v' = 0). Below r_min the function continues as the
+constant v(r_min), with v'(r_min) = 0 when a row has a second derivative,
+and each zero-order row gains its exact integral over (0, r_min). When a
+zero-order weight is not integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned
+instead (no such kind has a second-order row). Every discrete function is
+therefore an admissible function on (0, ∞), so a discrete minimum can never
+sit below a proved constant.
 
 Solver. The numerator is a product of two quadratic forms, so this is not an
 eigenproblem as it stands, but by AM–GM
@@ -34,9 +33,9 @@ eigenproblem as it stands, but by AM–GM
     inf_v sqrt(A B) / C = inf_{t>0} (1/2) * lambda_min(t A + B / t ; C).
 
 One bisection in ln t on the sign of d lambda/d ln t = (t a - b/t)/c, the
-Hellmann–Feynman slope at the eigenvector, finds t*. It runs until the slope
-is flat to 1e-12, |t a - b/t| <= 1e-12 (t a + b/t), where AM–GM is an
-equality and lambda(t) is stationary, or the width is 1e-4. The
+Hellmann–Feynman slope at the eigenvector, finds t*. It stops once the
+relative slope (t a - b/t)/(t a + b/t) times the bracket width, about the
+most a convex lambda could still fall, is 1e-12, or at width 1e-4. The
 Jacobi-scaled forms are banded (half-bandwidth 3), and each lambda_min comes
 from banded Cholesky factorizations: inverse iteration on t A + B/t, then a
 ladder of shifts s below the Rayleigh quotient. By Sylvester's law of
@@ -204,66 +203,38 @@ def _cholesky(band: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
     return None if info else factor
 
 
-def _bspline_basis(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Values, first and second derivatives of the four cubic B-splines
-    nonzero on each interval, at its row of ``points``: shape (3, spline,
-    interval, point).
-
-    De Boor's triangular recursion (BSPLVB; de Boor, *A Practical Guide to
-    Splines*, ch. X), vectorized over intervals. On the clamped knot vector
-    interval i is knot span j = i + 3. The m splines of order m nonzero on
-    the span are divided by the widths t[j+1+r] - t[j+1+r-m] of their
-    supports; each width covers the span, so is positive. The divided
-    splines give the next order's values, weighted by t[j+1+r] - x and
-    x - t[j+1+r-m], or its derivatives, weighted by -m and m.
-    """
-    span = np.arange(len(points))[:, None] + 3
-    r = np.arange(3)[:, None, None]
-    right = knots[span + 1 + r] - points  # t[j+1+r] - x, shape (r, interval, point)
-    left = points - knots[span - r]       # x - t[j-r]
-
-    def divide(b: np.ndarray) -> np.ndarray:
-        m = len(b)
-        return b / (right[:m] + left[m - 1::-1])
-
-    def raise_order(term: np.ndarray, derivative: bool = False) -> np.ndarray:
-        m = len(term)
-        low, high = (-m, m) if derivative else (right[:m], left[m - 1::-1])
-        out = np.zeros((m + 1, *points.shape))
-        out[:-1] = low * term
-        out[1:] += high * term
-        return out
-
-    term2 = divide(raise_order(divide(np.ones((1, *points.shape)))))
-    term3 = divide(raise_order(term2))
-    table = [
-        raise_order(term3),
-        raise_order(term3, derivative=True),
-        raise_order(divide(raise_order(term2, derivative=True)), derivative=True),
-    ]
-    return np.stack(table)
-
-
 class _GridTables(NamedTuple):
     """What a discrete quotient needs from its grid alone (read-only arrays)."""
 
-    rule: _GridRule         # the sampled profiles' rule: nodes, Gauss rule in s, weights
-    table: np.ndarray       # D_0, D_1, D_2 at the Gauss points: (3, spline, interval, point)
-    node_basis: np.ndarray  # v and v_s of the four splines at each node: (2, spline, node)
+    rule: _GridRule        # the sampled profiles' rule: nodes, Gauss rule in s, weights
+    table: np.ndarray      # D_0, D_1, D_2 at the Gauss points: (3, spline, interval, point)
+    knot_data: np.ndarray  # v and v_s of the three splines nonzero at each node: (2, 3, node)
 
 
 @lru_cache(maxsize=8)
 def _grid_tables(grid: GridSpec) -> _GridTables:
-    """The tables of ``grid``, built once per grid and shared; read-only."""
+    """The tables of ``grid``, built once per grid and shared; read-only.
+
+    B_j, B_{j+1}, B_{j+2} are nonzero at node j. With steps h_j = s_{j+1} - s_j
+    (0 beyond the ends), B_j(s_j) = h_j^2 / D and B_j'(s_j) = -3 h_j / D with
+    D = (h_{j-2} + h_{j-1} + h_j)(h_{j-1} + h_j), B_{j+2} likewise with h_{j-1}
+    and the mirrored D, and B_{j+1} makes the sums 1 and 0 (de Boor, *A
+    Practical Guide to Splines*, ch. IX).
+    """
     rule = _grid_rule(grid.nodes().tobytes())
-    s = rule.s
-    knots = np.concatenate([np.full(3, s[0]), s, np.full(3, s[-1])])
-    f0, f1, f2 = _bspline_basis(knots, rule.points.T)
-    # Each interval supplies its left node; the last also its right node.
-    ends = _bspline_basis(knots, np.stack([s[:-1], s[1:]], axis=1))[:2]
-    nodes = np.concatenate([ends[..., 0], ends[:, :, -1:, 1]], axis=2)
-    tables = _GridTables(rule, np.stack([f0, f1, f2 - f1]), nodes)
-    tables.table.flags.writeable = tables.node_basis.flags.writeable = False
+    h = np.pad(rule.steps, 2)
+    before, after, here = h[1:-2], h[3:], h[2:-1]  # h_{j-1}, h_{j+1}, h_j
+    first = here / ((h[:-3] + before + here) * (before + here))
+    last = before / ((before + here + after) * (before + here))
+    knot_data = np.array([(here * first, 1.0 - here * first - before * last, before * last),
+                          (-3.0 * first, 3.0 * (first - last), 3.0 * last)])
+    # Spline i + m of interval i is row m of its left node, row m - 1 of its
+    # right node, and 0 where that row is out of range.
+    ends = np.pad(knot_data, ((0, 0), (1, 1), (0, 0)))
+    data = rule.hermite_data(ends[:, 1:, :-1], ends[:, :-1, 1:])
+    table = np.ascontiguousarray(np.moveaxis(rule.derivatives(data), 1, -1))
+    tables = _GridTables(rule, table, knot_data)
+    tables.table.flags.writeable = tables.knot_data.flags.writeable = False
     return tables
 
 
@@ -276,18 +247,18 @@ def _quotient(a: float, b: float, c: float) -> float:
 
 class DiscreteQuotient:
     """Rayleigh–Ritz realization of one quotient on cubic B-splines in ln r,
-    on the clamped knot vector of the nodes, evaluated by de Boor's recursion.
+    on the clamped knot vector of the nodes.
 
     ``x`` holds the coefficients of the free splines (see the module
-    docstring for the end conditions). ``_local`` maps each interval's four
-    splines to their free coefficient (−1 where an end condition sets it to
-    0). ``A``, ``B`` and ``C`` are accumulated straight into the upper band
-    storage the pencil works on, from the per-interval table of D_0, D_1 and
-    D_2 of the splines at the sampled profiles' Gauss points in s, weighted
-    by that rule's weights. ``to_profile`` hands the spline of ``x`` over as
-    a sampled profile, and ``parts`` is that profile's forms. The table and
-    the splines at the nodes depend on the grid alone; they are built once
-    per grid and shared (``_grid_tables``).
+    docstring for the end conditions). ``_free`` maps each spline to its
+    free coefficient (−1 where an end condition sets it to 0), and
+    ``_local`` does so for each interval's four splines. ``A``, ``B`` and
+    ``C`` are accumulated straight into the upper band storage the pencil
+    works on, from the per-interval table of D_0, D_1 and D_2 of the splines
+    at the sampled profiles' Gauss points in s, weighted by that rule's
+    weights. ``to_profile`` hands the spline of ``x`` over as a sampled
+    profile, and ``parts`` is that profile's forms. The table and the node
+    data depend on the grid alone; they are shared (``_grid_tables``).
     """
 
     def __init__(self, problem: VariationalProblem):
@@ -306,8 +277,8 @@ class DiscreteQuotient:
         free = np.arange(len(r) + 2) - int(pin or second)
         free[0] = -1 if pin else 0
         free[-2:] = -1
+        self._free = free
         self._local = free[np.arange(len(r) - 1)[:, None] + np.arange(4)]
-        self._node_local = np.vstack([self._local, self._local[-1:]]).T  # (spline, node)
         self._size = free.max() + 1
         a, b = self._local[:, :, None], self._local[:, None, :]
         self._upper = (a >= 0) & (a <= b)
@@ -364,8 +335,9 @@ class DiscreteQuotient:
         c * r_min^(p+1) / (p+1) * f(r_min)^2 to every zero-order row (c, 0, p)
         of ``integrate`` on this profile; ``parts`` is exactly that.
         """
-        local = np.append(x, 0.0)[self._node_local]  # index −1 reads the appended 0
-        values, slopes = (self._grid.node_basis * local).sum(axis=1)
+        c = np.append(x, 0.0)[self._free]  # index −1 reads the appended 0
+        values, slopes = (k[0] * c[:-2] + k[1] * c[1:-1] + k[2] * c[2:]
+                          for k in self._grid.knot_data)
         return SampledProfile._from_slopes(self._grid.rule, values, slopes)
 
 
@@ -387,7 +359,7 @@ class MinimizationResult:
     minimum over t. Where that backward error exceeds the bracket, it can sit
     above the factored-form ``pencil_value``; by more than 1e-9 relative
     only on mode_hyup2_full at k >= 1, where the cases depend on rounding
-    (seen at N = 2, k = 1 and N = 2, k = 2 on 2048-node grids).
+    (seen at N = 2, k = 1 and N = 3, k = 2 on 2048-node grids).
     """
 
     kind: QuotientKind
@@ -396,9 +368,9 @@ class MinimizationResult:
     min_value: float
     argmin: SampledProfile
     iterations: int  # pencil evaluations
-    # Why the bisection stopped: "flat" (the slope is flat to 1e-12),
-    # "bracketed" (the width is 1e-4 and both ends of the t range moved) or
-    # "range_end" (the width is 1e-4 and one end never moved).
+    # Why the bisection stopped: "flat" (the slope times the width is flat to
+    # 1e-12), "bracketed" (the width is 1e-4 and both ends of the t range
+    # moved) or "range_end" (the width is 1e-4 and one end never moved).
     exit: str
     converged: bool  # exit is not "range_end", pencil agrees with min_value
     target: float | None
@@ -409,10 +381,10 @@ class MinimizationResult:
 
 
 #: Width in ln t that ends the bisection for t*, the relative Hellmann–Feynman
-#: slope |t a - b/t| / (t a + b/t) that ends it earlier, the relative
-#: agreement between the pencil value and the argmin's quotient that counts
-#: as converged, and the ulps of lambda within which a later probe is a tie
-#: that keeps the earlier best (lambda's own rounding).
+#: slope |t a - b/t| / (t a + b/t) times the width that ends it earlier, the
+#: relative agreement between the pencil value and the argmin's quotient that
+#: counts as converged, and the ulps of lambda within which a later probe is
+#: a tie that keeps the earlier best (lambda's own rounding).
 _LOG_T_WIDTH = 1e-4
 _FLAT_SLOPE = 1e-12
 _AGREEMENT = 1e-6
@@ -496,9 +468,10 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     when a form's diagonal underflows to 0 or overflows, which leaves no
     finite t range (extreme r_min or r_max). t* is found by
     bisection in ln t on the sign of the slope (t a - b/t)/c of lambda(t),
-    read from the same eigenvector, until the slope is flat to 1e-12 of
-    (t a + b/t) or the width is 1e-4; ``exit`` says which ("flat",
-    "bracketed", or "range_end" when t* was not bracketed). The range spans
+    read from the same eigenvector, until |t a - b/t| times the updated
+    bracket's width is 1e-12 of (t a + b/t), or the width is 1e-4; ``exit``
+    says which ("flat", "bracketed", or "range_end" when t* was not
+    bracketed). The range spans
     the local scales of the splines, widened upward by ln(size) for profiles
     much wider than one spline. The best evaluation gives every reported value;
     a later probe replaces it only when its lambda is lower by more than
@@ -530,10 +503,10 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         if best is None or lam < best[0] - _TIE_ULPS * math.ulp(best[0]):
             best = (lam, t, y, lower, parts)
         # Hellmann–Feynman: dlambda/dln t = (t a - b/t)/c; t* lies on its downhill side.
-        if abs(t * a - b / t) <= _FLAT_SLOPE * (t * a + b / t):
-            break
         side = int(t * a >= b / t)
         ends[side], moved[side] = log_t, True
+        if abs(t * a - b / t) * (ends[1] - ends[0]) <= _FLAT_SLOPE * (t * a + b / t):
+            break
     else:
         reason = "bracketed" if all(moved) else "range_end"
     lam_star, t, y, lower, parts = best

@@ -15,7 +15,8 @@ Every functional in the package is evaluated on one of two profile kinds:
   costs one tridiagonal back-substitution for its node slopes in s. Its node
   values and slopes, as the cubic Hermite data of every interval, are its
   only representation, evaluated by one small matrix product of the Hermite
-  basis with that data, then the chain rule r f' = v_s, r^2 f'' = v_ss - v_s.
+  basis with that data, then the chain rule r f' = v_s, r^2 f'' = v_ss - v_s
+  (:meth:`_GridRule.derivatives`, which also evaluates minimize's B-splines).
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -280,15 +281,13 @@ class SampledProfile:
         r f' = v_s, r^2 f'' = v_ss - v_s at s = ln r; 0 outside the grid."""
         _check_deriv(deriv)
         r = np.asarray(r, dtype=float)
-        grid, s, h = self.grid, self._rule.s, self._rule.steps
+        rule, grid, y, slopes = self._rule, self.grid, self.values, self._slopes
         inside = np.clip(r, grid[0], grid[-1]).ravel()  # no point outside reaches the log
         x = np.log(inside)
-        i = np.clip(np.searchsorted(s, x, side="right") - 1, 0, len(h) - 1)
-        t = (x - s[i]) / h[i]
-        data = self._rule.hermite_data(self.values, self._slopes)[:, i]
-        basis = _hermite_table(t).reshape(3, t.size, 4)
-        d = np.einsum("djk,kj->dj", basis, data) / h[i] ** [[0], [1], [2]]
-        out = (((d[2] - d[1]) if deriv == 2 else d[deriv]) / inside**deriv).reshape(r.shape)
+        i = np.clip(np.searchsorted(rule.s, x, side="right") - 1, 0, len(rule.steps) - 1)
+        data = rule.hermite_data((y[i], slopes[i]), (y[i + 1], slopes[i + 1]), i)
+        d = rule.derivatives(data, at=(x, i))
+        out = (d[deriv] / inside**deriv).reshape(r.shape)
         outside = (r < grid[0]) | (r > grid[-1])
         return np.where(outside, 0.0, out) if r.ndim else (0.0 if outside else float(out))
 
@@ -333,13 +332,13 @@ def _hermite_table(t: np.ndarray) -> np.ndarray:
     per unit of its data (y_i, Δy, h s_i, h s_{i+1}). The increment Δy keeps
     y_i out of the derivative rows, which would otherwise cancel terms of
     size |y| / h^d."""
-    one, zero = np.ones_like(t), np.zeros_like(t)
+    u, tt, t6, zero = 1 - t, t * t, 6 * t, np.zeros_like(t)
     rows = (
-        (one, t * t * (3 - 2 * t), t * (1 - t) ** 2, t * t * (t - 1)),
-        (zero, 6 * t * (1 - t), (1 - t) * (1 - 3 * t), t * (3 * t - 2)),
-        (zero, 6 - 12 * t, 6 * t - 4, 6 * t - 2),
+        (np.ones_like(t), tt * (3 - 2 * t), t * u**2, tt * (t - 1)),
+        (zero, t6 * u, u * (1 - 3 * t), t * (3 * t - 2)),
+        (zero, 6 - 12 * t, t6 - 4, t6 - 2),
     )
-    return np.concatenate([np.stack(r, axis=1) for r in rows])
+    return np.array(rows).transpose(0, 2, 1).reshape(-1, 4)
 
 
 #: Half the largest double: a bound on a sum of products below it leaves
@@ -354,7 +353,7 @@ class _GridRule:
     tridiagonal system in the node slopes in s = ln r, the system that
     ``scipy.interpolate.CubicSpline`` solves; ``hermite`` is
     :func:`_hermite_table` at the Gauss points of the unit interval, which
-    :meth:`squares` applies to the :meth:`hermite_data` of a spline. The Gauss
+    :meth:`derivatives` applies to :meth:`hermite_data`. The Gauss
     points in s and in r (``points``, ``radii``) and their weights are stored
     one row per Gauss point, so each row is a contiguous run over the
     intervals; :meth:`weights` tabulates the weights of r^p dr per power p.
@@ -382,7 +381,7 @@ class _GridRule:
             raise UsageError("grid spacing too uneven for a cubic spline")
         unit, _ = gauss_panels(np.array([0.0, 1.0]), SAMPLED_POINTS)
         self.hermite = _hermite_table(unit[0])
-        self._inverse_steps = np.stack((1.0 / h, 1.0 / h**2))[:, None, :]
+        self._inverse_steps = np.stack((1.0 / h, 1.0 / h**2))
         points, w = gauss_panels(s, SAMPLED_POINTS)
         self.points, self._weights = points.T.copy(), w.T.copy()
         self.radii = np.exp(self.points)
@@ -402,29 +401,42 @@ class _GridRule:
         slopes, _ = lapack.dgttrs(*self.lu, b, overwrite_b=True)
         return slopes
 
-    def hermite_data(self, y: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """The rows (y_i, Δy_i, h s_i, h s_{i+1}), one column per interval, of
-        the spline with node values y and node slopes s_i in s: the data that
-        :func:`_hermite_table` weights."""
-        h = self.steps
-        return np.array((y[:-1], y[1:] - y[:-1], h * slopes[:-1], h * slopes[1:]))
+    def hermite_data(self, left, right, i=slice(None)) -> np.ndarray:
+        """The rows (y_i, Δy_i, h s_i, h s_{i+1}) of cubic pieces in s on the
+        intervals i (all by default), the last axis running over them: the
+        data that :func:`_hermite_table` weights. ``left`` and ``right`` are
+        (value, slope in s) at the left and right node of each interval."""
+        (y0, s0), (y1, s1), h = left, right, self.steps[i]
+        return np.array((y0, y1 - y0, h * s0, h * s1))
+
+    def derivatives(self, data: np.ndarray, at=None) -> np.ndarray:
+        """D_0 v = v, D_1 v = v_s, D_2 v = v_ss - v_s of the cubic pieces with
+        Hermite data ``data`` (4, ..., interval): at the Gauss points, shape
+        (3, point, ..., interval), or with ``at`` = (x, i) at the points x in
+        s of the intervals i, shape (3, point). The table gives h^d v^(d) in
+        s; rescaling by 1/h^d and one subtraction finish in place."""
+        if at is None:
+            f = (self.hermite @ data.reshape(4, -1)).reshape(3, SAMPLED_POINTS, *data.shape[1:])
+            inverse = self._inverse_steps.reshape(2, *(1,) * (f.ndim - 2), -1)
+        else:
+            x, i = at
+            basis = _hermite_table((x - self.s[i]) / self.steps[i]).reshape(3, x.size, 4)
+            f = np.einsum("djk,kj->dj", basis, data)
+            inverse = self._inverse_steps[:, i]
+        f[1:] *= inverse
+        f[2] -= f[1]
+        return f
 
     def squares(self, y: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
         """|D_0 v|^2, |D_1 v|^2 and |D_2 v|^2 at the Gauss nodes, shape (3,
         points, intervals), and the largest of each, for the spline with node
-        values y and node slopes ``slopes`` in s.
-
-        One product of ``hermite`` with the Hermite data of every interval
-        gives h^d v^(d) in s; rescaling by 1/h^d, one subtraction
-        (D_2 = v_ss - v_s) and squaring finish in place.
-        DegenerateProfileError when a square overflows (steep data or huge
-        values), which would make its integrals inf or nan.
+        values y and node slopes ``slopes`` in s: :meth:`derivatives`, squared
+        in place. DegenerateProfileError when a value or a square overflows
+        (steep data or huge values), which would make its integrals inf or nan.
         """
-        f = (self.hermite @ self.hermite_data(y, slopes)).reshape(3, -1, len(self.steps))
         try:
             with np.errstate(over="raise"):
-                f[1:] *= self._inverse_steps
-                f[2] -= f[1]
+                f = self.derivatives(self.hermite_data((y[:-1], slopes[:-1]), (y[1:], slopes[1:])))
                 f *= f
         except FloatingPointError:
             raise DegenerateProfileError("|D_d v|^2 overflows at the Gauss nodes") from None

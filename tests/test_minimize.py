@@ -19,12 +19,11 @@ from upsharp.minimize import (
     minimize_quotient,
     mode_combined_bound,
     _BANDS,
-    _bspline_basis,
     _kind_lookup,
     _lowest_eigenpair,
     _scaled_bands,
 )
-from upsharp.profiles import AnalyticProfile, SampledProfile, _grid_rule, gauss_panels
+from upsharp.profiles import AnalyticProfile, SampledProfile, _grid_rule
 from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
 from upsharp.reports import render_json
 from fractions import Fraction
@@ -291,7 +290,7 @@ def test_grid_tables_are_shared_and_read_only():
     shared = minimize._grid_tables(first.problem.grid)
     assert second._grid is first._grid is shared
     assert shared.rule is _grid_rule(first.problem.grid.nodes().tobytes())
-    for array in (shared.table, shared.node_basis, shared.rule.weights(2)[0]):
+    for array in (shared.table, shared.knot_data, shared.rule.weights(2)[0]):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
     other = minimize._grid_tables(GridSpec(1e-3, 14.0, 128))
@@ -433,24 +432,27 @@ def _clamped_knots(s):
 
 @pytest.mark.parametrize("size", [96, 512, 2048])
 def test_bspline_basis_matches_scipy(size):
-    # scipy's BSpline is the oracle: on an interval, each sum of every fourth
-    # B-spline is the one of its terms that is nonzero there.
+    # scipy's BSpline is the oracle for the grid's table: on an interval,
+    # each sum of every fourth B-spline is the one of its terms that is
+    # nonzero there. The table holds D_0 = v, D_1 = v_s and D_2 = v_ss - v_s
+    # at the rule's Gauss points in s, shape (3, spline, interval, point).
     from scipy.interpolate import BSpline
 
-    s = np.log(GridSpec(size=size).nodes())
-    points, _ = gauss_panels(s, 6)
-    knots = _clamped_knots(s)
-    basis = _bspline_basis(knots, points)
+    tables = minimize._grid_tables(GridSpec(size=size))
+    points = tables.rule.points.T  # (interval, point)
+    knots = _clamped_knots(tables.rule.s)
     phase = np.arange(size + 2) % 4
     sums = BSpline(knots, np.equal.outer(phase, np.arange(4)).astype(float), 3)
     interval = np.arange(size - 1)
     which = (interval + np.arange(4)[:, None]) % 4
+    expected = [sums(points, nu)[interval, :, which] for nu in range(3)]
+    table = tables.table.copy()
+    table[2] += table[1]  # v_ss
     for nu in range(3):
-        expected = sums(points, nu)[interval, :, which]
-        scale = np.abs(expected).max()
-        assert np.abs(basis[nu] - expected).max() <= 1e-13 * scale, nu
+        scale = np.abs(expected[nu]).max()
+        assert np.abs(table[nu] - expected[nu]).max() <= 1e-12 * scale, nu
         # Partition of unity: the splines sum to 1, their derivatives to 0.
-        assert np.abs(basis[nu].sum(axis=0) - (nu == 0)).max() <= 1e-13 * scale, nu
+        assert np.abs(table[nu].sum(axis=0) - (nu == 0)).max() <= 1e-13 * scale, nu
 
 
 def test_to_profile_matches_scipy_bspline(rng):
@@ -572,6 +574,24 @@ def test_flat_slope_stop_matches_full_bisection(monkeypatch):
         assert ref.converged and res.converged, case
         assert ref.min_value <= res.min_value <= ref.min_value * (1 + 1e-12), case
     assert sum(r.iterations for r in flat) <= 0.6 * sum(r.iterations for r in full)
+
+
+def test_flat_stop_is_stable_under_rounding(monkeypatch):
+    # The flat stop is scaled by the bracket width, so a relative change of
+    # 1e-15 in the scaled A band moves no explorer problem's number of pencil
+    # solves by more than a few.
+    cases = [(n, k, size) for n in (3, 5) for k in range(4) for size in (128, 256, 512)]
+    base = [minimize_quotient(problem("mode_hyup2_full", *case)).iterations for case in cases]
+    scaled_bands = minimize._scaled_bands
+    for factor in (1.0 + 1e-15, 1.0 - 1e-15):
+        def perturbed(dq, factor=factor):
+            scale, A, B, C = scaled_bands(dq)
+            return scale, A * factor, B, C
+
+        monkeypatch.setattr(minimize, "_scaled_bands", perturbed)
+        for case, solves in zip(cases, base):
+            res = minimize_quotient(problem("mode_hyup2_full", *case))
+            assert abs(res.iterations - solves) <= 5, (factor, case, solves, res.iterations)
 
 
 def test_one_quotient_evaluation_per_probe(monkeypatch):
