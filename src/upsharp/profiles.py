@@ -251,18 +251,16 @@ class SampledProfile:
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
-        values = np.array(values, dtype=float)
-        if grid.ndim != 1 or values.shape != grid.shape:
-            raise UsageError("grid and values must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(values)):
-            raise UsageError("profile values must be finite")
+        values = _per_node(grid, values, "values")
         rule = _grid_rule(grid.tobytes())
         self._hold(rule, values, rule.spline(values))
 
     @classmethod
     def _from_slopes(cls, rule: "_GridRule", values: np.ndarray, slopes: np.ndarray):
         """The cubic in ln r on each interval of ``rule``'s grid with these node
-        values and node slopes in s: a C^2 spline in ln r, not interpolated."""
+        values and node slopes in s, not interpolated: C^1 in ln r, and C^2
+        where the slopes are a spline's (the minimizer's, or one written by
+        ``profile_to_json``)."""
         profile = cls.__new__(cls)
         profile._hold(rule, values, slopes)
         return profile
@@ -324,6 +322,16 @@ class SampledProfile:
         if total < math.inf:
             return total
         raise DegenerateProfileError(f"∫ r^{power} |f^({deriv})|^2 overflows on the grid")
+
+
+def _per_node(grid: np.ndarray, column, name: str) -> np.ndarray:
+    """A private float copy of ``column``: one finite number per grid node."""
+    column = np.array(column, dtype=float)
+    if grid.ndim != 1 or column.shape != grid.shape:
+        raise UsageError(f"grid and {name} must be 1-d arrays of equal length")
+    if not np.all(np.isfinite(column)):
+        raise UsageError(f"profile {name} must be finite")
+    return column
 
 
 def _hermite_table(t: np.ndarray) -> np.ndarray:
@@ -518,8 +526,9 @@ def shift_power(p: AnalyticProfile | MixtureProfile, delta: float):
 
 
 def profile_to_json(p: Profile) -> dict:
+    """A sampled profile is its grid, node values and node slopes in s."""
     if isinstance(p, SampledProfile):
-        return {"grid": p.grid.tolist(), "values": p.values.tolist()}
+        return {"grid": p.grid.tolist(), "values": p.values.tolist(), "slopes": p._slopes.tolist()}
     if isinstance(p, MixtureProfile):
         return {"mixture": [profile_to_json(c) for c in p.components]}
     params: dict[str, float] = {"amplitude": p.amplitude, "rate": p.rate}
@@ -529,9 +538,15 @@ def profile_to_json(p: Profile) -> dict:
 
 
 def profile_from_json(obj: dict | str) -> Profile:
+    """The profile ``profile_to_json`` wrote: a sampled one from its node
+    slopes as written, or by interpolation when it has none."""
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if "slopes" in obj:
+            grid = np.asarray(obj["grid"], dtype=float)
+            values, slopes = (_per_node(grid, obj[name], name) for name in ("values", "slopes"))
+            return SampledProfile._from_slopes(_grid_rule(grid.tobytes()), values, slopes)
         if "grid" in obj:
             return SampledProfile(obj["grid"], obj["values"])
         if "mixture" in obj:

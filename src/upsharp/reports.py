@@ -5,7 +5,8 @@ seed the numeric payload is bit-identical between runs (only the timestamp
 differs). ``render_json`` is the one place that knows the JSON format: a
 dataclass is written as its fields, a ``Fraction`` as ``{num, den, float}``,
 a mode as ``{N, k}`` and a profile as ``profile_to_json`` writes it; enums
-are written as their values. Keys are sorted and floats shortest-roundtrip.
+are written as their values. Keys are sorted, floats shortest-roundtrip, and
+a report is one line: without indentation ``json`` uses its C encoder.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _encode(obj):
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True, default=_encode)
+    return json.dumps(payload, sort_keys=True, allow_nan=True, default=_encode)
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateProfileError,
     DivergentIntegralError,
     FormUnavailableError,
+    QuadratureConvergenceError,
     SingularWeightError,
     UsageError,
 )
@@ -32,16 +33,17 @@ from .profiles import (
     Mode,
     Profile,
     SampledProfile,
-    gauss_panels,
     make_mode,
     shift_power,
 )
 from .quadrature import (
     CLOSED_FORM,
+    PANEL_REL_TOL,
     QuadratureRule,
     WeightedSeminorm,
     default_r_max,
     integrate,
+    panel_integrate,
 )
 
 
@@ -299,31 +301,6 @@ def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule
     return _in_float_range(evaluate, "Hardy quotient integrals", ("num", "den"))[-1]
 
 
-def _cartesian_second_derivatives(f: Profile, degree: int, r: np.ndarray, theta: np.ndarray):
-    """u_xx, u_yy, u_xy on the polar tensor grid for u = f(r) cos(degree*θ)."""
-    c, s = np.cos(theta)[None, :], np.sin(theta)[None, :]
-    g = np.cos(degree * theta)[None, :]
-    gp = -degree * np.sin(degree * theta)[None, :]
-    gpp = -degree * degree * g
-    rr = r[:, None]
-    f0 = np.asarray(f.value(r, 0))[:, None]
-    f1 = np.asarray(f.value(r, 1))[:, None]
-    f2 = np.asarray(f.value(r, 2))[:, None]
-    u_rr, u_r = f2 * g, f1 * g
-    u_rt, u_t, u_tt = f1 * gp, f0 * gp, f0 * gpp
-    u_xx = c * c * u_rr - 2 * c * s * u_rt / rr + s * s * u_tt / rr**2 + s * s * u_r / rr + 2 * c * s * u_t / rr**2
-    u_yy = s * s * u_rr + 2 * c * s * u_rt / rr + c * c * u_tt / rr**2 + c * c * u_r / rr - 2 * c * s * u_t / rr**2
-    u_xy = c * s * u_rr + (c * c - s * s) * u_rt / rr - c * s * u_tt / rr**2 - c * s * u_r / rr - (c * c - s * s) * u_t / rr**2
-    return u_xx, u_yy, u_xy
-
-
-#: Tensor rule of ``vector_equiv_check_2d``: equispaced angles, and uniform
-#: Gauss-Legendre panels in r out to ``default_r_max``.
-_EQUIV_N_THETA = 64
-_EQUIV_R_PANELS = 32
-_EQUIV_POINTS_PER_PANEL = 12
-
-
 def vector_equiv_check_2d(
     radial: AnalyticProfile | MixtureProfile, degree: int = 0
 ) -> tuple[float, float]:
@@ -332,27 +309,38 @@ def vector_equiv_check_2d(
     For u(x) = f(r) cos(degree*θ) and the rotated gradient field
     Ū = (-u_{x2}, u_{x1}), returns
 
-        lhs = ∫_{R^2} |∇Ū|^2 dx   (componentwise tensor quadrature in (r, θ))
+        lhs = ∫_{R^2} |∇Ū|^2 dx   (the Hessian in the polar frame)
         rhs = ∫_{R^2} |Δu|^2 dx   (mode-decomposed radial machinery)
 
-    The two agree because |∇Ū|^2 integrates to u_xx^2 + u_yy^2 + 2 u_xy^2.
+    The two agree because |∇Ū|^2 = u_xx^2 + u_yy^2 + 2 u_xy^2 = |∇²u|_F^2,
+    whose integral is that of |Δu|^2 (integrate by parts twice). The squared
+    Frobenius norm is the same in every orthonormal frame; in the polar
+    frame the Hessian's entries are u_rr = f'' cos kθ,
+    u_rθ/r - u_θ/r^2 = -k (f'/r - f/r^2) sin kθ and
+    u_r/r + u_θθ/r^2 = (f'/r - k^2 f/r^2) cos kθ. The angle is integrated
+    exactly (cos^2 kθ to the mode's angular norm, sin^2 kθ to π), the
+    radius by ``panel_integrate`` out to ``default_r_max``;
+    QuadratureConvergenceError when its estimate misses ``PANEL_REL_TOL``.
     """
     mode = make_mode(2, degree)  # UsageError below degree 0
-    # Uniform panels: the integrand is smooth, and avoiding tiny radii keeps
-    # the 1/r^2 cancellations in the Cartesian assembly benign.
-    edges = np.linspace(0.0, default_r_max(radial), _EQUIV_R_PANELS + 1)
-    r, w_r = (a.ravel() for a in gauss_panels(edges, _EQUIV_POINTS_PER_PANEL))
-    theta = 2.0 * np.pi * np.arange(_EQUIV_N_THETA) / _EQUIV_N_THETA
-    w_theta = 2.0 * np.pi / _EQUIV_N_THETA
+    angular_norm_sq = 2.0 * np.pi if degree == 0 else np.pi
 
-    u_xx, u_yy, u_xy = _cartesian_second_derivatives(radial, degree, r, theta)
-    integrand = (u_xx**2 + u_yy**2 + 2.0 * u_xy**2) * r[:, None]
-    lhs = float((w_r @ integrand).sum() * w_theta)
+    def hessian_sq(r: np.ndarray) -> np.ndarray:
+        f, f1, f2 = (np.asarray(radial.value(r, d)) for d in (0, 1, 2))
+        # k inside the square: at k = 0 a square that overflows would give inf * 0.
+        cos_sq = f2**2 + (f1 / r - degree**2 * f / r**2) ** 2
+        sin_sq = 2.0 * (degree * (f1 / r - f / r**2)) ** 2
+        return (angular_norm_sq * cos_sq + np.pi * sin_sq) * r
+
+    lhs, est = panel_integrate(hessian_sq, default_r_max(radial))
+    if est > PANEL_REL_TOL * abs(lhs):
+        raise QuadratureConvergenceError(
+            f"vector-field energy error estimate {est:.3e} exceeds tolerance for value {lhs:.6e}"
+        )
 
     # u = r^k v; at degree 0 the reduced rows are the raw rows.
     reduced = shift_power(radial, -degree)
     radial_value = eval_mode_functional(
         FunctionalId.LAPLACIAN_ENERGY, mode, reduced, Form.REDUCED, CLOSED_FORM
     ).value
-    angular_norm_sq = 2.0 * np.pi if degree == 0 else np.pi
     return lhs, angular_norm_sq * radial_value

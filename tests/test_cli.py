@@ -286,6 +286,16 @@ def test_decompose_check(capsys):
     assert rc == 0 and json.loads(out)["failures"] == 0
 
 
+@pytest.mark.parametrize("k", ["32", "64"])
+def test_decompose_check_high_degrees_pass(capsys, k):
+    # Degrees at which 2k is a multiple of 64 once aliased an equispaced
+    # 64-angle grid; the vector row now integrates the angle exactly.
+    rc, out = run_cli(capsys, ["decompose-check", "--n", "2", "--mode-k", k])
+    data = json.loads(out)
+    assert rc == 0 and data["failures"] == 0
+    assert all(row["rel_error"] < 1e-12 for row in data["rows"])
+
+
 @pytest.mark.parametrize("beta", ["1e-100", "1e100"])
 def test_decompose_check_extreme_rates_stay_exact(capsys, beta):
     # The closed-form moments of a Gaussian at rate 1e-100 or 1e100 are in

@@ -23,7 +23,7 @@ from upsharp.minimize import (
     _lowest_eigenpair,
     _scaled_bands,
 )
-from upsharp.profiles import AnalyticProfile, SampledProfile, _grid_rule
+from upsharp.profiles import AnalyticProfile, SampledProfile, _grid_rule, profile_from_json
 from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
 from upsharp.reports import render_json
 from fractions import Fraction
@@ -501,20 +501,25 @@ def test_argmin_reproduces_min_value(kind):
     # table rows over the grid, plus the constant continuation below r_min
     # for every zero-order row (absent where v(r_min) is pinned to 0). The
     # export is the minimizer's spline in ln r itself, so the two agree to
-    # rounding.
+    # rounding. Its JSON form is that spline too: read back from a report it
+    # has the same node values and slopes, bit for bit.
     for n in (2, 3, 5):
         for k in (0, 1, 2):
             res = minimize_quotient(problem(kind, n, k, size=512))
-            v, r_min = res.argmin, res.argmin.grid[0]
+            read_back = profile_from_json(json.loads(render_json(res))["argmin"])
+            assert read_back.values.tobytes() == res.argmin.values.tobytes(), (n, k)
+            assert read_back._slopes.tobytes() == res.argmin._slopes.tobytes(), (n, k)
             forms, _ = _kind_lookup(res.kind, res.mode)
             pinned = any(d == 0 and p <= -1 for rows in forms for _, d, p in rows)
+            for v in (res.argmin, read_back):
+                r_min = v.grid[0]
 
-            def row_value(coef, d, p):
-                head = 0.0 if d or pinned else r_min ** (p + 1) / (p + 1) * v.values[0] ** 2
-                return coef * (integrate(v, WeightedSeminorm(d, p)) + head)
+                def row_value(coef, d, p):
+                    head = 0.0 if d or pinned else r_min ** (p + 1) / (p + 1) * v.values[0] ** 2
+                    return coef * (integrate(v, WeightedSeminorm(d, p)) + head)
 
-            a, b, c = (math.fsum(row_value(*row) for row in rows) for rows in forms)
-            assert a * b / (c * c) == pytest.approx(res.min_value, rel=1e-12), (n, k)
+                a, b, c = (math.fsum(row_value(*row) for row in rows) for rows in forms)
+                assert a * b / (c * c) == pytest.approx(res.min_value, rel=1e-12), (n, k)
 
 
 def test_radial_hydrogen_n2_robust_across_sizes():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.interpolate import CubicSpline
 
 from upsharp.errors import DegenerateProfileError, UsageError
@@ -314,6 +314,22 @@ def test_json_round_trip():
     assert_allclose(back.values, sp.values)
 
 
+def test_sampled_profile_json_keeps_its_node_slopes():
+    # A sampled profile is written with its node slopes in s and read back
+    # as that very spline, even where they are not the interpolating
+    # spline's; a blob without slopes is interpolated anew.
+    grid = np.geomspace(0.01, 10.0, 64)
+    slopes = -2.0 * grid**2 * np.exp(-grid**2) * (1.0 + 0.1 * np.sin(grid))
+    sp = SampledProfile._from_slopes(_grid_rule(grid.tobytes()), np.exp(-grid**2), slopes)
+    blob = json.loads(json.dumps(profile_to_json(sp)))
+    back = profile_from_json(blob)
+    assert back.values.tobytes() == sp.values.tobytes()
+    assert back._slopes.tobytes() == sp._slopes.tobytes()
+    assert back.integral(2, 3) == sp.integral(2, 3)
+    del blob["slopes"]
+    assert_array_equal(profile_from_json(blob)._slopes, SampledProfile(grid, sp.values)._slopes)
+
+
 @pytest.mark.parametrize("obj", [
     {},
     {"grid": [1, 2]},
@@ -321,6 +337,9 @@ def test_json_round_trip():
     {"family": "gaussian", "params": {"rate": "x"}},
     {"grid": ["a"] * 8, "values": [1] * 8},
     "{bad",
+    {"grid": list(range(1, 9)), "values": [1] * 8, "slopes": [0] * 7},
+    {"grid": list(range(1, 9)), "values": [1] * 8, "slopes": [0] * 7 + [math.nan]},
+    {"grid": list(range(1, 9)), "values": [1] * 8, "slopes": None},
 ])
 def test_profile_from_json_rejects_malformed_objects(obj):
     with pytest.raises(UsageError):

@@ -288,6 +288,33 @@ def test_vector_equiv_degree_zero_rhs_is_the_raw_laplacian():
         vector_equiv_check_2d(AnalyticProfile("gaussian", 1.0, 1.0), -1)
 
 
+def test_polar_frame_hessian_gives_the_cartesian_frobenius_norm():
+    # The three polar-frame Hessian entries that vector_equiv_check_2d
+    # integrates, the off-diagonal one twice, square to
+    # u_xx^2 + u_yy^2 + 2 u_xy^2 of u = f(r) cos kθ: cos kθ = T_k(x/r) and
+    # sin kθ = (y/r) U_{k-1}(x/r), with f, f', f'' at r free symbols.
+    import sympy
+
+    x, y = sympy.symbols("x y", positive=True)
+    f0, f1, f2 = derivs = sympy.symbols("f0:3")
+    f = sympy.Function("f")
+    r = sympy.sqrt(x**2 + y**2)
+    for k in range(4):
+        cos_k = sympy.chebyshevt(k, x / r)
+        sin_k = y / r * sympy.chebyshevu(k - 1, x / r) if k else 0
+        u = f(r) * cos_k
+        cartesian = sympy.diff(u, x, 2) ** 2 + sympy.diff(u, y, 2) ** 2 + 2 * sympy.diff(u, x, y) ** 2
+        cartesian = cartesian.subs(
+            {d: derivs[d.expr.derivative_count] for d in cartesian.atoms(sympy.Subs)}
+        ).subs(f(r), f0)
+        polar = (
+            (f2 * cos_k) ** 2
+            + 2 * (k * (f1 / r - f0 / r**2) * sin_k) ** 2
+            + ((f1 / r - k**2 * f0 / r**2) * cos_k) ** 2
+        )
+        assert sympy.expand(sympy.together(cartesian - polar)) == 0, k
+
+
 def test_mode_functional_json():
     g = AnalyticProfile("gaussian", 1.0, 1.0)
     mv = eval_mode_functional(FunctionalId.GRAD_ENERGY, make_mode(3, 0), g, Form.RAW, CLOSED_FORM)
