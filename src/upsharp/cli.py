@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,10 @@ def cmd_decompose_check(args: argparse.Namespace) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    no state in it."""
     parser = argparse.ArgumentParser(
         prog="upsharp",
         description=(

@@ -17,8 +17,10 @@ Gauss rule. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
 forms are assembled straight into LAPACK upper band storage from a table of
 D_0, D_1 and D_2 of the four splines nonzero on each interval, at its Gauss
 points in s, which the sampled profiles' rule evaluates from the splines'
-Hermite data, their closed-form values and slopes at the nodes. Both depend
-on the grid alone and are built once per grid (``_grid_tables``). The right
+Hermite data, their closed-form values and slopes at the nodes: a form sums
+its rows' weights per order d and contracts each sum once with the products
+D_d B_m D_d B_n of the table. Table, products and node data depend on the
+grid alone and are built once per grid (``_grid_tables``). The right
 end is clamped (v = v' = 0). Below r_min the function continues as the
 constant v(r_min), with v'(r_min) = 0 when a row has a second derivative,
 and each zero-order row gains its exact integral over (0, r_min). When a
@@ -41,7 +43,14 @@ from banded Cholesky factorizations: inverse iteration on t A + B/t, then a
 ladder of shifts s below the Rayleigh quotient. By Sylvester's law of
 inertia, a Cholesky of t A + B/t - s C that succeeds proves s < lambda_min,
 so every solve ends with a certified bracket; the largest such shift is the
-next inverse step's shift. The scaled bands are kept column-major, LAPACK's
+next inverse step's shift. A step shifted by s cuts the quotient's error by
+about ((lambda_1 - s)/(lambda_2 - s))^2 (Parlett, *The Symmetric Eigenvalue
+Problem*, ch. 4), at most the square of the certified gap g, so the ladder
+sets its next relative gap from the fall f of the quotient in that step:
+1e3 g^2 f, at least ten times below the last gap and no less than half the
+1e-12 bracket; a shift that fails widens the gap tenfold. Each inverse step
+takes two band products, since the normalised C z of one step is the next
+one's right-hand side. The scaled bands are kept column-major, LAPACK's
 band layout, so BLAS and LAPACK take them without a copy. The eigenvector at
 t* is the argmin, handed over as the sampled profile of that very spline
 (``to_profile``), and that profile's quotient is the reported minimum;
@@ -194,6 +203,10 @@ class VariationalProblem:
 #: three splines on either side of it.
 _BANDS = 3
 
+#: The pairs m <= n of an interval's four splines, in the order of
+#: ``_GridTables.products``.
+_PAIRS = np.triu_indices(_BANDS + 1)
+
 
 def _cholesky(band: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
     """Upper banded Cholesky factor, or None when the matrix is not positive
@@ -208,6 +221,9 @@ class _GridTables(NamedTuple):
 
     rule: _GridRule        # the sampled profiles' rule: nodes, Gauss rule in s, weights
     table: np.ndarray      # D_0, D_1, D_2 at the Gauss points: (3, spline, interval, point)
+    # D_d B_m * D_d B_n of each interval's splines m <= n (pair e of
+    # ``_PAIRS``) at the Gauss points, the forms' integrands: (3, point, interval, 10)
+    products: np.ndarray
     knot_data: np.ndarray  # v and v_s of the three splines nonzero at each node: (2, 3, node)
 
 
@@ -233,8 +249,11 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     ends = np.pad(knot_data, ((0, 0), (1, 1), (0, 0)))
     data = rule.hermite_data(ends[:, 1:, :-1], ends[:, :-1, 1:])
     table = np.ascontiguousarray(np.moveaxis(rule.derivatives(data), 1, -1))
-    tables = _GridTables(rule, table, knot_data)
-    tables.table.flags.writeable = tables.knot_data.flags.writeable = False
+    products = np.ascontiguousarray(
+        (table[:, _PAIRS[0]] * table[:, _PAIRS[1]]).transpose(0, 3, 2, 1))
+    tables = _GridTables(rule, table, products, knot_data)
+    for array in tables[1:]:
+        array.flags.writeable = False
     return tables
 
 
@@ -254,11 +273,12 @@ class DiscreteQuotient:
     free coefficient (−1 where an end condition sets it to 0), and
     ``_local`` does so for each interval's four splines. ``A``, ``B`` and
     ``C`` are accumulated straight into the upper band storage the pencil
-    works on, from the per-interval table of D_0, D_1 and D_2 of the splines
-    at the sampled profiles' Gauss points in s, weighted by that rule's
-    weights. ``to_profile`` hands the spline of ``x`` over as a sampled
-    profile, and ``parts`` is that profile's forms. The table and the node
-    data depend on the grid alone; they are shared (``_grid_tables``).
+    works on, from the per-interval products of D_0, D_1 and D_2 of pairs of
+    splines at the sampled profiles' Gauss points in s, weighted by that
+    rule's weights. ``to_profile`` hands the spline of ``x`` over as a sampled
+    profile, and ``parts`` is that profile's forms. The table, its products
+    and the node data depend on the grid alone; they are shared
+    (``_grid_tables``).
     """
 
     def __init__(self, problem: VariationalProblem):
@@ -280,9 +300,14 @@ class DiscreteQuotient:
         self._free = free
         self._local = free[np.arange(len(r) - 1)[:, None] + np.arange(4)]
         self._size = free.max() + 1
-        a, b = self._local[:, :, None], self._local[:, None, :]
-        self._upper = (a >= 0) & (a <= b)
-        self._slot = ((_BANDS + a - b) * self._size + b)[self._upper]
+        # Entry (a, b) of the band gains pair (m, n) of each interval whose
+        # splines have free coefficients a <= b, twice when two splines
+        # share one coefficient (the pair stands for (n, m) too).
+        a, b = self._local[:, _PAIRS[0]], self._local[:, _PAIRS[1]]
+        upper = (a >= 0) & (a <= b)
+        twice = upper & (a == b) & (_PAIRS[0] != _PAIRS[1])
+        self._pick = np.concatenate([np.flatnonzero(upper), np.flatnonzero(twice)])
+        self._slot = ((_BANDS + a - b) * self._size + b).ravel()[self._pick]
 
         # Each form is its (coef, deriv, power) rows and the weight of
         # v(r_min)^2 that adds the exact integral of its zero-order rows
@@ -294,11 +319,15 @@ class DiscreteQuotient:
         self.A, self.B, self.C = (self._band(*form) for form in self._forms)
 
     def _band(self, rows, edge: float = 0.0) -> np.ndarray:
-        """Upper band storage of the Gram matrix of (coef, deriv, power) rows."""
-        table, weights = self._grid.table, self._grid.rule.weights
-        block = sum(c * np.einsum("qi,aiq,biq->iab", weights(p - 2 * d)[0], table[d], table[d])
-                    for c, d, p in rows)
-        band = np.bincount(self._slot, block[self._upper], (_BANDS + 1) * self._size)
+        """Upper band storage of the Gram matrix of (coef, deriv, power) rows:
+        the rows' weights summed per derivative order, each order's sum
+        contracted once with the grid's spline products."""
+        weights: dict[int, np.ndarray] = {}
+        for c, d, p in rows:
+            weights[d] = weights.get(d, 0.0) + c * self._grid.rule.weights(p - 2 * d)[0]
+        block = sum(np.einsum("qi,qie->ie", w, self._grid.products[d])
+                    for d, w in weights.items())
+        band = np.bincount(self._slot, block.ravel()[self._pick], (_BANDS + 1) * self._size)
         band[_BANDS * self._size] += edge
         return band.reshape(_BANDS + 1, self._size)
 
@@ -359,7 +388,8 @@ class MinimizationResult:
     minimum over t. Where that backward error exceeds the bracket, it can sit
     above the factored-form ``pencil_value``; by more than 1e-9 relative
     only on mode_hyup2_full at k >= 1, where the cases depend on rounding
-    (seen at N = 2, k = 1 and N = 3, k = 2 on 2048-node grids).
+    (seen at N = 2, k = 1 on 512- and 2048-node grids and N = 3, k = 2 on
+    2048-node grids).
     """
 
     kind: QuotientKind
@@ -391,10 +421,15 @@ _AGREEMENT = 1e-6
 _TIE_ULPS = 4
 
 #: Shift ladder of one pencil solve: the first relative gap below the
-#: Rayleigh quotient, the bracket width that ends it, and its step cap.
+#: Rayleigh quotient, the bracket width that ends it, and its step cap; the
+#: margin of a gap over the error the last step's fall predicts, and how far
+#: within a failed gap the certified bracket must be for a stalled quotient
+#: to end the ladder.
 _FIRST_GAP = 1e-2
 _BRACKET = 1e-12
 _LADDER_CAP = 200
+_AIM = 1e3
+_FLOOR_REACH = 100.0
 
 
 def _lowest_eigenpair(
@@ -403,38 +438,56 @@ def _lowest_eigenpair(
     """Certified lower shift and eigenvector of the lowest eigenpair of (K; C).
 
     K and C are upper band storage, Fortran-ordered as LAPACK stores bands,
-    so no call copies them. Inverse iteration starts from y; each
-    shift s that a Cholesky of K - sC accepts is below lambda_min (Sylvester's
-    law of inertia), so the returned shift is a lower bound of the assembled
-    pencil's lambda_min up to the factorization's backward error, while the
-    Rayleigh quotient of the returned vector bounds it from above.
-    SolverError when K itself is not positive definite.
+    so no call copies them. Inverse iteration starts from y and
+    carries the normalised C z of each step to the next as its right-hand
+    side. Each shift s that a Cholesky of K - sC accepts is below lambda_min
+    (Sylvester's law of inertia), so the returned shift is a lower bound of
+    the assembled pencil's lambda_min up to the factorization's backward
+    error, while the Rayleigh quotient of the returned vector bounds it from
+    above. After an accepted shift the next relative gap below the quotient
+    is ``_AIM`` g^2 f, with g the certified gap and f the quotient's relative
+    fall in the step just taken, at most a tenth of the last gap and at
+    least half ``_BRACKET``; a rejected shift widens the gap tenfold. The
+    ladder ends when the bracket is ``_BRACKET``, or when the quotient
+    stopped falling after a rejected shift and the bracket is within
+    ``_FLOOR_REACH`` times that shift's gap. SolverError when K itself is
+    not positive definite, or after ``_LADDER_CAP`` shifts.
     """
     factor = _cholesky(K)
     if factor is None:
         raise SolverError("t A + B/t is not positive definite")
+    Cy = dsbmv(_BANDS, 1.0, C, y)
 
-    def inverse_step(factor: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-        z = dpbtrs(factor, dsbmv(_BANDS, 1.0, C, y), overwrite_b=True)[0]
-        z /= math.sqrt(z @ dsbmv(_BANDS, 1.0, C, z))
-        return z, float(z @ dsbmv(_BANDS, 1.0, K, z))
+    def inverse_step(factor: np.ndarray, Cy: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        z = dpbtrs(factor, Cy, overwrite_b=True)[0]
+        Cz = dsbmv(_BANDS, 1.0, C, z)
+        norm = math.sqrt(z @ Cz)
+        z /= norm
+        Cz /= norm
+        return z, Cz, float(z @ dsbmv(_BANDS, 1.0, K, z))
 
-    y, _ = inverse_step(factor, y)
-    y, hi = inverse_step(factor, y)
+    y, Cy, _ = inverse_step(factor, Cy)
+    y, Cy, hi = inverse_step(factor, Cy)
     lo, gap = 0.0, _FIRST_GAP
     for _ in range(_LADDER_CAP):
         s = max(lo, hi * (1.0 - gap))
         shifted = _cholesky(K - s * C, overwrite=True)
-        if shifted is None:
-            gap *= 10.0
+        if shifted is not None:
+            lo, factor = s, shifted
+        y, Cy, rho = inverse_step(factor, Cy)
+        if shifted is not None:
+            # The error of the quotient contracts by about ((lambda_1 - s) /
+            # (lambda_2 - s))^2 a step, so the next one leaves about g^2 of
+            # this fall, with g the certified gap (hi - lo) / hi.
+            fall = max(hi - rho, 0.0) / hi
+            hi = min(hi, rho)
+            g = (hi - lo) / hi
+            gap = max(0.5 * _BRACKET, min(gap / 10.0, _AIM * g * g * fall))
+        elif rho < hi or hi - lo > _FLOOR_REACH * gap * hi:
+            hi, gap = min(hi, rho), gap * 10.0
         else:
-            lo, factor, gap = s, shifted, gap / 1e3
-        y, rho = inverse_step(factor, y)
-        if rho < hi:
-            hi = rho
-        elif shifted is None:
-            # The quotient stopped falling (its rounding floor) and no
-            # higher shift is certified.
+            # The quotient stopped falling (its rounding floor), no higher
+            # shift is certified, and the bracket is near the failed shift.
             return lo, y
         if hi - lo <= _BRACKET * hi:
             return lo, y
@@ -459,10 +512,11 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     forms in band storage: K = t A + B/t is factored by banded Cholesky, two
     inverse-iteration steps start from the previous evaluation's eigenvector
     (ones at the first), and a ladder of shifts below the Rayleigh quotient
-    follows. A shift whose Cholesky of K - sC succeeds is a certified lower
-    bound of lambda_min(t) and shifts the next inverse step; the ladder ends
-    when that bound and the Rayleigh quotient agree to 1e-12, or when the
-    quotient stops falling and a higher shift fails. lambda(t) is then read
+    follows (``_lowest_eigenpair``). A shift whose Cholesky of K - sC
+    succeeds is a certified lower bound of lambda_min(t) and shifts the next
+    inverse step; the ladder ends when that bound and the Rayleigh quotient
+    agree to 1e-12, or when the quotient stops falling and a higher shift
+    fails close to the bound. lambda(t) is then read
     as the Rayleigh quotient of the eigenvector in the factored forms, an
     upper bound; SolverError when K does not factor, or before any solve
     when a form's diagonal underflows to 0 or overflows, which leaves no

@@ -182,24 +182,31 @@ class AnalyticProfile:
 
     def kernel_terms(self, deriv: int = 0) -> KernelTerms:
         _check_deriv(deriv)
-        a, b = self.amplitude, self.rate
-        if self.family == "gaussian":
-            base = KernelTerms(GAUSS_KERNEL, ((a, 0.0, b),))
-        elif self.family == "monomial_cutoff":
-            base = KernelTerms(GAUSS_KERNEL, ((a, float(self.power), b),))
-        elif self.family == "exponential":
-            base = KernelTerms(EXP_KERNEL, ((a, 0.0, b),))
-        else:  # hydrogen_second
-            base = KernelTerms(EXP_KERNEL, ((a, 0.0, b), (_coefficient(a, b), 1.0, b)))
-        for _ in range(deriv):
-            base = base.differentiate()
-        return base
+        return _kernel_terms(self, deriv)
 
     def value(self, r: np.ndarray | float, deriv: int = 0) -> np.ndarray | float:
         return self.kernel_terms(deriv)(r)
 
     def scaled(self, factor: float) -> "AnalyticProfile":
         return replace(self, amplitude=self.amplitude * factor)
+
+
+@lru_cache(maxsize=256)
+def _kernel_terms(profile: AnalyticProfile, deriv: int) -> KernelTerms:
+    """The terms of the profile's derivative of order ``deriv``, built once
+    per (frozen) profile and order."""
+    a, b = profile.amplitude, profile.rate
+    if profile.family == "gaussian":
+        base = KernelTerms(GAUSS_KERNEL, ((a, 0.0, b),))
+    elif profile.family == "monomial_cutoff":
+        base = KernelTerms(GAUSS_KERNEL, ((a, float(profile.power), b),))
+    elif profile.family == "exponential":
+        base = KernelTerms(EXP_KERNEL, ((a, 0.0, b),))
+    else:  # hydrogen_second
+        base = KernelTerms(EXP_KERNEL, ((a, 0.0, b), (_coefficient(a, b), 1.0, b)))
+    for _ in range(deriv):
+        base = base.differentiate()
+    return base
 
 
 @dataclass(frozen=True)

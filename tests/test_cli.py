@@ -375,6 +375,23 @@ def test_deterministic_reruns_modulo_timestamp(capsys):
     assert scrub(first) == scrub(second)
 
 
+def test_reused_parser_keeps_no_flags_between_calls(capsys):
+    # One parser serves every call in a process: a flag of one call is gone
+    # in the next, --help and usage errors exit as before, and each report
+    # equals a fresh interpreter's, modulo the timestamp.
+    scrub = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
+    args = ["minimize", "product_hup2", "--n", "3", "--m", "96", "--seed", "7"]
+    assert main(args + ["--help"]) == 0
+    assert main(args + ["--band", "x"]) == 2
+    capsys.readouterr()
+    for flags, band in ((["--band", "0.5"], 0.5), ([], 0.02)):
+        rc, out = run_cli(capsys, args + flags)
+        assert rc == 0 and json.loads(out)["tolerance_band"] == band
+        fresh = run_python(["-m", "upsharp.cli", *args, *flags])
+        assert fresh.returncode == 0
+        assert scrub(fresh.stdout) == scrub(out)
+
+
 def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": "4", "beta": "2", "mode": "closed_form", "out": None}))

@@ -290,7 +290,7 @@ def test_grid_tables_are_shared_and_read_only():
     shared = minimize._grid_tables(first.problem.grid)
     assert second._grid is first._grid is shared
     assert shared.rule is _grid_rule(first.problem.grid.nodes().tobytes())
-    for array in (shared.table, shared.knot_data, shared.rule.weights(2)[0]):
+    for array in (shared.table, shared.products, shared.knot_data, shared.rule.weights(2)[0]):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
     other = minimize._grid_tables(GridSpec(1e-3, 14.0, 128))
@@ -415,6 +415,64 @@ def test_banded_solve_matches_dense_eigh(kind):
             dense = linalg.eigh(t * dense_a + dense_b / t, dense_c, eigvals_only=True)[0]
             assert lower <= dense * (1 + 1e-12), (n, t)
             assert banded == pytest.approx(dense, rel=5e-12), (n, t)
+
+
+@pytest.mark.parametrize("kind", list(QuotientKind))
+def test_band_matches_per_row_assembly(kind):
+    # The oracle assembles row by row, one three-operand contraction of the
+    # splines' D_d at the Gauss points per row, over every ordered pair of an
+    # interval's splines whose free coefficients a <= b; _band sums the
+    # weights per order and contracts them with the grid's pair products.
+    # Each entry agrees to 1e-14 of the same sum taken in absolute values.
+    for size in (96, 512):
+        for n in (2, 3, 5):
+            for k in (0, 1, 2):
+                dq = problem(kind, n, k, size=size).assemble()
+                table, weights = dq._grid.table, dq._grid.rule.weights
+                a, b = dq._local[:, :, None], dq._local[:, None, :]
+                upper = (a >= 0) & (a <= b)
+                slot = ((_BANDS + a - b) * dq._size + b)[upper]
+                for rows, edge in dq._forms:
+                    def oracle(f):
+                        block = sum(f(c) * np.einsum("qi,aiq,biq->iab", weights(p - 2 * d)[0],
+                                                     f(table[d]), f(table[d]))
+                                    for c, d, p in rows)
+                        band = np.bincount(slot, block[upper], (_BANDS + 1) * dq._size)
+                        band[_BANDS * dq._size] += f(edge)
+                        return band.reshape(_BANDS + 1, dq._size)
+
+                    scale = oracle(np.abs)
+                    error = np.abs(dq._band(rows, edge) - oracle(lambda x: x))
+                    assert (error <= 1e-14 * scale).all(), (size, n, k)
+
+
+def test_pencil_solves_factor_within_budget(monkeypatch):
+    # The shift ladder sets each gap from the last step's fall, so a warm
+    # start needs few shifts: 2523 Cholesky calls for 590 solves (4.28 a
+    # solve) over the proved problems at 96 and 512 nodes, where a fixed
+    # division of the gap by 1e3 took 3948 (6.69 a solve).
+    calls = []
+    cholesky = minimize._cholesky
+    monkeypatch.setattr(minimize, "_cholesky", lambda *a, **kw: calls.append(1) or cholesky(*a, **kw))
+    solves = sum(minimize_quotient(problem(kind, n, k, size=size)).iterations
+                 for size in (96, 512) for kind, k in _PROVED for n in (2, 3, 5))
+    assert len(calls) <= 4.7 * solves, (len(calls), solves)
+
+
+def test_pencil_brackets_stay_tight():
+    # Every solve ends with a certified bracket of the pencil's lambda_min at
+    # t*: its relative width is at most 2e-8, and its lower end exceeds the
+    # pencil value by more than 1e-9 only where the Cholesky's backward
+    # error exceeds the bracket (mode_hyup2_full at k >= 1, solved in v).
+    for kind in QuotientKind:
+        for n in (2, 3, 4, 5):
+            for k in range(4):
+                for size in (96, 512):
+                    res = minimize_quotient(problem(kind, n, k, size=size))
+                    case = (kind, n, k, size)
+                    assert res.pencil_value - res.pencil_lower <= 2e-8 * res.pencil_value, case
+                    if res.pencil_lower > res.pencil_value * (1 + 1e-9):
+                        assert kind is QuotientKind.MODE_HYUP2_FULL and k >= 1, case
 
 
 def test_pencil_errors_are_typed(monkeypatch):
