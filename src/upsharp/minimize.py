@@ -85,7 +85,7 @@ from .constants import (
 )
 from .errors import SolverError, UsageError
 from .profiles import Mode, Profile, SampledProfile, _grid_rule, _GridRule, make_mode
-from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _hardy_rows, _term_table
+from .seminorms import BOTH_FORMS, HARDY_FUNCTIONALS, PRINCIPLE_FUNCTIONALS, Form, _term_table
 
 
 class QuotientKind(str, Enum):
@@ -99,23 +99,22 @@ class QuotientKind(str, Enum):
 
 class KindSpec(NamedTuple):
     principle: PrincipleId | None  # None: the weighted 1-d Hardy ratio
-    form: Form
-    product: bool  # drops the zero-order rows, which the Hardy correction factor covers
+    degree_zero: bool  # read at degree 0 in dimension N + 2k (product kinds, Hardy ratio)
     r_min: float  # default grid ends
     r_max: float
 
 
-#: Principle, form, product flag and default grid ends of each quotient kind.
-#: r_max is 14 where the extremal is Gaussian, 24 where it is hydrogen-like.
-#: The Hardy infimum is not attained, and hardy_1d's domain error shrinks like
-#: (pi / ln(r_max / r_min))^2, hence its small r_min.
+#: Principle, degree-0 flag and default grid ends of each quotient kind, from
+#: which ``_kind_lookup`` derives its rows and target. r_max is 14 where the
+#: extremal is Gaussian, 24 where it is hydrogen-like. hardy_1d's infimum is
+#: not attained and its domain error is (pi / ln(r_max / r_min))^2: small r_min.
 KINDS = {
-    QuotientKind.PRODUCT_HUP2: KindSpec(PrincipleId.HUP2, Form.REDUCED, True, 1e-3, 14.0),
-    QuotientKind.PRODUCT_HYUP2: KindSpec(PrincipleId.HYUP2, Form.REDUCED, True, 1e-3, 24.0),
-    QuotientKind.CLASSIC_HUP: KindSpec(PrincipleId.HUP, Form.RAW, False, 1e-3, 14.0),
-    QuotientKind.CLASSIC_HYUP: KindSpec(PrincipleId.HYUP, Form.RAW, False, 1e-3, 24.0),
-    QuotientKind.HARDY_1D: KindSpec(None, Form.REDUCED, False, 1e-9, 14.0),
-    QuotientKind.MODE_HYUP2_FULL: KindSpec(PrincipleId.HYUP2, Form.REDUCED, False, 1e-3, 24.0),
+    QuotientKind.PRODUCT_HUP2: KindSpec(PrincipleId.HUP2, True, 1e-3, 14.0),
+    QuotientKind.PRODUCT_HYUP2: KindSpec(PrincipleId.HYUP2, True, 1e-3, 24.0),
+    QuotientKind.CLASSIC_HUP: KindSpec(PrincipleId.HUP, False, 1e-3, 14.0),
+    QuotientKind.CLASSIC_HYUP: KindSpec(PrincipleId.HYUP, False, 1e-3, 24.0),
+    QuotientKind.HARDY_1D: KindSpec(None, True, 1e-9, 14.0),
+    QuotientKind.MODE_HYUP2_FULL: KindSpec(PrincipleId.HYUP2, False, 1e-3, 24.0),
 }
 
 
@@ -141,28 +140,24 @@ def _kind_lookup(kind: QuotientKind, mode: Mode):
     solved in (w = v', every deriv one lower, when no row is zero-order), and
     the known continuum infimum of the quotient, None where none is.
 
-    A product kind, its zero-order rows dropped, is the degree-0 quotient of
-    its principle in dimension N + 2k, so its target is that constant. Any
-    other kind's target is its principle's constant at degree 0 (for
-    mode_hyup2_full the full-space constant, conjectured for 2 <= N <= 4) and
-    None above it; the Hardy ratio's is (N+2k)^2/4.
+    The rows are the term table's at one mode, reduced unless a functional
+    has only a raw form: a degree-0 kind reads degree 0 in dimension N + 2k,
+    where the degree-k product quotient is the degree-0 one. A principle's
+    target is its constant in the dimension read when that mode has degree 0
+    (for mode_hyup2_full the full-space constant, conjectured for
+    2 <= N <= 4), None otherwise; the Hardy ratio's is (N+2k)^2/4.
     """
-    N, k = mode.dimension, mode.degree
     spec = KINDS[kind]
-    if spec.principle is None:
-        num, den = _hardy_rows(mode)
-        forms = ((num,), (den,), (den,))
-        target = (N + 2 * k) ** 2 / 4.0
-    else:
-        tables = (_term_table(fid, spec.form, mode)
-                  for fid in PRINCIPLE_FUNCTIONALS[spec.principle])
-        forms = tuple(tuple((c, s.deriv, s.power) for _, c, s in t
-                            if s.deriv or not spec.product)
-                      for t in tables)
-        if spec.product:
-            target = float(sharp_constant(spec.principle, N + 2 * k))
-        else:
-            target = float(sharp_constant(spec.principle, N)) if k == 0 else None
+    if spec.degree_zero:
+        mode = Mode(mode.dimension + 2 * mode.degree, 0, 0)
+    fids = HARDY_FUNCTIONALS if spec.principle is None else PRINCIPLE_FUNCTIONALS[spec.principle]
+    form = Form.REDUCED if all(fid in BOTH_FORMS for fid in fids) else Form.RAW
+    forms = tuple(tuple((c, s.deriv, s.power) for _, c, s in _term_table(fid, form, mode))
+                  for fid in fids)
+    target = None
+    if mode.degree == 0:  # always so for the Hardy ratio
+        target = (mode.dimension ** 2 / 4.0 if spec.principle is None
+                  else float(sharp_constant(spec.principle, mode.dimension)))
     if all(d >= 1 for rows in forms for _, d, _ in rows):
         forms = tuple(tuple((c, d - 1, p) for c, d, p in rows) for rows in forms)
     return forms, target
@@ -653,7 +648,7 @@ def mode_combined_bound(
     if k_max < 4:
         raise UsageError("k_max must be at least 4")
     kind = next(kind for kind, spec in KINDS.items()
-                if spec.product and spec.principle is principle)
+                if spec.degree_zero and spec.principle is principle)
     rows: list[ModeBoundRow] = []
     for k in range(k_max + 1):
         problem = VariationalProblem.for_mode(kind, dimension, k, size=size)

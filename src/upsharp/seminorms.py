@@ -101,6 +101,10 @@ PRINCIPLE_FUNCTIONALS = {
     ),
 }
 
+#: (A, B, C) of the weighted 1-d Hardy ratio A/C = A·B/C², read at degree 0
+#: in dimension N + 2k: ∫ r^{N+2k+1}|v'|² over ∫ r^{N+2k-1}|v|².
+HARDY_FUNCTIONALS = (FunctionalId.WEIGHTED_GRAD_ENERGY, FunctionalId.L2_NORM, FunctionalId.L2_NORM)
+
 
 @lru_cache(maxsize=1024)
 def _term_table(fid: FunctionalId, form: Form, mode: Mode):
@@ -260,12 +264,6 @@ def full_space_value(mode_values: list[ModeFunctionalValue]) -> float:
     return math.fsum(mv.value for mv in ordered)
 
 
-def _hardy_rows(mode: Mode):
-    """Numerator and denominator rows of the weighted 1-d Hardy quotient."""
-    p = mode.dimension + 2 * mode.degree
-    return (1, 1, p + 1), (1, 0, p - 1)
-
-
 def _in_float_range(evaluate, subject: str, names: tuple[str, ...]) -> tuple[float, ...]:
     """The values ``evaluate()`` returns, computed with floating-point warnings
     off: the integrals a quotient is made of, then the quotient.
@@ -287,15 +285,19 @@ def _in_float_range(evaluate, subject: str, names: tuple[str, ...]) -> tuple[flo
 
 
 def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule.PANELS) -> float:
-    """Weighted 1-d Hardy quotient ∫ r^{N+2k+1}|v'|^2 / ∫ r^{N+2k-1}|v|^2 by ``rule``.
+    """Weighted 1-d Hardy quotient ∫ r^{N+2k+1}|v'|^2 / ∫ r^{N+2k-1}|v|^2 by
+    ``rule``, from the ``HARDY_FUNCTIONALS`` rows at degree 0 in dimension N + 2k.
 
     For any admissible profile the continuum value is at least (N+2k)^2/4.
     The quotient is amplitude-invariant; DegenerateProfileError when an
     integral or the quotient leaves the normal float range (``_in_float_range``),
     the zero profile included.
     """
+    degree_zero = Mode(mode.dimension + 2 * mode.degree, 0, 0)
+
     def evaluate():
-        num, den = (integrate(v, WeightedSeminorm(d, p), rule) for _, d, p in _hardy_rows(mode))
+        num, den = (integrate(v, seminorm, rule) for fid in HARDY_FUNCTIONALS[:2]
+                    for _, _, seminorm in _term_table(fid, Form.REDUCED, degree_zero))
         return num, den, num / den
 
     return _in_float_range(evaluate, "Hardy quotient integrals", ("num", "den"))[-1]
