@@ -3,11 +3,14 @@
 The quotients here have the form Q(v) = A[v] B[v] / C[v]^2, where A, B and C
 are sums of weighted radial integrals ∫ r^p |v^(d)|² dr. Their
 (coef, deriv, power) rows are read from the seminorm term table through each
-kind's principle (``seminorms.PRINCIPLE_FUNCTIONALS``).
+kind's principle (``seminorms.PRINCIPLE_FUNCTIONALS``) at one mode: the
+problem's, or for the product kinds and the Hardy ratio the degree-0 mode in
+dimension N + 2k, whose quotient the degree-k product quotient is
+(``KINDS``, ``_kind_lookup``).
 
-Order reduction. When no row is zero-order (after a product kind drops its
-own), the quotient is solved in w = v', every deriv one lower, with the
-admissible v = −∫_r^{r_max} w behind it. In v, constants would lie in the
+Order reduction. When no row is zero-order, the quotient is solved in
+w = v', every deriv one lower, with the admissible v = −∫_r^{r_max} w behind
+it, and the result says so (``solved_in``). In v, constants would lie in the
 kernel of every form and the second-order row would cancel near r_min.
 
 Discretization. Rayleigh–Ritz on cubic B-splines in s = ln r, with the grid
@@ -137,8 +140,9 @@ class GridSpec:
 
 def _kind_lookup(kind: QuotientKind, mode: Mode):
     """Nonzero (A, B, C) rows (coef, deriv, power) of the function the kind is
-    solved in (w = v', every deriv one lower, when no row is zero-order), and
-    the known continuum infimum of the quotient, None where none is.
+    solved in, the known continuum infimum of the quotient (None where none
+    is), and that function: "w" for w = v', every deriv one lower, when no
+    row is zero-order, "v" otherwise.
 
     The rows are the term table's at one mode, reduced unless a functional
     has only a raw form: a degree-0 kind reads degree 0 in dimension N + 2k,
@@ -160,7 +164,8 @@ def _kind_lookup(kind: QuotientKind, mode: Mode):
                   else float(sharp_constant(spec.principle, mode.dimension)))
     if all(d >= 1 for rows in forms for _, d, _ in rows):
         forms = tuple(tuple((c, d - 1, p) for c, d, p in rows) for rows in forms)
-    return forms, target
+        return forms, target, "w"
+    return forms, target, "v"
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,7 @@ class DiscreteQuotient:
         self.problem = problem
         self._grid = grid = _grid_tables(problem.grid)
         self.r = r = grid.rule.grid
-        forms, self.target = _kind_lookup(problem.kind, problem.mode)
+        forms, self.target, self.solved_in = _kind_lookup(problem.kind, problem.mode)
         rows = [row for form in forms for row in form]
         second = any(d == 2 for _, d, _ in rows)
         pin = any(d == 0 and p <= -1 for _, d, p in rows)
@@ -370,10 +375,10 @@ class MinimizationResult:
     """Outcome of one t-pencil minimization; its JSON report is these fields.
 
     ``kind``, ``mode`` and ``grid`` are the problem's; ``target`` is the
-    kind's continuum target (``_kind_lookup``). ``argmin`` is w = v' for the
-    product kinds and the degree-0 mode_hyup2_full (no row of theirs is
-    zero-order, so their rows are reduced), v otherwise: the minimizer's own
-    spline, whose quotient is ``min_value`` (``DiscreteQuotient.to_profile``).
+    kind's continuum target (``_kind_lookup``). ``argmin`` is the
+    minimizer's own spline, whose quotient is ``min_value``
+    (``DiscreteQuotient.to_profile``), in the function ``solved_in`` names:
+    "v", or "w" for w = v' where no row of the kind is zero-order.
 
     ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
     Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
@@ -392,6 +397,7 @@ class MinimizationResult:
     grid: GridSpec
     min_value: float
     argmin: SampledProfile
+    solved_in: str  # "v", or "w" for w = v'
     iterations: int  # pencil evaluations
     # Why the bisection stopped: "flat" (the slope times the width is flat to
     # 1e-12), "bracketed" (the width is 1e-4 and both ends of the t range
@@ -571,6 +577,7 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
         grid=problem.grid,
         min_value=min_value,
         argmin=dq.to_profile(scale * y),
+        solved_in=dq.solved_in,
         iterations=iterations,
         exit=reason,
         converged=reason != "range_end" and agrees,
@@ -596,8 +603,8 @@ def _solve(problem: VariationalProblem) -> MinimizationResult:
     solved = _SOLVED.get()
     if solved is None:
         return minimize_quotient(problem)
-    forms, target = _kind_lookup(problem.kind, problem.mode)
-    key = (forms, problem.grid)
+    forms, target, solved_in = _kind_lookup(problem.kind, problem.mode)
+    key = (forms, solved_in, problem.grid)
     if key not in solved:
         solved[key] = minimize_quotient(problem)
     return replace(solved[key], kind=problem.kind, mode=problem.mode, target=target)
@@ -709,7 +716,8 @@ def explore_conjecture(
     The true per-mode quotient is minimized on a resolution ladder, and the
     combined per-mode bound pipeline runs at the finest resolution. A minimum
     below conjectured*(1 - 3 * discretization budget) is flagged as a
-    counterexample candidate; no claim is made in either direction.
+    counterexample candidate, with its argmin and the function that argmin
+    is (``solved_in``); no claim is made in either direction.
 
     Single modes exhaust the full-space infimum. Orthogonal modes add their
     A, B and C, so by Cauchy–Schwarz a mixture with per-mode values
@@ -751,7 +759,7 @@ def explore_conjecture(
     if below:
         size, k, res = min(below, key=lambda s: s[2].min_value)
         counterexample = {"degree": k, "size": size, "min_value": res.min_value,
-                          "profile": res.argmin}
+                          "profile": res.argmin, "solved_in": res.solved_in}
     return ConjectureReport(
         dimension=n,
         conjectured=conjectured,

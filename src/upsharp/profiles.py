@@ -504,17 +504,23 @@ def eval_profile(p: Profile, r, deriv: int = 0):
 
 
 def reduce_profile(mode: Mode, u: SampledProfile) -> SampledProfile:
-    """Strip the leading monomial of a degree-k coefficient: v(r) = u(r) / r^k."""
+    """Strip the leading monomial of a degree-k coefficient: v(r) = u(r) / r^k;
+    UsageError where that leaves the float range."""
     if mode.degree == 0:
         return u
-    return SampledProfile(u.grid, u.values / u.grid ** mode.degree)
+    with np.errstate(all="ignore"):  # the profile rejects values that are not finite
+        values = u.values / u.grid ** mode.degree
+    return SampledProfile(u.grid, values)
 
 
 def unreduce_profile(mode: Mode, v: SampledProfile) -> SampledProfile:
-    """Restore the leading monomial: u(r) = r^k v(r). Inverse of reduce_profile."""
+    """Restore the leading monomial: u(r) = r^k v(r). Inverse of reduce_profile;
+    UsageError where that leaves the float range."""
     if mode.degree == 0:
         return v
-    return SampledProfile(v.grid, v.values * v.grid ** mode.degree)
+    with np.errstate(all="ignore"):  # the profile rejects values that are not finite
+        values = v.values * v.grid ** mode.degree
+    return SampledProfile(v.grid, values)
 
 
 def shift_power(p: AnalyticProfile | MixtureProfile, delta: float):

@@ -247,6 +247,14 @@ def _integrand(kt: KernelTerms, power: int):
     return fn, peak
 
 
+def _finite(value: float, s: WeightedSeminorm) -> float:
+    """The value of ∫ r^p |f^(d)|^2; DegenerateProfileError when it is inf or
+    nan, as for a profile whose squares leave the float range."""
+    if not math.isfinite(value):
+        raise DegenerateProfileError(f"∫ r^{s.power} |f^({s.deriv})|^2 is {value} for this profile")
+    return value
+
+
 def integrate(profile: Profile, s: WeightedSeminorm,
               rule: QuadratureRule = QuadratureRule.PANELS) -> float:
     """Evaluate ∫ r^p |f^(d)|^2 dr by the given rule.
@@ -254,8 +262,10 @@ def integrate(profile: Profile, s: WeightedSeminorm,
     Sampled profiles integrate their spline over their grid by Gauss-Legendre
     per interval regardless of the rule (their support is the grid). Analytic
     profiles are checked for origin divergence first; the numerical rules
-    integrate up to ``default_r_max`` and raise when their error estimate
-    misses their relative tolerance. An unknown rule name is a UsageError.
+    integrate up to ``default_r_max``, with floating-point warnings off, and
+    raise when their error estimate misses their relative tolerance. A value
+    that is not finite is a DegenerateProfileError, an unknown rule name a
+    UsageError.
     """
     rule = QuadratureRule(rule)
     if isinstance(profile, SampledProfile):
@@ -267,28 +277,31 @@ def integrate(profile: Profile, s: WeightedSeminorm,
     if not any(c != 0.0 for c, _, _ in kt.terms):
         return 0.0
     if rule is QuadratureRule.CLOSED_FORM:
-        return closed_form_weighted_square(kt, float(s.power))
+        return _finite(closed_form_weighted_square(kt, float(s.power)), s)
 
     _check_origin_convergence(kt, float(s.power))
     r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
     fn, peak = _integrand(kt, s.power)
-    if rule is QuadratureRule.ADAPTIVE:
-        # Loaded here, not at import: scipy.integrate brings in scipy.optimize,
-        # sparse, spatial and special, and only this oracle uses it.
-        from scipy import integrate as _sciint
+    # Squares beyond the float range make the value inf or nan, rejected below.
+    with np.errstate(all="ignore"):
+        if rule is QuadratureRule.ADAPTIVE:
+            # Loaded here, not at import: scipy.integrate brings in scipy.optimize,
+            # sparse, spatial and special, and only this oracle uses it.
+            from scipy import integrate as _sciint
 
-        # full_output keeps quad from warning; a missed tolerance raises below.
-        value, est, *_ = _sciint.quad(
-            fn, 0.0, r_max, epsabs=0.0, epsrel=ADAPTIVE_REL_TOL, limit=400, full_output=1
-        )
-        tol = 10.0 * ADAPTIVE_REL_TOL
-    else:
-        value, est = panel_integrate(fn, r_max)
-        tol = PANEL_REL_TOL
+            # full_output keeps quad from warning; a missed tolerance raises below.
+            value, est, *_ = _sciint.quad(
+                fn, 0.0, r_max, epsabs=0.0, epsrel=ADAPTIVE_REL_TOL, limit=400, full_output=1
+            )
+            tol = 10.0 * ADAPTIVE_REL_TOL
+        else:
+            value, est = panel_integrate(fn, r_max)
+            tol = PANEL_REL_TOL
     # Squares below the normal range are 0 or have lost their digits, and
     # the error estimate, made of the same squares, cannot tell.
     if peak[0] < np.finfo(float).tiny:
         raise DegenerateProfileError(f"|f^({s.deriv})|^2 underflows at every {rule.value} node")
+    _finite(value, s)
     if est > tol * abs(value):
         raise QuadratureConvergenceError(
             f"{rule.value} error estimate {est:.3e} exceeds tolerance for value {value:.6e}"

@@ -232,8 +232,15 @@ def eval_mode_functional(
     fid, form = FunctionalId(fid), Form(form)
     entries = _term_table(fid, form, mode)
     if form is Form.RAW and mode.degree >= 1 and isinstance(profile, SampledProfile):
-        lead = profile.values[0] / profile.grid[0] ** mode.degree
-        if not np.isfinite(lead):
+        # In plain floats, where an r_0^k out of the float range raises
+        # instead of warning.
+        try:
+            lead = float(profile.values[0]) / float(profile.grid[0]) ** mode.degree
+        except OverflowError:  # r_0^k above the range: the lead is 0
+            lead = 0.0
+        except ZeroDivisionError:  # r_0^k below it
+            lead = math.inf
+        if not math.isfinite(lead):
             raise SingularWeightError("profile does not vanish to the mode order at the grid start")
     _check_n2_admissibility(fid, form, mode, profile)
 
@@ -322,7 +329,8 @@ def vector_equiv_check_2d(
     u_r/r + u_θθ/r^2 = (f'/r - k^2 f/r^2) cos kθ. The angle is integrated
     exactly (cos^2 kθ to the mode's angular norm, sin^2 kθ to π), the
     radius by ``panel_integrate`` out to ``default_r_max``;
-    QuadratureConvergenceError when its estimate misses ``PANEL_REL_TOL``.
+    QuadratureConvergenceError when its estimate misses ``PANEL_REL_TOL``,
+    DegenerateProfileError when either side is not finite.
     """
     mode = make_mode(2, degree)  # UsageError below degree 0
     angular_norm_sq = 2.0 * np.pi if degree == 0 else np.pi
@@ -334,7 +342,10 @@ def vector_equiv_check_2d(
         sin_sq = 2.0 * (degree * (f1 / r - f / r**2)) ** 2
         return (angular_norm_sq * cos_sq + np.pi * sin_sq) * r
 
-    lhs, est = panel_integrate(hessian_sq, default_r_max(radial))
+    with np.errstate(all="ignore"):  # squares beyond the float range give inf or nan
+        lhs, est = panel_integrate(hessian_sq, default_r_max(radial))
+    if not math.isfinite(lhs):
+        raise DegenerateProfileError(f"the vector-field energy is {lhs} for this profile")
     if est > PANEL_REL_TOL * abs(lhs):
         raise QuadratureConvergenceError(
             f"vector-field energy error estimate {est:.3e} exceeds tolerance for value {lhs:.6e}"

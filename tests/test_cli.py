@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import upsharp
-from upsharp.cli import EXIT_COMPUTE, main, parse_float_list, parse_int_range
+from upsharp import cli
+from upsharp.cli import (EXIT_COMPUTE, EXIT_USAGE, EXIT_VERIFY, main, parse_float_list,
+                         parse_int_range)
 from upsharp.constants import PrincipleId
 from upsharp.errors import UsageError
 from upsharp.minimize import QuotientKind, minimize_quotient
@@ -79,6 +81,27 @@ def test_verify_out_of_range_beta_is_a_computation_failure(capsys, beta):
     rc = main(["verify", "hup2", "--n", "3", "--beta", beta])
     assert rc == EXIT_COMPUTE
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_minimize_outside_the_band_exits_1(capsys):
+    # The 512-node minimum sits above 25/4 at rounding, outside a zero band.
+    rc = main(["minimize", "product_hup2", "--n", "3", "--band", "0"])
+    assert rc == EXIT_VERIFY
+    assert "outside" in capsys.readouterr().err
+
+
+def test_verify_gate_miss_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CLOSED_GATE", 0.0)
+    rc = main(["verify", "hup", "--n", "3", "--mode", "closed_form"])
+    assert rc == EXIT_VERIFY
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_config_file_holding_a_list_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[3, 4]")
+    assert main(["verify", "hup", "--n", "3", "--config", str(cfg)]) == EXIT_USAGE
+    assert "JSON object" in capsys.readouterr().err
 
 
 def run_python(args):

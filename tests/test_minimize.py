@@ -8,7 +8,7 @@ from scipy import linalg
 from scipy.linalg.blas import dsbmv
 
 from upsharp import minimize
-from upsharp.constants import MODE_BOUNDS, mode_principle
+from upsharp.constants import MODE_BOUNDS, PrincipleId, mode_principle, sharp_constant
 from upsharp.errors import SolverError, UsageError
 from upsharp.minimize import (
     GridSpec,
@@ -23,9 +23,11 @@ from upsharp.minimize import (
     _lowest_eigenpair,
     _scaled_bands,
 )
-from upsharp.profiles import AnalyticProfile, SampledProfile, _grid_rule, profile_from_json
+from upsharp.profiles import (AnalyticProfile, SampledProfile, _grid_rule, gauss_panels,
+                              make_mode, profile_from_json)
 from upsharp.quadrature import CLOSED_FORM, WeightedSeminorm, integrate
 from upsharp.reports import render_json
+from upsharp.seminorms import PRINCIPLE_FUNCTIONALS, Form, _term_table
 from fractions import Fraction
 
 
@@ -212,6 +214,79 @@ def test_kind_targets_and_default_grids():
                 assert _kind_lookup(p.kind, p.mode)[1] == target, (kind, n, k)
 
 
+#: The kind table as it was before every kind was read at one mode:
+#: principle, form, and whether the kind drops its zero-order rows.
+_OLD_KINDS = {
+    "product_hup2": (PrincipleId.HUP2, Form.REDUCED, True),
+    "product_hyup2": (PrincipleId.HYUP2, Form.REDUCED, True),
+    "classic_hup": (PrincipleId.HUP, Form.RAW, False),
+    "classic_hyup": (PrincipleId.HYUP, Form.RAW, False),
+    "hardy_1d": (None, Form.REDUCED, False),
+    "mode_hyup2_full": (PrincipleId.HYUP2, Form.REDUCED, False),
+}
+
+
+def _old_rows(kind, mode):
+    """The unreduced rows and the target of the old derivation: the rows at
+    (N, k) in the kind's form, zero-order rows dropped for a product kind,
+    the Hardy ratio's two rows written out, and the product target read in
+    dimension N + 2k."""
+    principle, form, product = _OLD_KINDS[kind]
+    n, k = mode.dimension, mode.degree
+    if principle is None:
+        num, den = (1, 1, n + 2 * k + 1), (1, 0, n + 2 * k - 1)
+        return ((num,), (den,), (den,)), (n + 2 * k) ** 2 / 4.0
+    forms = tuple(tuple((c, s.deriv, s.power) for _, c, s in _term_table(fid, form, mode)
+                        if s.deriv or not product)
+                  for fid in PRINCIPLE_FUNCTIONALS[principle])
+    if product:
+        return forms, float(sharp_constant(principle, n + 2 * k))
+    return forms, float(sharp_constant(principle, n)) if k == 0 else None
+
+
+def test_kind_lookup_matches_old_derivation():
+    # Reading the product kinds and the Hardy ratio at degree 0 in dimension
+    # N + 2k gives the same rows, with the same types, and the same targets
+    # as filtering the (N, k) rows did.
+    for kind in QuotientKind:
+        for n in range(2, 7):
+            for k in range(5):
+                forms, target = _old_rows(kind.value, make_mode(n, k))
+                solved_in = "v"
+                if all(d >= 1 for rows in forms for _, d, _ in rows):
+                    forms = tuple(tuple((c, d - 1, p) for c, d, p in rows) for rows in forms)
+                    solved_in = "w"
+                got = _kind_lookup(kind, make_mode(n, k))
+                assert repr(got) == repr((forms, target, solved_in)), (kind, n, k)
+
+
+def test_solved_in_names_the_function_of_the_argmin():
+    # "w" exactly when none of the kind's unreduced rows is zero-order, on
+    # the result, in its JSON and on the explorer's candidate.
+    for kind in QuotientKind:
+        for k in range(3):
+            rows, _ = _old_rows(kind.value, make_mode(3, k))
+            zero_order = any(d == 0 for form in rows for _, d, _ in form)
+            res = minimize_quotient(problem(kind, 3, k, size=96))
+            assert res.solved_in == ("v" if zero_order else "w"), (kind, k)
+            assert json.loads(render_json(res))["solved_in"] == res.solved_in, (kind, k)
+    report = explore_conjecture(2, k_max=1, resolutions=(96,))
+    assert report.counterexample["solved_in"] == "v"
+    assert json.loads(render_json(report))["counterexample"]["solved_in"] == "v"
+
+
+@pytest.mark.parametrize("size", [128, 512])
+def test_product_kinds_are_degree_zero_in_dimension_n_plus_2k(size):
+    # The degree-k product quotient is the degree-0 one in dimension N + 2k:
+    # both give the same report but for the mode.
+    for kind in ("product_hup2", "product_hyup2"):
+        for (n, k), twin in (((3, 1), (5, 0)), ((2, 2), (6, 0))):
+            blob = json.loads(render_json(minimize_quotient(problem(kind, n, k, size))))
+            other = json.loads(render_json(minimize_quotient(problem(kind, *twin, size))))
+            assert blob["mode"] != other["mode"]
+            assert {**blob, "mode": None} == {**other, "mode": None}, (kind, n, k, size)
+
+
 def test_hardy_problem_bounds():
     p = problem("hardy_1d", 4, 0)
     res = minimize_quotient(p)
@@ -349,6 +424,7 @@ def test_minimization_result_json():
     assert blob["t_star"] > 0 and blob["eigen_residual"] >= 0
     assert 0 < blob["pencil_lower"] <= blob["pencil_value"] * (1 + 1e-9)
     assert blob["exit"] in ("flat", "bracketed") and blob["converged"]
+    assert blob["solved_in"] == res.solved_in == "w"
 
 
 #: Every kind with a proved continuum infimum, at the degrees where it holds.
@@ -567,7 +643,7 @@ def test_argmin_reproduces_min_value(kind):
             read_back = profile_from_json(json.loads(render_json(res))["argmin"])
             assert read_back.values.tobytes() == res.argmin.values.tobytes(), (n, k)
             assert read_back._slopes.tobytes() == res.argmin._slopes.tobytes(), (n, k)
-            forms, _ = _kind_lookup(res.kind, res.mode)
+            forms = _kind_lookup(res.kind, res.mode)[0]
             pinned = any(d == 0 and p <= -1 for rows in forms for _, d, p in rows)
             for v in (res.argmin, read_back):
                 r_min = v.grid[0]
@@ -578,6 +654,33 @@ def test_argmin_reproduces_min_value(kind):
 
                 a, b, c = (math.fsum(row_value(*row) for row in rows) for rows in forms)
                 assert a * b / (c * c) == pytest.approx(res.min_value, rel=1e-12), (n, k)
+
+
+def test_gauss_rule_truncation_is_bounded_at_512_nodes():
+    # The forms are assembled by 4-point Gauss in s, exact only where the
+    # weight r^(p+1-2d) is 1. Against the argmin's quotient by 16 points per
+    # interval, min_value errs by about 1e-11 for hardy_1d (whose r_min of
+    # 1e-9 makes its steps in s widest) and at rounding for every other kind.
+    points = 16
+    for kind in QuotientKind:
+        bound = 5e-11 if kind is QuotientKind.HARDY_1D else 1e-13
+        for n in range(2, 6):
+            for k in range(4):
+                res = minimize_quotient(problem(kind, n, k, size=512))
+                forms = _kind_lookup(res.kind, res.mode)[0]
+                pinned = any(d == 0 and p <= -1 for rows in forms for _, d, p in rows)
+                v = res.argmin
+                s, w = (x.ravel() for x in gauss_panels(np.log(v.grid), points))
+                r = np.exp(s)
+
+                def row_value(coef, d, p):
+                    head = 0.0 if d or pinned else v.grid[0] ** (p + 1) / (p + 1) * v.values[0] ** 2
+                    body = math.fsum((w * r ** (p + 1) * v.value(r, d) ** 2).tolist())
+                    return coef * (body + head)
+
+                a, b, c = (math.fsum(row_value(*row) for row in rows) for rows in forms)
+                fine = a * b / (c * c)
+                assert abs(res.min_value - fine) <= bound * fine, (kind, n, k)
 
 
 def test_radial_hydrogen_n2_robust_across_sizes():

@@ -297,6 +297,24 @@ def test_reduce_unreduce_identity_and_roundtrip(rng):
     assert np.max(err) < 1e-12
 
 
+def test_reduce_profile_out_of_the_float_range_is_a_usage_error():
+    # r_0^2 = 1e-400 underflows to 0, so v = u / r^2 is not finite there.
+    u = SampledProfile(np.geomspace(1e-200, 10, 64), np.ones(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError):
+            reduce_profile(make_mode(3, 2), u)
+
+
+def test_unreduce_profile_out_of_the_float_range_is_a_usage_error():
+    # r^3 overflows at the outer nodes of a grid reaching 1e120.
+    v = SampledProfile(np.geomspace(1e-3, 1e120, 64), np.ones(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError):
+            unreduce_profile(make_mode(3, 3), v)
+
+
 def test_json_round_trip():
     for p in (
         AnalyticProfile("hydrogen_second", 0.5, 2.0),
@@ -421,6 +439,26 @@ def test_shift_power():
     assert back.family == "gaussian"
     with pytest.raises(UsageError):
         shift_power(AnalyticProfile("exponential", 1.0, 1.0), 1.0)
+
+
+def test_constructors_reject_bad_parameters():
+    with pytest.raises(UsageError, match="integers"):
+        make_mode(2.5, 0)
+    with pytest.raises(UsageError, match="power"):
+        AnalyticProfile("gaussian", power=1.0)
+    with pytest.raises(UsageError, match="at least one"):
+        MixtureProfile(())
+
+
+def test_mixture_scaling_and_power_shift_act_on_each_component():
+    parts = (AnalyticProfile("gaussian", 2.0, 1.5),
+             AnalyticProfile("monomial_cutoff", -1.0, 0.5, power=1.0))
+    mix = MixtureProfile(parts)
+    assert mix.scaled(3.0) == MixtureProfile(tuple(c.scaled(3.0) for c in parts))
+    assert shift_power(mix, 2.0) == MixtureProfile(tuple(shift_power(c, 2.0) for c in parts))
+    r = np.linspace(0.3, 3, 7)
+    assert_allclose(mix.scaled(3.0).value(r), 3.0 * mix.value(r), rtol=1e-14)
+    assert_allclose(shift_power(mix, 2.0).value(r), r**2 * mix.value(r), rtol=1e-14)
 
 
 def test_mixture_requires_shared_kernel():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,18 @@ def test_non_finite_kernel_coefficients_are_degenerate():
         for d in (0, 1, 2):
             with pytest.raises(DegenerateProfileError):
                 integrate(wide, WeightedSeminorm(d, 2), rule)
+
+
+@pytest.mark.parametrize("rule", list(QuadratureRule))
+def test_integrals_beyond_the_float_range_are_degenerate_without_warnings(rule):
+    # At amplitude 1e200 every square overflows: the integral is inf, or nan
+    # for f'' in closed form. That is a typed error, and no rule warns.
+    huge = AnalyticProfile("gaussian", 1e200, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (0, 1, 2):
+            with pytest.raises(DegenerateProfileError):
+                integrate(huge, WeightedSeminorm(d, 2), rule)
 
 
 def test_closed_form_requires_analytic():

@@ -260,6 +260,35 @@ def test_singular_weight_detection_sampled():
                 eval_mode_functional(FunctionalId.LAPLACIAN_ENERGY, mode, profile, form)
 
 
+def test_mode_functional_beyond_the_float_range_is_degenerate():
+    # The inf of an overflowing integral is not passed on as a value.
+    huge = AnalyticProfile("gaussian", 1e200, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProfileError):
+            eval_mode_functional(FunctionalId.LAPLACIAN_ENERGY, make_mode(3, 0), huge,
+                                 Form.REDUCED, CLOSED_FORM)
+
+
+def test_vector_equiv_beyond_the_float_range_is_degenerate():
+    huge = AnalyticProfile("gaussian", 1e200, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProfileError):
+            vector_equiv_check_2d(huge)
+
+
+def test_raw_lead_check_at_an_underflowing_grid_start_warns_nothing():
+    # r_0^2 = 1e-400 underflows to 0: the profile does not vanish to the
+    # mode order there, and that is said without a division warning first.
+    grid = np.geomspace(1e-200, 10, 64)
+    profile = SampledProfile(grid, np.exp(-grid**2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularWeightError):
+            eval_mode_functional(FunctionalId.GRAD_ENERGY, make_mode(3, 2), profile, Form.RAW)
+
+
 def test_vector_equiv_2d():
     lhs, rhs = vector_equiv_check_2d(AnalyticProfile("gaussian", 1.0, 1.0), 0)
     assert abs(lhs - rhs) / rhs < 1e-6
