@@ -205,15 +205,16 @@ def _decompose_pairs(n: int, k: int, amplitude: float, beta: float) -> list[tupl
     if n == 2:
         pairs.append(("vector_field_energy_vs_scalar", *vector_equiv_check_2d(radial, degree=k)))
     # Raw versus reduced assembly of each mode functional, on independent
-    # quadrature routes (graded panels vs adaptive). The comparison profile
-    # vanishes two orders beyond the mode degree so every raw-form term is
-    # individually finite in dimension 2 as well.
+    # routes: the raw form by graded panels, the reduced form by the exact
+    # closed form. The comparison profile vanishes two orders beyond the mode
+    # degree so every raw-form term is individually finite in dimension 2 as
+    # well.
     mode = make_mode(n, k)
     comparison = AnalyticProfile("monomial_cutoff", amplitude, beta, power=float(k + 2))
     reduced = shift_power(comparison, -k)
     for fid in _DECOMPOSE_IDS:
         raw = eval_mode_functional(fid, mode, comparison, Form.RAW, QuadratureRule.PANELS)
-        red = eval_mode_functional(fid, mode, reduced, Form.REDUCED, QuadratureRule.ADAPTIVE)
+        red = eval_mode_functional(fid, mode, reduced, Form.REDUCED, QuadratureRule.CLOSED_FORM)
         pairs.append((f"{fid.value}_raw_vs_reduced", raw.value, red.value))
     return pairs
 

@@ -334,6 +334,11 @@ class DiscreteQuotient:
     def parts(self, x: np.ndarray) -> tuple[float, float, float]:
         """A, B and C of the spline with coefficients x: the forms of
         ``to_profile(x)``, each zero-order row with its integral below r_min."""
+        # Sums of squares, not x·A·x from the bands: where x is nearly in the
+        # kernel of a form's derivative rows (mode_hyup2_full at k >= 1),
+        # Σ A_ij x_i x_j cancels, so the rounding of the assembled entries
+        # moves it far more than that of these integrals (A by 2.0e-6
+        # relative at N = 2, k = 1 on 2048 nodes, even summed exactly).
         v = self.to_profile(x)
         head = v.values[0] ** 2
         return tuple(
@@ -380,16 +385,21 @@ class MinimizationResult:
     (``DiscreteQuotient.to_profile``), in the function ``solved_in`` names:
     "v", or "w" for w = v' where no row of the kind is zero-order.
 
+    ``pencil_value`` is (lambda(t*)/2)^2 with lambda(t*) = (t* a + b/t*)/c
+    from the argmin's A, B and C (``DiscreteQuotient.parts``), so
+    ``pencil_value - min_value`` is (t* a - b/t*)^2 / (4 c^2), the AM-GM gap
+    at t*: it measures how well t* was found, not a second eigen solve.
+
     ``pencil_lower`` is (sigma/2)^2, where sigma is the largest shift whose
     Cholesky of t* A + B/t* - sigma C succeeded. It bounds the assembled
-    discrete pencil's (lambda_min(t*)/2)^2 from below, up to the backward
-    error of that factorization (machine precision times the norm of the
-    scaled forms). It is not a bound on the continuum infimum, nor on the
-    minimum over t. Where that backward error exceeds the bracket, it can sit
-    above the factored-form ``pencil_value``; by more than 1e-9 relative
-    only on mode_hyup2_full at k >= 1, where the cases depend on rounding
-    (seen at N = 2, k = 1 on 512- and 2048-node grids and N = 3, k = 2 on
-    2048-node grids).
+    bands' (lambda_min(t*)/2)^2 from below, up to the backward error of that
+    factorization. It is not a bound on the continuum infimum, nor on the
+    minimum over t, nor on ``pencil_value``: the bands' entries carry
+    rounding, which the cancellation in x·A·x amplifies on mode_hyup2_full at
+    k >= 1 (see ``parts``). There the bands' lambda(t*) lies above the
+    argmin's (1.0e-6 relative at N = 2, k = 1 on 2048 nodes, 6.9e-10 on 512
+    nodes), and ``pencil_lower`` above ``pencil_value`` (1.6e-6 and 1.2e-9).
+    A verified factorization of the same bands cannot close that gap.
     """
 
     kind: QuotientKind

@@ -1,6 +1,6 @@
 """Weighted radial integrals  I = ∫ r^p |f^(d)(r)|^2 dr  on (0, ∞).
 
-Three routes, the members of :class:`QuadratureRule`:
+Two routes, the members of :class:`QuadratureRule`:
 
 * ``closed_form_gamma`` — exact Gamma moments Γ(s)/(2c^s) or Γ(s)/c^s for
   analytic families (both kernels, real exponents, mixtures included); a
@@ -8,13 +8,13 @@ Three routes, the members of :class:`QuadratureRule`:
   off exactly;
 * ``gauss_legendre_panels`` — composite Gauss-Legendre with geometric panel
   grading toward 0, compensated panel summation, and a refinement error
-  estimate held to ``PANEL_REL_TOL``;
-* ``adaptive`` — scipy's adaptive quadrature (QUADPACK) at ``ADAPTIVE_REL_TOL``,
-  used as an independent oracle. ``scipy.integrate`` is imported on its first
-  use, so importing the package loads only numpy and ``scipy.linalg``.
+  estimate held to ``PANEL_REL_TOL``. It reproduces the closed form
+  numerically, so each route checks the other.
 
-Kernel coefficients out of the float range, or |f^(d)|^2 below the normal
-range at every node of a numerical rule, make the integral degenerate.
+The integral of a nonzero square is a positive normal double by either
+route. Kernel coefficients out of the float range, |f^(d)|^2 below the normal
+range at every panel node, or a value that is 0, subnormal, inf or nan make
+the integral degenerate.
 
 Sampled profiles integrate themselves over their own grid, whatever the rule
 (:meth:`profiles.SampledProfile.integral`); ``integrate`` hands them on.
@@ -23,6 +23,7 @@ Sampled profiles integrate themselves over their own grid, whatever the rule
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -47,11 +48,10 @@ from .profiles import (
 PANEL_COUNT = 48
 PANEL_POINTS = 24
 PANEL_REFINE = 8
-#: Relative tolerances of the panel rule's estimate and of QUADPACK. An
-#: integral scales with the squared amplitude and a power of the rate, so an
-#: absolute floor would pass small integrals unresolved.
+#: Relative tolerance of the panel rule's estimate. An integral scales with
+#: the squared amplitude and a power of the rate, so an absolute floor would
+#: pass small integrals unresolved.
 PANEL_REL_TOL = 1e-9
-ADAPTIVE_REL_TOL = 1e-10
 # Deepest panel edge relative to r_max; resolves integrable power singularities
 # down to r^{-1+eps} without losing the smooth bulk.
 _GRADING_EPS = 1e-30
@@ -65,7 +65,6 @@ class QuadratureRule(str, Enum):
 
     CLOSED_FORM = "closed_form_gamma"
     PANELS = "gauss_legendre_panels"
-    ADAPTIVE = "adaptive"
 
     @classmethod
     def _missing_(cls, value):
@@ -247,11 +246,15 @@ def _integrand(kt: KernelTerms, power: int):
     return fn, peak
 
 
-def _finite(value: float, s: WeightedSeminorm) -> float:
-    """The value of ∫ r^p |f^(d)|^2; DegenerateProfileError when it is inf or
-    nan, as for a profile whose squares leave the float range."""
-    if not math.isfinite(value):
-        raise DegenerateProfileError(f"∫ r^{s.power} |f^({s.deriv})|^2 is {value} for this profile")
+def positive_normal(value: float, what: str) -> float:
+    """``value`` if it is a positive normal double, else DegenerateProfileError.
+
+    ``value`` is the integral of a square that is not identically zero, so 0,
+    a subnormal or a negative value means the square underflowed or cancelled,
+    and inf or nan that it left the float range.
+    """
+    if not sys.float_info.min <= value < math.inf:
+        raise DegenerateProfileError(f"{what} is {value:g} for this profile")
     return value
 
 
@@ -261,11 +264,13 @@ def integrate(profile: Profile, s: WeightedSeminorm,
 
     Sampled profiles integrate their spline over their grid by Gauss-Legendre
     per interval regardless of the rule (their support is the grid). Analytic
-    profiles are checked for origin divergence first; the numerical rules
-    integrate up to ``default_r_max``, with floating-point warnings off, and
-    raise when their error estimate misses their relative tolerance. A value
-    that is not finite is a DegenerateProfileError, an unknown rule name a
-    UsageError.
+    profiles are checked for origin divergence first. The panel rule
+    integrates up to ``default_r_max``, with floating-point warnings off, and
+    raises QuadratureConvergenceError when its error estimate misses
+    ``PANEL_REL_TOL``. A profile whose coefficients of f^(d) are all 0
+    integrates to 0.0; for any other, a value that is not a positive normal
+    double is a DegenerateProfileError (``positive_normal``). An unknown rule
+    name is a UsageError.
     """
     rule = QuadratureRule(rule)
     if isinstance(profile, SampledProfile):
@@ -276,33 +281,22 @@ def integrate(profile: Profile, s: WeightedSeminorm,
         raise DegenerateProfileError(f"the coefficients of f^({s.deriv}) leave the float range")
     if not any(c != 0.0 for c, _, _ in kt.terms):
         return 0.0
+    what = f"∫ r^{s.power} |f^({s.deriv})|^2"
     if rule is QuadratureRule.CLOSED_FORM:
-        return _finite(closed_form_weighted_square(kt, float(s.power)), s)
+        return positive_normal(closed_form_weighted_square(kt, float(s.power)), what)
 
     _check_origin_convergence(kt, float(s.power))
     r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
     fn, peak = _integrand(kt, s.power)
     # Squares beyond the float range make the value inf or nan, rejected below.
     with np.errstate(all="ignore"):
-        if rule is QuadratureRule.ADAPTIVE:
-            # Loaded here, not at import: scipy.integrate brings in scipy.optimize,
-            # sparse, spatial and special, and only this oracle uses it.
-            from scipy import integrate as _sciint
-
-            # full_output keeps quad from warning; a missed tolerance raises below.
-            value, est, *_ = _sciint.quad(
-                fn, 0.0, r_max, epsabs=0.0, epsrel=ADAPTIVE_REL_TOL, limit=400, full_output=1
-            )
-            tol = 10.0 * ADAPTIVE_REL_TOL
-        else:
-            value, est = panel_integrate(fn, r_max)
-            tol = PANEL_REL_TOL
+        value, est = panel_integrate(fn, r_max)
     # Squares below the normal range are 0 or have lost their digits, and
     # the error estimate, made of the same squares, cannot tell.
-    if peak[0] < np.finfo(float).tiny:
+    if peak[0] < sys.float_info.min:
         raise DegenerateProfileError(f"|f^({s.deriv})|^2 underflows at every {rule.value} node")
-    _finite(value, s)
-    if est > tol * abs(value):
+    positive_normal(value, what)
+    if est > PANEL_REL_TOL * value:
         raise QuadratureConvergenceError(
             f"{rule.value} error estimate {est:.3e} exceeds tolerance for value {value:.6e}"
         )

@@ -44,6 +44,7 @@ from .quadrature import (
     default_r_max,
     integrate,
     panel_integrate,
+    positive_normal,
 )
 
 
@@ -329,8 +330,9 @@ def vector_equiv_check_2d(
     u_r/r + u_θθ/r^2 = (f'/r - k^2 f/r^2) cos kθ. The angle is integrated
     exactly (cos^2 kθ to the mode's angular norm, sin^2 kθ to π), the
     radius by ``panel_integrate`` out to ``default_r_max``;
-    QuadratureConvergenceError when its estimate misses ``PANEL_REL_TOL``,
-    DegenerateProfileError when either side is not finite.
+    QuadratureConvergenceError when its estimate misses ``PANEL_REL_TOL``.
+    The zero profile gives (0.0, 0.0); for any other, a side that is not a
+    positive normal double is a DegenerateProfileError.
     """
     mode = make_mode(2, degree)  # UsageError below degree 0
     angular_norm_sq = 2.0 * np.pi if degree == 0 else np.pi
@@ -344,8 +346,8 @@ def vector_equiv_check_2d(
 
     with np.errstate(all="ignore"):  # squares beyond the float range give inf or nan
         lhs, est = panel_integrate(hessian_sq, default_r_max(radial))
-    if not math.isfinite(lhs):
-        raise DegenerateProfileError(f"the vector-field energy is {lhs} for this profile")
+    if any(c != 0.0 for c, _, _ in radial.kernel_terms(0).terms):
+        positive_normal(lhs, "the vector-field energy")
     if est > PANEL_REL_TOL * abs(lhs):
         raise QuadratureConvergenceError(
             f"vector-field energy error estimate {est:.3e} exceeds tolerance for value {lhs:.6e}"

@@ -303,8 +303,9 @@ def test_decompose_check(capsys):
     rc, _ = run_cli(capsys, ["decompose-check", "--n", "4"])
     assert rc == 2
 
-    # At beta = 1000 the integrals are small (down to 4e-15); the adaptive
-    # rule still resolves them to its relative tolerance.
+    # At beta = 1000 the integrals are small (down to 4e-15); the panel rule
+    # still resolves them to its relative tolerance, against the exact
+    # closed form.
     rc, out = run_cli(capsys, ["decompose-check", "--n", "2", "--mode-k", "2", "--beta", "1000"])
     assert rc == 0 and json.loads(out)["failures"] == 0
 
@@ -482,25 +483,31 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
 
 
 _IMPORT_GUARD = """
-import json, sys
-import upsharp.cli
+import contextlib, io, json, sys
+from upsharp.cli import main
+commands = (
+    ["verify", "hup2", "--n", "3"],
+    ["scan", "hup2_mode", "--n", "2", "--k-max", "8"],
+    ["minimize", "product_hup2", "--n", "3", "--m", "128"],
+    ["conjecture", "--n", "5", "--k-max", "1", "--ladder", "128"],
+    ["decompose-check", "--n", "2"],
+)
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
 heavy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.sparse",
          "scipy.spatial", "scipy.special", "scipy.fft")
 loaded = [m for m in heavy if m in sys.modules]
-from upsharp.profiles import AnalyticProfile
-from upsharp.quadrature import CLOSED_FORM, QuadratureRule, WeightedSeminorm, integrate
-u, s = AnalyticProfile("hydrogen_second", 1.0, 0.7), WeightedSeminorm(2, 3)
-values = [integrate(u, s, rule) for rule in (QuadratureRule.ADAPTIVE, CLOSED_FORM)]
-print(json.dumps({"loaded": loaded, "values": values}))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_import_loads_only_numpy_and_scipy_linalg():
-    # Start-up imports numpy and scipy.linalg; scipy.integrate comes in only
-    # with the adaptive oracle, which still agrees with the closed form.
+    # Every subcommand, run in one interpreter, needs numpy and scipy.linalg
+    # only: no other scipy subpackage is ever loaded.
     proc = run_python(["-c", _IMPORT_GUARD])
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 5
     assert result["loaded"] == []
-    adaptive, exact = result["values"]
-    assert adaptive == pytest.approx(exact, rel=1e-9)

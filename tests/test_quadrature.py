@@ -18,7 +18,6 @@ from upsharp.quadrature import (
 )
 
 PANELS = QuadratureRule.PANELS
-ADAPTIVE = QuadratureRule.ADAPTIVE
 
 
 def test_integrate_closed_form_examples():
@@ -40,7 +39,7 @@ def test_integrate_closed_form_examples():
 
 def test_zero_profile_integrates_to_zero():
     z = AnalyticProfile("gaussian", 0.0, 1.0)
-    for cfg in (CLOSED_FORM, PANELS, ADAPTIVE):
+    for cfg in (CLOSED_FORM, PANELS):
         assert integrate(z, WeightedSeminorm(1, 3), cfg) == 0.0
 
 
@@ -98,16 +97,13 @@ def test_kernel_terms_share_decays():
             assert abs(integrate(mix, s, PANELS) - exact) < 1e-9 * abs(exact)
 
 
-def test_adaptive_agrees_with_closed_form():
-    h = AnalyticProfile("hydrogen_second", 1.0, 1.0)
-    exact = integrate(h, WeightedSeminorm(2, 4), CLOSED_FORM)
-    got = integrate(h, WeightedSeminorm(2, 4), ADAPTIVE)
-    assert_allclose(got, exact, rtol=1e-9)
-    # A small integral (exactly 5e-25) is held to the relative tolerance too.
+def test_small_integrals_keep_the_relative_tolerance():
+    # A small integral (exactly 5e-25) is held to the relative tolerance:
+    # the panel rule has no absolute floor.
     v = AnalyticProfile("monomial_cutoff", 1.0, 1e8, power=2.0)
     exact = integrate(v, WeightedSeminorm(1, 3), CLOSED_FORM)
     assert_allclose(exact, 5e-25, rtol=1e-13)
-    assert_allclose(integrate(v, WeightedSeminorm(1, 3), ADAPTIVE), exact, rtol=1e-10)
+    assert_allclose(integrate(v, WeightedSeminorm(1, 3), PANELS), exact, rtol=1e-9)
 
 
 def test_quadratic_scaling():
@@ -206,7 +202,7 @@ def test_closed_form_pair_terms_at_extreme_rates_match_mpmath():
     assert worst[False] <= 2e-13
 
 
-@pytest.mark.parametrize("rule", [PANELS, ADAPTIVE])
+@pytest.mark.parametrize("rule", [PANELS])
 def test_numerical_rules_reject_underflowed_squares(rule):
     # f'' of (1 + b r) e^{-b r} is of size b^2, so at b = 1e-100 its square
     # underflows at every node while the closed form is 7.5e-101: the rules
@@ -218,6 +214,17 @@ def test_numerical_rules_reject_underflowed_squares(rule):
     small = AnalyticProfile("hydrogen_second", 1.0, 1e-70)
     assert_allclose(integrate(small, WeightedSeminorm(2, 2), rule),
                     integrate(small, WeightedSeminorm(2, 2), CLOSED_FORM), rtol=1e-9)
+
+
+@pytest.mark.parametrize("amplitude", [1e-200, 1e-160])
+def test_every_rule_rejects_squares_below_the_normal_range(amplitude):
+    # The coefficients of f'' are normal, but their squares underflow to 0
+    # (1e-200) or to subnormals (1e-160): the closed form, like the panel
+    # rule, must not return 0.0 or a subnormal as the integral.
+    small = AnalyticProfile("gaussian", amplitude, 1.0)
+    for rule in QuadratureRule:
+        with pytest.raises(DegenerateProfileError):
+            integrate(small, WeightedSeminorm(2, 2), rule)
 
 
 def test_non_finite_kernel_coefficients_are_degenerate():

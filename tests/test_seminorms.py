@@ -32,7 +32,7 @@ from upsharp.seminorms import (
     vector_equiv_check_2d,
 )
 
-ADAPTIVE = QuadratureRule.ADAPTIVE
+PANELS = QuadratureRule.PANELS
 
 
 def test_degree_zero_forms_coincide():
@@ -59,12 +59,13 @@ def test_gaussian_laplacian_closed_value():
 
 
 def test_weighted_grad_raw_vs_reduced_degree_one():
-    # u = r e^{-r^2} at degree 1; both assemblies by independent adaptive quadrature
+    # u = r e^{-r^2} at degree 1; the raw assembly by panels, the reduced one
+    # by the closed form
     mode = make_mode(3, 1)
     u = AnalyticProfile("monomial_cutoff", 1.0, 1.0, power=1.0)
     v = AnalyticProfile("gaussian", 1.0, 1.0)
-    raw = eval_mode_functional(FunctionalId.WEIGHTED_GRAD_ENERGY, mode, u, Form.RAW, ADAPTIVE)
-    red = eval_mode_functional(FunctionalId.WEIGHTED_GRAD_ENERGY, mode, v, Form.REDUCED, ADAPTIVE)
+    raw = eval_mode_functional(FunctionalId.WEIGHTED_GRAD_ENERGY, mode, u, Form.RAW, PANELS)
+    red = eval_mode_functional(FunctionalId.WEIGHTED_GRAD_ENERGY, mode, v, Form.REDUCED, CLOSED_FORM)
     assert abs(raw.value - red.value) / abs(red.value) < 1e-9
 
 
@@ -298,6 +299,18 @@ def test_vector_equiv_2d():
     assert abs(lhs - rhs) / rhs < 1e-6
     lhs, rhs = vector_equiv_check_2d(AnalyticProfile("gaussian", 0.0, 1.0), 0)
     assert lhs == 0.0 and rhs == 0.0
+
+
+@pytest.mark.parametrize("radial", [
+    AnalyticProfile("gaussian", 1e-200, 1.0),
+    AnalyticProfile("monomial_cutoff", 1e-200, 1.0, power=1.0),
+])
+def test_vector_equiv_2d_of_underflowed_profile_is_degenerate(radial):
+    # A nonzero profile whose squares underflow has no meaningful energies:
+    # (0.0, 0.0) would make the relative error 0/0.
+    degree = int(radial.power)
+    with pytest.raises(DegenerateProfileError):
+        vector_equiv_check_2d(radial, degree)
 
 
 def test_vector_equiv_degree_zero_rhs_is_the_raw_laplacian():
