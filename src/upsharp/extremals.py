@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONJECTURAL, PrincipleId, sharp_constant
 from .errors import UsageError
 from .profiles import AnalyticProfile, MixtureProfile, Mode, Profile, make_mode
-from .quadrature import CLOSED_FORM, QuadratureRule
-from .seminorms import PRINCIPLE_FUNCTIONALS, Form, _in_float_range, eval_mode_functional
+from .quadrature import CLOSED_FORM, QuadratureRule, positive_normal
+from .seminorms import PRINCIPLE_FUNCTIONALS, Form, eval_mode_functional
 
 EXTREMAL_FAMILY = {
     PrincipleId.HUP: "gaussian",
@@ -69,14 +67,15 @@ def _principle_quotient(
     p: PrincipleId, mode: Mode, profile: Profile, rule: QuadratureRule, subject: str
 ) -> tuple[float, float, float, float]:
     """The principle's raw functionals a, b, c on the profile and a·b/c²;
-    DegenerateProfileError when one leaves the normal float range, where the
-    quotient of such moments means nothing (``subject`` names them)."""
-    def evaluate():
-        a, b, c = (eval_mode_functional(fid, mode, profile, Form.RAW, rule).value
-                   for fid in PRINCIPLE_FUNCTIONALS[p])
-        return a, b, c, float(np.float64(a) * b / np.square(c))
-
-    return _in_float_range(evaluate, subject, ("a", "b", "c"))
+    DegenerateProfileError when a functional or the quotient is not a
+    positive normal double (``subject`` names them), the zero profile's
+    missing quotient included."""
+    a, b, c = (eval_mode_functional(fid, mode, profile, Form.RAW, rule).value
+               for fid in PRINCIPLE_FUNCTIONALS[p])
+    c_sq = c * c
+    quotient = a * b / c_sq if c_sq else math.nan
+    what = f"the quotient of {subject} (a={a:g}, b={b:g}, c={c:g})"
+    return a, b, c, positive_normal(quotient, what)
 
 
 def extremal_quotient(

@@ -11,19 +11,22 @@ Two routes, the members of :class:`QuadratureRule`:
   estimate held to ``PANEL_REL_TOL``. It reproduces the closed form
   numerically, so each route checks the other.
 
-The integral of a nonzero square is a positive normal double by either
-route. Kernel coefficients out of the float range, |f^(d)|^2 below the normal
-range at every panel node, or a value that is 0, subnormal, inf or nan make
-the integral degenerate.
+Every value the package builds from these integrals passes one verdict,
+``positive_normal``: an integral, a mode functional, a full-space sum or a
+quotient is a positive normal double or a DegenerateProfileError. Kernel
+coefficients out of the float range, |f^(d)|^2 below the normal range at
+every panel node, or a value that is 0, subnormal, negative, inf or nan make
+it degenerate; only the zero profile integrates (and sums) to 0.0.
 
 Sampled profiles integrate themselves over their own grid, whatever the rule
-(:meth:`profiles.SampledProfile.integral`); ``integrate`` hands them on.
+(:meth:`profiles.SampledProfile.integral`); ``integrate`` hands them on. A
+derivative of sampled data can vanish identically, so 0.0 is a legitimate
+integral there.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -34,6 +37,7 @@ from .errors import (DegenerateProfileError, DivergentIntegralError,
                      QuadratureConvergenceError, UsageError)
 from .profiles import (
     GAUSS_KERNEL,
+    _TINY,
     AnalyticProfile,
     KernelTerms,
     MixtureProfile,
@@ -166,9 +170,15 @@ def closed_form_weighted_square(kt: KernelTerms, power: float) -> float:
             if not 0.0 < abs(term) < math.inf:
                 term = _exact_exponent_term(ci, cj, q, c, gauss)
             terms.append(term)
+    return _fsum(terms)
+
+
+def _fsum(terms) -> float:
+    """``math.fsum`` of ``terms``, or nan where it raises: the exact sum is
+    beyond the float range, or inf - inf."""
     try:
         return math.fsum(terms)
-    except ValueError:  # inf - inf
+    except (OverflowError, ValueError):
         return math.nan
 
 
@@ -233,28 +243,55 @@ def panel_integrate(fn, r_max: float) -> tuple[float, float]:
     return fine, abs(fine - coarse)
 
 
-def _integrand(kt: KernelTerms, power: int):
-    """r^power |f^(d)|^2, vectorized in r, and a list holding the largest
-    |f^(d)|^2 it has been evaluated at."""
-    peak = [0.0]
-
-    def fn(r: np.ndarray) -> np.ndarray:
-        square = np.asarray(kt(r)) ** 2
-        peak[0] = max(peak[0], square.max())
-        return square * r ** float(power)
-
-    return fn, peak
-
-
 def positive_normal(value: float, what: str) -> float:
     """``value`` if it is a positive normal double, else DegenerateProfileError.
 
-    ``value`` is the integral of a square that is not identically zero, so 0,
-    a subnormal or a negative value means the square underflowed or cancelled,
-    and inf or nan that it left the float range.
+    The one float-range verdict: every integral, mode functional, full-space
+    sum and quotient of a profile that is not zero passes here. 0, a
+    subnormal or a negative value means squares underflowed or cancelled,
+    inf or nan that they left the float range.
     """
-    if not sys.float_info.min <= value < math.inf:
+    if not _TINY <= value < math.inf:
         raise DegenerateProfileError(f"{what} is {value:g} for this profile")
+    return value
+
+
+def _positive_sum(terms, what: str) -> float:
+    """The exact sum of ``terms``: 0.0 when every term is 0 (the zero
+    profile), else a positive normal double (``positive_normal``)."""
+    terms = list(terms)
+    return positive_normal(_fsum(terms), what) if any(terms) else 0.0
+
+
+def _panel_integral(square, power: int, r_max: float, what: str) -> float:
+    """∫ r^power square(r) dr on (0, r_max) by ``panel_integrate``, with
+    floating-point warnings off, for the squares ``square`` (vectorized in r)
+    of a profile that is not zero.
+
+    Squares below the normal range at every node are 0 or have lost their
+    digits, and the error estimate, made of the same squares, cannot tell:
+    DegenerateProfileError, as for a value that is not a positive normal
+    double. QuadratureConvergenceError when the estimate misses
+    ``PANEL_REL_TOL``.
+    """
+    peak = 0.0
+
+    def fn(r: np.ndarray) -> np.ndarray:
+        nonlocal peak
+        values = square(r)
+        peak = max(peak, values.max())
+        return values * r ** float(power)
+
+    # Squares beyond the float range make the value inf or nan, rejected below.
+    with np.errstate(all="ignore"):
+        value, est = panel_integrate(fn, r_max)
+    if peak < _TINY:
+        raise DegenerateProfileError(f"the squares of {what} underflow at every panel node")
+    positive_normal(value, what)
+    if est > PANEL_REL_TOL * value:
+        raise QuadratureConvergenceError(
+            f"panel error estimate {est:.3e} of {what} exceeds tolerance for value {value:.6e}"
+        )
     return value
 
 
@@ -265,12 +302,10 @@ def integrate(profile: Profile, s: WeightedSeminorm,
     Sampled profiles integrate their spline over their grid by Gauss-Legendre
     per interval regardless of the rule (their support is the grid). Analytic
     profiles are checked for origin divergence first. The panel rule
-    integrates up to ``default_r_max``, with floating-point warnings off, and
-    raises QuadratureConvergenceError when its error estimate misses
-    ``PANEL_REL_TOL``. A profile whose coefficients of f^(d) are all 0
-    integrates to 0.0; for any other, a value that is not a positive normal
-    double is a DegenerateProfileError (``positive_normal``). An unknown rule
-    name is a UsageError.
+    integrates up to ``default_r_max`` (``_panel_integral``). A profile whose
+    coefficients of f^(d) are all 0 integrates to 0.0; for any other, a value
+    that is not a positive normal double is a DegenerateProfileError
+    (``positive_normal``). An unknown rule name is a UsageError.
     """
     rule = QuadratureRule(rule)
     if isinstance(profile, SampledProfile):
@@ -287,17 +322,4 @@ def integrate(profile: Profile, s: WeightedSeminorm,
 
     _check_origin_convergence(kt, float(s.power))
     r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
-    fn, peak = _integrand(kt, s.power)
-    # Squares beyond the float range make the value inf or nan, rejected below.
-    with np.errstate(all="ignore"):
-        value, est = panel_integrate(fn, r_max)
-    # Squares below the normal range are 0 or have lost their digits, and
-    # the error estimate, made of the same squares, cannot tell.
-    if peak[0] < sys.float_info.min:
-        raise DegenerateProfileError(f"|f^({s.deriv})|^2 underflows at every {rule.value} node")
-    positive_normal(value, what)
-    if est > PANEL_REL_TOL * value:
-        raise QuadratureConvergenceError(
-            f"{rule.value} error estimate {est:.3e} exceeds tolerance for value {value:.6e}"
-        )
-    return float(value)
+    return _panel_integral(lambda r: np.asarray(kt(r)) ** 2, s.power, r_max, what)

@@ -19,14 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import PrincipleId
-from .errors import (
-    DegenerateProfileError,
-    DivergentIntegralError,
-    FormUnavailableError,
-    QuadratureConvergenceError,
-    SingularWeightError,
-    UsageError,
-)
+from .errors import DivergentIntegralError, FormUnavailableError, SingularWeightError, UsageError
 from .profiles import (
     AnalyticProfile,
     MixtureProfile,
@@ -38,12 +31,12 @@ from .profiles import (
 )
 from .quadrature import (
     CLOSED_FORM,
-    PANEL_REL_TOL,
     QuadratureRule,
     WeightedSeminorm,
+    _panel_integral,
+    _positive_sum,
     default_r_max,
     integrate,
-    panel_integrate,
     positive_normal,
 )
 
@@ -188,7 +181,9 @@ def _check_n2_admissibility(fid: FunctionalId, form: Form, mode: Mode, profile: 
     """Boundary admissibility near r=0 in dimension 2.
 
     Finiteness of the N=2 second-order integrals needs v_0'(0) = 0 and
-    v_1(0) = 0; for sampled data this is enforced as a smallness check at the
+    v_1(0) = 0: the first for both Laplacians in either form, whose raw and
+    reduced rows coincide at degree 0, the second for their raw form at
+    degree 1. For sampled data this is enforced as a smallness check at the
     grid start rather than proved. With g[x_0, ..., x_j] the divided
     differences of the first node values of g and r_1 the second node, the
     order-m condition g^(m)(0) = 0 is read as
@@ -196,16 +191,13 @@ def _check_n2_admissibility(fid: FunctionalId, form: Form, mode: Mode, profile: 
     left side is about (r_0 + r_1) / r_1 <= 2 times the right side's
     |g^(m+1)| / (m+1)! scale, where it is not, about |g^(m)(0)| / m!.
     """
-    if mode.dimension != 2 or not isinstance(profile, SampledProfile):
+    laplacian = fid in (FunctionalId.LAPLACIAN_ENERGY, FunctionalId.RADIAL_LAPLACIAN_ENERGY)
+    if mode.dimension != 2 or not laplacian or not isinstance(profile, SampledProfile):
         return
-    if form is Form.REDUCED and fid is FunctionalId.LAPLACIAN_ENERGY and mode.degree == 0:
+    if mode.degree == 0:
         g, order = profile.derivative_values(0)[:3], 1
         message = "dimension-2 degree-0 profile must have vanishing slope at the origin"
-    elif (
-        form is Form.RAW
-        and mode.degree == 1
-        and fid in (FunctionalId.LAPLACIAN_ENERGY, FunctionalId.RADIAL_LAPLACIAN_ENERGY)
-    ):
+    elif form is Form.RAW and mode.degree == 1:
         g, order = profile.derivative_values(0)[:3] / profile.grid[:3], 0
         message = "dimension-2 degree-1 profile must vanish to second order at the origin"
     else:
@@ -229,6 +221,8 @@ def eval_mode_functional(
     The profile must already be the mode's radial coefficient in that form.
     Only the nonzero terms of the identity are integrated (see
     :func:`_term_table`), each by ``rule`` (see :func:`quadrature.integrate`).
+    Their exact sum is 0.0 for the zero profile and otherwise a positive
+    normal double or a DegenerateProfileError.
     """
     fid, form = FunctionalId(fid), Form(form)
     entries = _term_table(fid, form, mode)
@@ -254,12 +248,14 @@ def eval_mode_functional(
                 f"{fid.value} ({form.value} form) is singular for this profile: {exc}"
             ) from exc
         terms[key] = coef * integral
-    value = math.fsum(terms.values())
+    value = _positive_sum(terms.values(), f"{fid.value} ({form.value} form)")
     return ModeFunctionalValue(mode, fid, form, value, terms)
 
 
 def full_space_value(mode_values: list[ModeFunctionalValue]) -> float:
-    """Sum per-mode values into the full-space integral (shared N and id)."""
+    """Sum per-mode values into the full-space integral (shared N and id):
+    0.0 for the zero profile, otherwise a positive normal double or a
+    DegenerateProfileError."""
     if not mode_values:
         raise UsageError("need at least one mode value")
     dims = {mv.mode.dimension for mv in mode_values}
@@ -269,27 +265,7 @@ def full_space_value(mode_values: list[ModeFunctionalValue]) -> float:
     if len(ids) != 1:
         raise UsageError("mode values mix functional ids")
     ordered = sorted(mode_values, key=lambda mv: mv.mode.degree)
-    return math.fsum(mv.value for mv in ordered)
-
-
-def _in_float_range(evaluate, subject: str, names: tuple[str, ...]) -> tuple[float, ...]:
-    """The values ``evaluate()`` returns, computed with floating-point warnings
-    off: the integrals a quotient is made of, then the quotient.
-
-    At extreme rates or amplitudes the integrals over- or underflow, and a
-    quotient of such values means nothing: DegenerateProfileError unless every
-    value is a finite double in the normal range. The error names the first
-    values by ``names``.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            values = evaluate()
-        except (OverflowError, ZeroDivisionError):
-            values = (math.nan,) * len(names)
-    if not all(np.finfo(float).tiny <= abs(v) < math.inf for v in values):
-        shown = ", ".join(f"{name}={v:g}" for name, v in zip(names, values))
-        raise DegenerateProfileError(f"{subject} are out of floating-point range ({shown})")
-    return values
+    return _positive_sum((mv.value for mv in ordered), f"the full-space {mode_values[0].id.value}")
 
 
 def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule.PANELS) -> float:
@@ -297,18 +273,14 @@ def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule
     ``rule``, from the ``HARDY_FUNCTIONALS`` rows at degree 0 in dimension N + 2k.
 
     For any admissible profile the continuum value is at least (N+2k)^2/4.
-    The quotient is amplitude-invariant; DegenerateProfileError when an
-    integral or the quotient leaves the normal float range (``_in_float_range``),
-    the zero profile included.
+    The quotient is amplitude-invariant; DegenerateProfileError when it is not
+    a positive normal double (``positive_normal``), the zero profile included.
     """
     degree_zero = Mode(mode.dimension + 2 * mode.degree, 0, 0)
-
-    def evaluate():
-        num, den = (integrate(v, seminorm, rule) for fid in HARDY_FUNCTIONALS[:2]
-                    for _, _, seminorm in _term_table(fid, Form.REDUCED, degree_zero))
-        return num, den, num / den
-
-    return _in_float_range(evaluate, "Hardy quotient integrals", ("num", "den"))[-1]
+    num, den = (integrate(v, seminorm, rule) for fid in HARDY_FUNCTIONALS[:2]
+                for _, _, seminorm in _term_table(fid, Form.REDUCED, degree_zero))
+    return positive_normal(num / den if den else math.nan,
+                           f"the Hardy quotient of num={num:g} and den={den:g}")
 
 
 def vector_equiv_check_2d(
@@ -329,12 +301,14 @@ def vector_equiv_check_2d(
     u_rθ/r - u_θ/r^2 = -k (f'/r - f/r^2) sin kθ and
     u_r/r + u_θθ/r^2 = (f'/r - k^2 f/r^2) cos kθ. The angle is integrated
     exactly (cos^2 kθ to the mode's angular norm, sin^2 kθ to π), the
-    radius by ``panel_integrate`` out to ``default_r_max``;
-    QuadratureConvergenceError when its estimate misses ``PANEL_REL_TOL``.
-    The zero profile gives (0.0, 0.0); for any other, a side that is not a
-    positive normal double is a DegenerateProfileError.
+    radius by the panel rule out to ``default_r_max`` (``_panel_integral``,
+    which raises QuadratureConvergenceError when its estimate misses
+    ``PANEL_REL_TOL``). The zero profile gives (0.0, 0.0); for any other, a
+    side that is not a positive normal double is a DegenerateProfileError.
     """
     mode = make_mode(2, degree)  # UsageError below degree 0
+    if not any(c != 0.0 for c, _, _ in radial.kernel_terms(0).terms):
+        return 0.0, 0.0
     angular_norm_sq = 2.0 * np.pi if degree == 0 else np.pi
 
     def hessian_sq(r: np.ndarray) -> np.ndarray:
@@ -342,20 +316,12 @@ def vector_equiv_check_2d(
         # k inside the square: at k = 0 a square that overflows would give inf * 0.
         cos_sq = f2**2 + (f1 / r - degree**2 * f / r**2) ** 2
         sin_sq = 2.0 * (degree * (f1 / r - f / r**2)) ** 2
-        return (angular_norm_sq * cos_sq + np.pi * sin_sq) * r
+        return angular_norm_sq * cos_sq + np.pi * sin_sq
 
-    with np.errstate(all="ignore"):  # squares beyond the float range give inf or nan
-        lhs, est = panel_integrate(hessian_sq, default_r_max(radial))
-    if any(c != 0.0 for c, _, _ in radial.kernel_terms(0).terms):
-        positive_normal(lhs, "the vector-field energy")
-    if est > PANEL_REL_TOL * abs(lhs):
-        raise QuadratureConvergenceError(
-            f"vector-field energy error estimate {est:.3e} exceeds tolerance for value {lhs:.6e}"
-        )
-
+    lhs = _panel_integral(hessian_sq, 1, default_r_max(radial), "the vector-field energy")
     # u = r^k v; at degree 0 the reduced rows are the raw rows.
     reduced = shift_power(radial, -degree)
     radial_value = eval_mode_functional(
         FunctionalId.LAPLACIAN_ENERGY, mode, reduced, Form.REDUCED, CLOSED_FORM
     ).value
-    return lhs, angular_norm_sq * radial_value
+    return lhs, positive_normal(angular_norm_sq * radial_value, "the scalar Laplacian energy")

@@ -123,8 +123,9 @@ def test_tracer_wraps_one_mixture_job():
 def test_tracer_wraps_the_sampled_profile_of_n2_identity_jobs():
     # The benchmark reads sampled profiles through two wrapped names: one
     # quadrature.integrate call per term row of either form, and one
-    # derivative_values read of the node values for the row with an N = 2
-    # origin condition (the reduced Laplacian at k = 0, the raw one at k = 1).
+    # derivative_values read of the node values for each functional with an
+    # N = 2 origin condition: the Laplacian in both forms at k = 0, where raw
+    # and reduced rows coincide, and the raw one at k = 1.
     from upsharp.profiles import make_mode
     from upsharp.seminorms import BOTH_FORMS, Form, _term_table
 
@@ -141,4 +142,4 @@ def test_tracer_wraps_the_sampled_profile_of_n2_identity_jobs():
         term_rows = sum(len(_term_table(fid, form, mode)) for fid in BOTH_FORMS for form in Form)
         layers = tracer.per_layer()
         assert layers["quadrature.integrate.calls"] == term_rows, k
-        assert layers["profiles.derivative_values.calls"] == 1, k
+        assert layers["profiles.derivative_values.calls"] == (2 if k == 0 else 1), k

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from upsharp.errors import (
     DegenerateProfileError,
     FormUnavailableError,
     SingularWeightError,
+    UpsharpError,
     UsageError,
 )
 from upsharp.profiles import (
@@ -259,6 +262,68 @@ def test_singular_weight_detection_sampled():
         else:
             with pytest.raises(SingularWeightError):
                 eval_mode_functional(FunctionalId.LAPLACIAN_ENERGY, mode, profile, form)
+
+
+@pytest.mark.parametrize("fid", [FunctionalId.LAPLACIAN_ENERGY,
+                                 FunctionalId.RADIAL_LAPLACIAN_ENERGY])
+def test_n2_degree_zero_raw_laplacians_need_a_flat_origin(fid):
+    # At degree 0 and N = 2 the raw rows of both Laplacians are the reduced
+    # Laplacian's, (1, 2, 1) and (1, 1, -1), so e^{-r}, with slope -1 at the
+    # origin, is inadmissible in the raw form too; e^{-r^2} is not.
+    grid = np.geomspace(1e-3, 12, 512)
+    mode = make_mode(2, 0)
+    with pytest.raises(SingularWeightError):
+        eval_mode_functional(fid, mode, SampledProfile(grid, np.exp(-grid)), Form.RAW)
+    assert eval_mode_functional(fid, mode, SampledProfile(grid, np.exp(-grid**2))).value > 0
+
+
+@pytest.mark.parametrize("rule", list(QuadratureRule))
+def test_mode_functional_whose_sum_overflows_is_degenerate(rule):
+    # Both integrals of the raw gradient energy at (3, 20) are finite, but
+    # its d0_p0 term, 420 times 6.3e305, overflows: the sum is not inf.
+    huge = AnalyticProfile("gaussian", 1e153, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProfileError):
+            eval_mode_functional(FunctionalId.GRAD_ENERGY, make_mode(3, 20), huge, Form.RAW, rule)
+
+
+def test_full_space_sum_beyond_the_float_range_is_degenerate():
+    # Each mode value is 9.025e307, and their exact sum is beyond the float
+    # range, where math.fsum raises OverflowError.
+    g = AnalyticProfile("gaussian", 1.9e154, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [eval_mode_functional(FunctionalId.L2_NORM, make_mode(2, k), g, Form.RAW,
+                                       CLOSED_FORM) for k in (0, 1)]
+        assert [mv.value for mv in values] == pytest.approx([9.025e307] * 2)
+        with pytest.raises(DegenerateProfileError):
+            full_space_value(values)
+
+
+def test_every_mode_functional_is_a_positive_normal_double_or_a_typed_error():
+    # Every form the term table defines, at both ends of the float range and
+    # in between, by both rules: a value is a positive normal double and
+    # anything else an UpsharpError, without a floating-point warning.
+    forms = [(fid, Form.RAW) for fid in FunctionalId] + [(fid, Form.REDUCED) for fid in BOTH_FORMS]
+    unit_failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, k in ((2, 0), (2, 1), (3, 0), (3, 20)):
+            mode = make_mode(n, k)
+            for (fid, form), amplitude, rule in itertools.product(
+                forms, (1e-200, 1e-160, 1.0, 1e153, 1e200), QuadratureRule
+            ):
+                profile = AnalyticProfile("gaussian", amplitude, 1.0)
+                try:
+                    value = eval_mode_functional(fid, mode, profile, form, rule).value
+                except UpsharpError:
+                    if amplitude == 1.0 and form is Form.REDUCED:
+                        unit_failures.append((fid, mode, rule))
+                    continue
+                assert sys.float_info.min <= value < math.inf, (fid, form, mode, amplitude, rule)
+    # The reduced forms of a unit Gaussian all have values.
+    assert not unit_failures
 
 
 def test_mode_functional_beyond_the_float_range_is_degenerate():
