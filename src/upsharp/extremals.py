@@ -74,8 +74,8 @@ def _principle_quotient(
                for fid in PRINCIPLE_FUNCTIONALS[p])
     c_sq = c * c
     quotient = a * b / c_sq if c_sq else math.nan
-    what = f"the quotient of {subject} (a={a:g}, b={b:g}, c={c:g})"
-    return a, b, c, positive_normal(quotient, what)
+    return a, b, c, positive_normal(quotient, "the quotient of {} (a={:g}, b={:g}, c={:g})",
+                                    subject, a, b, c)
 
 
 def extremal_quotient(

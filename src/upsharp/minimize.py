@@ -257,6 +257,46 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     return tables
 
 
+class _IndexMaps(NamedTuple):
+    """Where the coefficients of one node count and end conditions go
+    (read-only arrays; see ``DiscreteQuotient``)."""
+
+    free: np.ndarray   # free coefficient of each spline, −1 where it is 0: (spline,)
+    local: np.ndarray  # ``free`` of each interval's four splines: (interval, 4)
+    size: int          # number of free coefficients
+    pick: np.ndarray   # the pairs of ``_PAIRS`` per interval that the band gains
+    slot: np.ndarray   # the band entry each picked pair adds to
+
+
+@lru_cache(maxsize=16)
+def _index_maps(nodes: int, pin: bool, second: bool) -> _IndexMaps:
+    """The index maps of ``nodes`` nodes under the end conditions (a pinned
+    v(r_min), a second-order row), built once per such key and shared.
+
+    The clamped knot vector makes v(end) the end coefficient and v_s(end) a
+    multiple of the difference of the two end coefficients, so the last two
+    of the nodes + 2 splines are 0; a pin sets the first to 0, and
+    v_s(s_0) = 0 makes the first two agree. Entry (a, b) of the band gains
+    pair (m, n) of each interval whose splines have free coefficients
+    a <= b, twice when two splines share one coefficient (the pair stands
+    for (n, m) too).
+    """
+    free = np.arange(nodes + 2) - int(pin or second)
+    free[0] = -1 if pin else 0
+    free[-2:] = -1
+    local = free[np.arange(nodes - 1)[:, None] + np.arange(4)]
+    size = int(free.max()) + 1
+    a, b = local[:, _PAIRS[0]], local[:, _PAIRS[1]]
+    upper = (a >= 0) & (a <= b)
+    twice = upper & (a == b) & (_PAIRS[0] != _PAIRS[1])
+    pick = np.concatenate([np.flatnonzero(upper), np.flatnonzero(twice)])
+    slot = ((_BANDS + a - b) * size + b).ravel()[pick]
+    maps = _IndexMaps(free, local, size, pick, slot)
+    for array in (free, local, pick, slot):
+        array.flags.writeable = False
+    return maps
+
+
 def _quotient(a: float, b: float, c: float) -> float:
     """A·B/C² from the forms' values; SolverError unless C is positive and finite."""
     if c <= 0.0 or not np.isfinite(c):
@@ -277,8 +317,9 @@ class DiscreteQuotient:
     splines at the sampled profiles' Gauss points in s, weighted by that
     rule's weights. ``to_profile`` hands the spline of ``x`` over as a sampled
     profile, and ``parts`` is that profile's forms. The table, its products
-    and the node data depend on the grid alone; they are shared
-    (``_grid_tables``).
+    and the node data depend on the grid alone, the index maps on the node
+    count and the end conditions alone; they are shared (``_grid_tables``,
+    ``_index_maps``).
     """
 
     def __init__(self, problem: VariationalProblem):
@@ -289,25 +330,8 @@ class DiscreteQuotient:
         rows = [row for form in forms for row in form]
         second = any(d == 2 for _, d, _ in rows)
         pin = any(d == 0 and p <= -1 for _, d, p in rows)
-
-        # Free coefficient of each of the len(r) + 2 splines. The clamped knot
-        # vector makes v(end) the end coefficient and v_s(end) a multiple of
-        # the difference of the two end coefficients, so the last two are 0;
-        # a pin sets the first to 0, and v_s(s_0) = 0 makes the first two agree.
-        free = np.arange(len(r) + 2) - int(pin or second)
-        free[0] = -1 if pin else 0
-        free[-2:] = -1
-        self._free = free
-        self._local = free[np.arange(len(r) - 1)[:, None] + np.arange(4)]
-        self._size = free.max() + 1
-        # Entry (a, b) of the band gains pair (m, n) of each interval whose
-        # splines have free coefficients a <= b, twice when two splines
-        # share one coefficient (the pair stands for (n, m) too).
-        a, b = self._local[:, _PAIRS[0]], self._local[:, _PAIRS[1]]
-        upper = (a >= 0) & (a <= b)
-        twice = upper & (a == b) & (_PAIRS[0] != _PAIRS[1])
-        self._pick = np.concatenate([np.flatnonzero(upper), np.flatnonzero(twice)])
-        self._slot = ((_BANDS + a - b) * self._size + b).ravel()[self._pick]
+        self._free, self._local, self._size, self._pick, self._slot = _index_maps(
+            len(r), pin, second)
 
         # Each form is its (coef, deriv, power) rows and the weight of
         # v(r_min)^2 that adds the exact integral of its zero-order rows
@@ -482,7 +506,8 @@ def _lowest_eigenpair(
     lo, gap = 0.0, _FIRST_GAP
     for _ in range(_LADDER_CAP):
         s = max(lo, hi * (1.0 - gap))
-        shifted = _cholesky(K - s * C, overwrite=True)
+        # At s = lo the factor of K - lo C is already at hand.
+        shifted = factor if s == lo else _cholesky(K - s * C, overwrite=True)
         if shifted is not None:
             lo, factor = s, shifted
         y, Cy, rho = inverse_step(factor, Cy)
@@ -512,7 +537,9 @@ def _scaled_bands(dq: DiscreteQuotient) -> tuple[np.ndarray, ...]:
     without a copy."""
     scale = 1.0 / np.sqrt(dq.C[_BANDS])
     # Row _BANDS - k of band storage holds entry (j - k, j) in column j.
-    rows = np.array([np.pad(scale[: len(scale) - k], (k, 0)) for k in range(_BANDS, -1, -1)])
+    rows = np.zeros((_BANDS + 1, len(scale)))
+    for k in range(_BANDS + 1):
+        rows[_BANDS - k, k:] = scale[: len(scale) - k]
     return (scale, *(np.asfortranarray(m * rows * scale) for m in (dq.A, dq.B, dq.C)))
 
 

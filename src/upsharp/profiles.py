@@ -9,14 +9,16 @@ Every functional in the package is evaluated on one of two profile kinds:
   outside the grid: the package's one discrete function space, in which
   ``minimize`` also works. It integrates itself by ``SAMPLED_POINTS``-point
   Gauss-Legendre in s on every grid interval (:func:`gauss_panels`). The work
-  that depends on the grid alone (the factored spline system, that Gauss
-  rule, its weights of r^p dr, the Hermite basis at the Gauss points) is done
-  once per distinct grid and shared by every profile on it. A new profile
-  costs one tridiagonal back-substitution for its node slopes in s. Its node
-  values and slopes, as the cubic Hermite data of every interval, are its
-  only representation, evaluated by one small matrix product of the Hermite
-  basis with that data, then the chain rule r f' = v_s, r^2 f'' = v_ss - v_s
-  (:meth:`_GridRule.derivatives`, which also evaluates minimize's B-splines).
+  that depends on the grid alone (the spline system, factored once without
+  pivoting, that Gauss rule, its weights of r^p dr, the Hermite basis at the
+  Gauss points) is done once per distinct grid and shared by every profile on
+  it, also by the profiles ``reduce_profile`` and ``unreduce_profile`` derive.
+  A new profile costs one symmetric tridiagonal solve for its node slopes in
+  s. Its node values and slopes, as the cubic Hermite data of every interval,
+  are its only representation, evaluated by one small matrix product of the
+  Hermite basis with that data, then the chain rule r f' = v_s,
+  r^2 f'' = v_ss - v_s (:meth:`_GridRule.derivatives`, which also evaluates
+  minimize's B-splines). Each distinct integral of a profile is computed once.
 
 Profiles are real-valued. Complex amplitudes lose no generality here: every
 quotient of interest is invariant under scalar rescaling and every extremal is
@@ -276,6 +278,7 @@ class SampledProfile:
         values.flags.writeable = slopes.flags.writeable = False
         self._rule, self.grid, self.values, self._slopes = rule, rule.grid, values, slopes
         self._squares: np.ndarray | None = None
+        self._integrals: dict[tuple[int, int], float] = {}
 
     def derivative_values(self, deriv: int) -> np.ndarray:
         """Node values of the spline's deriv-th derivative (deriv in {0, 1, 2})."""
@@ -301,12 +304,17 @@ class SampledProfile:
         ∫ r^(power+1-2 deriv) |D_deriv v|^2 ds by ``SAMPLED_POINTS``-point
         Gauss-Legendre in s on every interval (D_0 = 1, D_1 = ∂_s,
         D_2 = ∂_ss - ∂_s). The first call evaluates the squares of all three
-        orders at once (see :meth:`_GridRule.squares`).
+        orders at once (see :meth:`_GridRule.squares`), and each (deriv,
+        power) is integrated once: its value is kept for every later call.
 
         DegenerateProfileError when the integral overflows. That is tested
         only where the largest square times the largest weight times their
         number could overflow; elsewhere no sum of them can.
         """
+        try:
+            return self._integrals[deriv, power]
+        except KeyError:
+            pass
         if self._squares is None:
             self._squares, self._peaks = self._rule.squares(self.values, self._slopes)
         try:
@@ -320,15 +328,17 @@ class SampledProfile:
         # so rows keep grids of up to 10 001 nodes off the BLAS thread pool;
         # one dot over all four rows would reach it from 2 502 nodes on.
         if peak * bound < _HALF_MAX:
-            return math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
-        try:
-            with np.errstate(over="ignore"):
-                total = math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
-        except OverflowError:  # fsum's own partial sums
-            total = math.inf
-        if total < math.inf:
-            return total
-        raise DegenerateProfileError(f"∫ r^{power} |f^({deriv})|^2 overflows on the grid")
+            total = math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
+        else:
+            try:
+                with np.errstate(over="ignore"):
+                    total = math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
+            except OverflowError:  # fsum's own partial sums
+                total = math.inf
+            if not total < math.inf:
+                raise DegenerateProfileError(f"∫ r^{power} |f^({deriv})|^2 overflows on the grid")
+        self._integrals[deriv, power] = total
+        return total
 
 
 def _per_node(grid: np.ndarray, column, name: str) -> np.ndarray:
@@ -364,13 +374,14 @@ _HALF_MAX = float(np.finfo(float).max) / 2.0
 class _GridRule:
     """What a sampled profile needs from its grid alone.
 
-    ``lu`` is the LU factorization (LAPACK ``gttrf``) of the not-a-knot
-    tridiagonal system in the node slopes in s = ln r, the system that
-    ``scipy.interpolate.CubicSpline`` solves; ``hermite`` is
-    :func:`_hermite_table` at the Gauss points of the unit interval, which
-    :meth:`derivatives` applies to :meth:`hermite_data`. The Gauss
-    points in s and in r (``points``, ``radii``) and their weights are stored
-    one row per Gauss point, so each row is a contiguous run over the
+    ``_factor`` is the pivot-free factorization (LAPACK ``pttrf``) of the
+    not-a-knot system in the node slopes in s = ln r that
+    ``scipy.interpolate.CubicSpline`` solves, with its end rows eliminated
+    and its interior made symmetric by ``_root`` (see :meth:`spline`);
+    ``hermite`` is :func:`_hermite_table` at the Gauss points of the unit
+    interval, which :meth:`derivatives` applies to :meth:`hermite_data`. The
+    Gauss points in s and in r (``points``, ``radii``) and their weights are
+    stored one row per Gauss point, so each row is a contiguous run over the
     intervals; :meth:`weights` tabulates the weights of r^p dr per power p.
     """
 
@@ -388,10 +399,14 @@ class _GridRule:
             raise UsageError("grid must be strictly increasing in ln r")
         self.grid, self.s, self.steps = grid, s, h
         self.ends = (s[2] - s[0], s[-1] - s[-3])
-        diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
-        upper = np.concatenate([[self.ends[0]], h[:-1]])
-        lower = np.concatenate([h[1:], [self.ends[1]]])
-        *self.lu, info = lapack.dgttrf(lower, diag, upper)
+        # The end rows eliminated into their neighbours, then the diagonal
+        # similarity that symmetrises the interior rows (see ``spline``).
+        inner = h[:-1] + h[1:]
+        diag = 2.0 * inner
+        diag[[0, -1]] = inner[[0, -1]]
+        self._root = np.sqrt(h[:-1] * h[1:])
+        self._inverse_root = 1.0 / self._root
+        *self._factor, info = lapack.dpttrf(diag, np.sqrt(h[:-2] * h[2:]))
         if info != 0:
             raise UsageError("grid spacing too uneven for a cubic spline")
         unit, _ = gauss_panels(np.array([0.0, 1.0]), SAMPLED_POINTS)
@@ -405,15 +420,30 @@ class _GridRule:
     def spline(self, y: np.ndarray) -> np.ndarray:
         """Node slopes in s of the not-a-knot spline in s through y.
 
-        Same formulas as ``CubicSpline``, so the same spline to rounding.
+        Same right-hand side as ``CubicSpline``, so the same spline to
+        rounding. The first row, h_1 m_0 + (h_0 + h_1) m_1 = b_0, taken from
+        the second leaves (h_0 + h_1) m_1 + h_0 m_2 = b_1 - b_0, and the last
+        row likewise its neighbour. The interior rows
+        h_i m_(i-1) + 2 (h_(i-1) + h_i) m_i + h_(i-1) m_(i+1) = b_i are then
+        strictly diagonally dominant with a positive diagonal, and scaling
+        m_i by 1 / sqrt(h_(i-1) h_i) makes them symmetric (off-diagonals
+        sqrt(h_(i-1) h_(i+1))): positive definite on every grid, factored once
+        without pivoting (LAPACK ``pttrf``). The two eliminated rows give m_0
+        and m_(n-1) back.
         """
         h, (d0, d1) = self.steps, self.ends
         slope = np.diff(y) / h
-        b = np.empty(len(y))
-        b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
-        b[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
-        b[-1] = (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
-        slopes, _ = lapack.dgttrs(*self.lu, b, overwrite_b=True)
+        first = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
+        last = (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+        b = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        b[0] -= first
+        b[-1] -= last
+        b *= self._inverse_root
+        inner, _ = lapack.dpttrs(*self._factor, b, overwrite_b=True)
+        slopes = np.empty(len(y))
+        np.multiply(inner, self._root, out=slopes[1:-1])
+        slopes[0] = (first - d0 * slopes[1]) / h[1]
+        slopes[-1] = (last - d1 * slopes[-2]) / h[-2]
         return slopes
 
     def hermite_data(self, left, right, i=slice(None)) -> np.ndarray:
@@ -508,9 +538,9 @@ def reduce_profile(mode: Mode, u: SampledProfile) -> SampledProfile:
     UsageError where that leaves the float range."""
     if mode.degree == 0:
         return u
-    with np.errstate(all="ignore"):  # the profile rejects values that are not finite
+    with np.errstate(all="ignore"):  # _on_rule_of rejects values that are not finite
         values = u.values / u.grid ** mode.degree
-    return SampledProfile(u.grid, values)
+    return _on_rule_of(u, values)
 
 
 def unreduce_profile(mode: Mode, v: SampledProfile) -> SampledProfile:
@@ -518,9 +548,16 @@ def unreduce_profile(mode: Mode, v: SampledProfile) -> SampledProfile:
     UsageError where that leaves the float range."""
     if mode.degree == 0:
         return v
-    with np.errstate(all="ignore"):  # the profile rejects values that are not finite
+    with np.errstate(all="ignore"):  # _on_rule_of rejects values that are not finite
         values = v.values * v.grid ** mode.degree
-    return SampledProfile(v.grid, values)
+    return _on_rule_of(v, values)
+
+
+def _on_rule_of(p: SampledProfile, values: np.ndarray) -> SampledProfile:
+    """``SampledProfile(p.grid, values)`` on p's grid rule, which it shares
+    instead of looking the grid up again."""
+    values = _per_node(p.grid, values, "values")
+    return SampledProfile._from_slopes(p._rule, values, p._rule.spline(values))
 
 
 def shift_power(p: AnalyticProfile | MixtureProfile, delta: float):

@@ -9,7 +9,9 @@ Two routes, the members of :class:`QuadratureRule`:
 * ``gauss_legendre_panels`` — composite Gauss-Legendre with geometric panel
   grading toward 0, compensated panel summation, and a refinement error
   estimate held to ``PANEL_REL_TOL``. It reproduces the closed form
-  numerically, so each route checks the other.
+  numerically, so each route checks the other. The squares |f^(d)|^2 of one
+  set of kernel terms are evaluated once per panel node set and serve every
+  power (``_panel_squares``).
 
 Every value the package builds from these integrals passes one verdict,
 ``positive_normal``: an integral, a mode functional, a full-space sum or a
@@ -19,9 +21,11 @@ every panel node, or a value that is 0, subnormal, negative, inf or nan make
 it degenerate; only the zero profile integrates (and sums) to 0.0.
 
 Sampled profiles integrate themselves over their own grid, whatever the rule
-(:meth:`profiles.SampledProfile.integral`); ``integrate`` hands them on. A
-derivative of sampled data can vanish identically, so 0.0 is a legitimate
-integral there.
+(:meth:`profiles.SampledProfile.integral`, which keeps each value it has
+computed); ``integrate`` hands them on. A derivative of sampled data can
+vanish identically, so 0.0 is a legitimate integral there.
+
+Error texts are formatted only when a value fails (``positive_normal``).
 """
 
 from __future__ import annotations
@@ -243,8 +247,9 @@ def panel_integrate(fn, r_max: float) -> tuple[float, float]:
     return fine, abs(fine - coarse)
 
 
-def positive_normal(value: float, what: str) -> float:
-    """``value`` if it is a positive normal double, else DegenerateProfileError.
+def positive_normal(value: float, what: str, *args) -> float:
+    """``value`` if it is a positive normal double, else DegenerateProfileError
+    naming it as ``what.format(*args)``, a text built only then.
 
     The one float-range verdict: every integral, mode functional, full-space
     sum and quotient of a profile that is not zero passes here. 0, a
@@ -252,21 +257,34 @@ def positive_normal(value: float, what: str) -> float:
     inf or nan that they left the float range.
     """
     if not _TINY <= value < math.inf:
-        raise DegenerateProfileError(f"{what} is {value:g} for this profile")
+        raise DegenerateProfileError(f"{what.format(*args)} is {value:g} for this profile")
     return value
 
 
-def _positive_sum(terms, what: str) -> float:
+def _positive_sum(terms, what: str, *args) -> float:
     """The exact sum of ``terms``: 0.0 when every term is 0 (the zero
     profile), else a positive normal double (``positive_normal``)."""
     terms = list(terms)
-    return positive_normal(_fsum(terms), what) if any(terms) else 0.0
+    return positive_normal(_fsum(terms), what, *args) if any(terms) else 0.0
 
 
-def _panel_integral(square, power: int, r_max: float, what: str) -> float:
+@lru_cache(maxsize=6)
+def _panel_squares(kt: KernelTerms, r_max: float, points: int) -> np.ndarray:
+    """|f|^2 of the kernel terms at the nodes of ``panel_nodes(r_max,
+    PANEL_COUNT, points)``, read-only: evaluated once for every power of one
+    set of terms. The six entries hold the three orders of one profile at
+    both point counts; a new profile brings new terms."""
+    r, _ = panel_nodes(r_max, PANEL_COUNT, points)
+    with np.errstate(all="ignore"):  # _panel_integral judges the squares
+        squares = np.asarray(kt(r)) ** 2
+    squares.flags.writeable = False
+    return squares
+
+
+def _panel_integral(square, power: int, r_max: float, what: str, *args) -> float:
     """∫ r^power square(r) dr on (0, r_max) by ``panel_integrate``, with
     floating-point warnings off, for the squares ``square`` (vectorized in r)
-    of a profile that is not zero.
+    of a profile that is not zero; ``what.format(*args)`` names it in errors.
 
     Squares below the normal range at every node are 0 or have lost their
     digits, and the error estimate, made of the same squares, cannot tell:
@@ -286,11 +304,13 @@ def _panel_integral(square, power: int, r_max: float, what: str) -> float:
     with np.errstate(all="ignore"):
         value, est = panel_integrate(fn, r_max)
     if peak < _TINY:
-        raise DegenerateProfileError(f"the squares of {what} underflow at every panel node")
-    positive_normal(value, what)
+        raise DegenerateProfileError(
+            f"the squares of {what.format(*args)} underflow at every panel node")
+    positive_normal(value, what, *args)
     if est > PANEL_REL_TOL * value:
         raise QuadratureConvergenceError(
-            f"panel error estimate {est:.3e} of {what} exceeds tolerance for value {value:.6e}"
+            f"panel error estimate {est:.3e} of {what.format(*args)} exceeds tolerance"
+            f" for value {value:.6e}"
         )
     return value
 
@@ -307,7 +327,9 @@ def integrate(profile: Profile, s: WeightedSeminorm,
     that is not a positive normal double is a DegenerateProfileError
     (``positive_normal``). An unknown rule name is a UsageError.
     """
-    rule = QuadratureRule(rule)
+    # A member passes as it is: the enum's own call costs more than reading
+    # an integral a sampled profile has kept.
+    rule = rule if isinstance(rule, QuadratureRule) else QuadratureRule(rule)
     if isinstance(profile, SampledProfile):
         return profile.integral(s.deriv, s.power)
 
@@ -316,10 +338,11 @@ def integrate(profile: Profile, s: WeightedSeminorm,
         raise DegenerateProfileError(f"the coefficients of f^({s.deriv}) leave the float range")
     if not any(c != 0.0 for c, _, _ in kt.terms):
         return 0.0
-    what = f"∫ r^{s.power} |f^({s.deriv})|^2"
+    what = "∫ r^{0.power} |f^({0.deriv})|^2"
     if rule is QuadratureRule.CLOSED_FORM:
-        return positive_normal(closed_form_weighted_square(kt, float(s.power)), what)
+        return positive_normal(closed_form_weighted_square(kt, float(s.power)), what, s)
 
     _check_origin_convergence(kt, float(s.power))
     r_max = default_r_max(profile, s.power + 2 * max(e for _, e, _ in kt.terms))
-    return _panel_integral(lambda r: np.asarray(kt(r)) ** 2, s.power, r_max, what)
+    return _panel_integral(lambda r: _panel_squares(kt, r_max, r.size // PANEL_COUNT),
+                           s.power, r_max, what, s)

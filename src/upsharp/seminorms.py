@@ -224,7 +224,9 @@ def eval_mode_functional(
     Their exact sum is 0.0 for the zero profile and otherwise a positive
     normal double or a DegenerateProfileError.
     """
-    fid, form = FunctionalId(fid), Form(form)
+    # Members pass as they are, without the enums' own (slower) calls.
+    fid = fid if isinstance(fid, FunctionalId) else FunctionalId(fid)
+    form = form if isinstance(form, Form) else Form(form)
     entries = _term_table(fid, form, mode)
     if form is Form.RAW and mode.degree >= 1 and isinstance(profile, SampledProfile):
         # In plain floats, where an r_0^k out of the float range raises
@@ -248,7 +250,7 @@ def eval_mode_functional(
                 f"{fid.value} ({form.value} form) is singular for this profile: {exc}"
             ) from exc
         terms[key] = coef * integral
-    value = _positive_sum(terms.values(), f"{fid.value} ({form.value} form)")
+    value = _positive_sum(terms.values(), "{0.value} ({1.value} form)", fid, form)
     return ModeFunctionalValue(mode, fid, form, value, terms)
 
 
@@ -265,7 +267,8 @@ def full_space_value(mode_values: list[ModeFunctionalValue]) -> float:
     if len(ids) != 1:
         raise UsageError("mode values mix functional ids")
     ordered = sorted(mode_values, key=lambda mv: mv.mode.degree)
-    return _positive_sum((mv.value for mv in ordered), f"the full-space {mode_values[0].id.value}")
+    return _positive_sum((mv.value for mv in ordered), "the full-space {0.value}",
+                         mode_values[0].id)
 
 
 def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule.PANELS) -> float:
@@ -280,7 +283,7 @@ def hardy_1d_ratio(mode: Mode, v: Profile, rule: QuadratureRule = QuadratureRule
     num, den = (integrate(v, seminorm, rule) for fid in HARDY_FUNCTIONALS[:2]
                 for _, _, seminorm in _term_table(fid, Form.REDUCED, degree_zero))
     return positive_normal(num / den if den else math.nan,
-                           f"the Hardy quotient of num={num:g} and den={den:g}")
+                           "the Hardy quotient of num={:g} and den={:g}", num, den)
 
 
 def vector_equiv_check_2d(

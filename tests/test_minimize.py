@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import linalg
 from scipy.linalg.blas import dsbmv
 
@@ -373,6 +373,69 @@ def test_grid_tables_are_shared_and_read_only():
     assert not np.array_equal(other.table, shared.table)
     _, *bands = _scaled_bands(first)
     assert all(band.flags.f_contiguous for band in bands)
+
+
+@pytest.mark.parametrize("pin", [False, True])
+@pytest.mark.parametrize("second", [False, True])
+def test_index_maps_are_shared_and_match_a_fresh_build(pin, second):
+    # The coefficient maps depend on the node count and the end conditions
+    # alone; the shared ones equal the ones built here from the splines'
+    # end conditions, and they are read-only.
+    nodes = 128
+    free = np.arange(nodes + 2) - int(pin or second)
+    free[0] = -1 if pin else 0
+    free[-2:] = -1
+    local = free[np.arange(nodes - 1)[:, None] + np.arange(4)]
+    size = free.max() + 1
+    pairs = np.triu_indices(_BANDS + 1)
+    a, b = local[:, pairs[0]], local[:, pairs[1]]
+    upper = (a >= 0) & (a <= b)
+    twice = upper & (a == b) & (pairs[0] != pairs[1])
+    pick = np.concatenate([np.flatnonzero(upper), np.flatnonzero(twice)])
+    slot = ((_BANDS + a - b) * size + b).ravel()[pick]
+    maps = minimize._index_maps(nodes, pin, second)
+    assert maps is minimize._index_maps(nodes, pin, second)
+    assert maps.size == size
+    for got, want in zip((maps.free, maps.local, maps.pick, maps.slot), (free, local, pick, slot)):
+        assert_array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[(0,) * got.ndim] = 0
+
+
+def test_discrete_quotients_read_the_shared_index_maps():
+    for kind, n in (("product_hup2", 2), ("classic_hup", 3), ("mode_hyup2_full", 5)):
+        dq = problem(kind, n, 0, size=128).assemble()
+        forms, _, _ = _kind_lookup(kind, make_mode(n, 0))
+        rows = [row for form in forms for row in form]
+        pin = any(d == 0 and p <= -1 for _, d, p in rows)
+        maps = minimize._index_maps(128, pin, any(d == 2 for _, d, _ in rows))
+        assert dq._free is maps.free and dq._local is maps.local and dq._slot is maps.slot
+
+
+def test_shift_ladder_never_factors_its_certified_shift_again(monkeypatch):
+    # After two rejected shifts the gap reaches 1, so the next shift is the
+    # certified one, lo (here 0, K itself), whose factor is at hand. No solve
+    # hands _cholesky the same band twice.
+    cholesky, solve = minimize._cholesky, minimize._lowest_eigenpair
+    solves = []
+
+    def counted_cholesky(band, overwrite=False):
+        key = band.tobytes()
+        factor = cholesky(band, overwrite)
+        if solves:
+            solves[-1].append((key, factor is None))
+        return factor
+
+    def counted_solve(K, C, y):
+        solves.append([])
+        return solve(K, C, y)
+
+    monkeypatch.setattr(minimize, "_cholesky", counted_cholesky)
+    monkeypatch.setattr(minimize, "_lowest_eigenpair", counted_solve)
+    minimize_quotient(problem("mode_hyup2_full", 3, 0, size=128))
+    assert any(sum(failed for _, failed in calls) >= 2 for calls in solves)
+    for calls in solves:
+        assert len({key for key, _ in calls}) == len(calls)
 
 
 def test_explore_conjecture_flags_low_dimension_candidate():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
+from upsharp import profiles
 from upsharp.errors import DegenerateProfileError, UsageError
 from upsharp.profiles import (
     SAMPLED_POINTS,
@@ -23,6 +25,8 @@ from upsharp.profiles import (
     unreduce_profile,
 )
 from upsharp.quadrature import WeightedSeminorm, integrate
+
+from conftest import IDENTITY_GRID
 
 
 def test_mode_eigenvalues():
@@ -217,6 +221,77 @@ def test_sampled_matches_cubic_spline(spacing, size, rng):
             assert abs(got - want) <= 1e-12 * want
 
 
+def _not_a_knot_system(grid, values):
+    """The tridiagonal not-a-knot system in the node slopes in s = ln r, end
+    rows included, as (upper, diagonal, lower) rows of band storage and its
+    right-hand side: the system ``CubicSpline`` solves."""
+    s = np.log(grid)
+    h, n = np.diff(s), len(grid)
+    d0, d1 = s[2] - s[0], s[-1] - s[-3]
+    slope = np.diff(values) / h
+    band, b = np.zeros((3, n)), np.empty(n)
+    band[1, 0], band[0, 1] = h[1], d0
+    band[2, :-2], band[1, 1:-1], band[0, 2:] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    band[2, -2], band[1, -1] = d1, h[-2]
+    b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
+    b[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    b[-1] = (h[-1] ** 2 * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    return band, b
+
+
+def _alternating_grid(first: float, second: float, size: int) -> np.ndarray:
+    """A grid whose steps in s alternate between ``first`` and ``second``."""
+    steps = np.where(np.arange(size - 1) % 2, second, first)
+    return np.exp(np.concatenate([[0.0], np.cumsum(steps)]) - 4.0)
+
+
+@pytest.mark.parametrize("name", ["identity", "geometric", "jittered", "alternating"])
+def test_pivot_free_slopes_match_the_pivoted_solve(name, rng):
+    # The end rows eliminated and the interior symmetrised, the system is
+    # positive definite (a positive pivot at every step of the factorization,
+    # LAPACK pttrf's info 0) on every grid, the one whose neighbouring steps
+    # in s differ 125-fold included (short steps at its ends; after a long
+    # end step the end slopes are ill-conditioned, see the next test). Its
+    # slopes agree with the whole system's solve by LU with row interchanges
+    # (LAPACK gbsv) to 1e-14 of the largest.
+    grid = {
+        "identity": IDENTITY_GRID,
+        "geometric": np.geomspace(1e-3, 24.0, 512),
+        "jittered": _oracle_grid("jittered", 8, rng),
+        "alternating": _alternating_grid(0.002, 0.25, 64),
+    }[name]
+    steps = np.diff(np.log(grid))
+    if name == "alternating":
+        assert np.min(np.maximum(steps[1:] / steps[:-1], steps[:-1] / steps[1:])) >= 100.0
+    assert np.all(_grid_rule(grid.tobytes())._factor[0] > 0.0)
+    for _ in range(5):
+        values = np.exp(-grid) * np.sin(3.0 * grid) + 0.1 * rng.standard_normal(grid.size)
+        want = solve_banded((1, 1), *_not_a_knot_system(grid, values))
+        got = SampledProfile(grid, values)._slopes
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_end_slopes_after_a_long_end_step_are_as_exact_as_the_pivoted_solve(rng):
+    # Where an end step is 125 times its neighbour, the end row
+    # h_1 m_0 + (h_0 + h_1) m_1 = b_0 gives m_0 from m_1 with the factor
+    # (h_0 + h_1) / h_1 = 126: the end slopes are that ill-conditioned for
+    # any solver. Against the exact solution of the same system (mpmath, 40
+    # digits) the pivot-free slopes are as close as the pivoted ones.
+    mpmath = pytest.importorskip("mpmath")
+    grid = _alternating_grid(0.25, 0.002, 16)
+    for _ in range(3):
+        values = np.exp(-grid) * np.sin(3.0 * grid) + 0.1 * rng.standard_normal(grid.size)
+        band, b = _not_a_knot_system(grid, values)
+        dense = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+        with mpmath.workdps(40):
+            exact = np.array(mpmath.lu_solve(mpmath.matrix(dense), mpmath.matrix(b)).tolist(),
+                             dtype=float).ravel()
+        scale = np.max(np.abs(exact))
+        pivoted = np.max(np.abs(solve_banded((1, 1), band, b) - exact)) / scale
+        got = np.max(np.abs(SampledProfile(grid, values)._slopes - exact)) / scale
+        assert got <= max(3.0 * pivoted, 1e-15)
+
+
 def test_sampled_cubic_integrals_match_exact_polynomial_integrals():
     # The not-a-knot spline in s = ln r reproduces a cubic q(s), and
     # ∫ r^(2d-1) |f^(d)|^2 dr = ∫ |D_d q|^2 ds is the integral of a degree-6
@@ -295,6 +370,26 @@ def test_reduce_unreduce_identity_and_roundtrip(rng):
     rt = reduce_profile(m2, unreduce_profile(m2, q))
     err = np.abs(rt.values - q.values) / np.maximum(np.abs(q.values), 1e-300)
     assert np.max(err) < 1e-12
+
+
+def test_derived_profiles_share_their_parents_rule(rng, monkeypatch):
+    # reduce_profile and unreduce_profile build on the parent's grid rule,
+    # without looking the grid up again, with the values and slopes a
+    # profile built from the grid would have.
+    grid = np.linspace(0.05, 8, 256)
+    q = SampledProfile(grid, rng.standard_normal(grid.size))
+    mode = make_mode(4, 2)
+    lookups = []
+    monkeypatch.setattr(profiles, "_grid_rule", lambda key: lookups.append(key))
+    derived_profiles = (reduce_profile(mode, q), unreduce_profile(mode, q))
+    assert lookups == []
+    monkeypatch.undo()
+    for derived in derived_profiles:
+        assert derived._rule is q._rule
+        fresh = SampledProfile(grid, derived.values)
+        assert derived.values.tobytes() == fresh.values.tobytes()
+        assert derived._slopes.tobytes() == fresh._slopes.tobytes()
+        assert not derived.values.flags.writeable and not derived._slopes.flags.writeable
 
 
 def test_reduce_profile_out_of_the_float_range_is_a_usage_error():
@@ -409,6 +504,23 @@ def test_sampled_integral_that_overflows_is_degenerate():
                 p.integral(0, power)
         for power in (5, 9):
             assert 0.0 < p.integral(0, power) < math.inf
+
+
+def test_sampled_integrals_are_kept_and_failures_are_not():
+    # Each (deriv, power) is integrated once and then read back, whatever the
+    # order of the calls; an integral that overflows raises on every call.
+    grid = np.linspace(0.1, 10.0, 256)
+    values = 1e150 * np.exp(-grid**2 / 50.0)
+    rows = [(d, p) for p in (9, -1, 3, 5) for d in (2, 0, 1)]
+    kept = SampledProfile(grid, values)
+    first = [kept.integral(d, p) for d, p in rows]
+    assert [kept.integral(d, p) for d, p in reversed(rows)] == first[::-1]
+    for (d, p), value in zip(rows, first):
+        assert SampledProfile(grid, values).integral(d, p) == value
+    for _ in range(3):
+        with pytest.raises(DegenerateProfileError, match="overflows"):
+            kept.integral(0, 10)
+    assert (0, 10) not in kept._integrals
 
 
 @pytest.mark.parametrize("profile,deriv", [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from upsharp import quadrature
 from upsharp.errors import DegenerateProfileError, DivergentIntegralError, UsageError
 from upsharp.profiles import AnalyticProfile, KernelTerms, MixtureProfile, SampledProfile
 from upsharp.quadrature import (
@@ -174,6 +175,33 @@ def test_panel_nodes_are_cached_read_only():
         weights[0] = 1.0
 
 
+def test_panel_squares_serve_every_power_bit_for_bit():
+    # The panel rule evaluates |f^(d)|^2 of one set of kernel terms once per
+    # node set and reads it for every power: the nine integrals of a mixture
+    # are the same doubles taken d-major, p-major, or with the squares
+    # evaluated anew for each one.
+    mix = MixtureProfile((AnalyticProfile("monomial_cutoff", 0.7, 0.8, power=2.0),
+                          AnalyticProfile("monomial_cutoff", -0.4, 1.3, power=2.0)))
+    rows = [(d, p) for d in (0, 1, 2) for p in (1, 2, 4)]
+
+    def integrals(order, fresh=False):
+        out = {}
+        for d, p in order:
+            if fresh:
+                quadrature._panel_squares.cache_clear()
+            out[d, p] = integrate(mix, WeightedSeminorm(d, p), PANELS)
+        return out
+
+    quadrature._panel_squares.cache_clear()
+    d_major = integrals(rows)
+    assert quadrature._panel_squares.cache_info().misses == 3 * 2  # orders x point counts
+    assert integrals(sorted(rows, key=lambda row: row[::-1])) == d_major
+    assert integrals(rows, fresh=True) == d_major
+    squares = quadrature._panel_squares(mix.kernel_terms(1), 12.0 / math.sqrt(0.8), 24)
+    with pytest.raises(ValueError):
+        squares[0] = 1.0
+
+
 def test_closed_form_pair_terms_at_extreme_rates_match_mpmath():
     # One kernel term a r^e K(b) squares to a single pair term a^2 times the
     # Gamma moment at rate c = 2b. At these rates c^s leaves the float range,
@@ -260,3 +288,6 @@ def test_config_validation_and_json():
     g = AnalyticProfile("gaussian", 1.0, 1.0)
     with pytest.raises(UsageError):
         integrate(g, WeightedSeminorm(0, 2), "trapezoid")
+    for rule in QuadratureRule:  # a rule's name stands for the rule
+        assert integrate(g, WeightedSeminorm(1, 2), rule.value) == integrate(
+            g, WeightedSeminorm(1, 2), rule)

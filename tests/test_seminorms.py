@@ -112,6 +112,9 @@ def test_full_space_value_additivity_and_validation():
         full_space_value([a, d])  # mixed ids
     with pytest.raises(UsageError):
         full_space_value([])
+    # The functional's and the form's names stand for them.
+    named = eval_mode_functional("grad_energy", make_mode(3, 0), g, "raw", CLOSED_FORM)
+    assert named == d
 
 
 def test_full_space_grad_energy_against_2d_tensor_quadrature():
