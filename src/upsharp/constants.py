@@ -20,14 +20,13 @@ correction factor and tail certificate of each per-mode bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import InconclusiveScanError, UsageError
+from .errors import InconclusiveScanError, UsageError, _NameEnum
 
 
-class PrincipleId(str, Enum):
+class PrincipleId(_NameEnum):
     HUP = "hup"                      # ∫|∇u|^2 ∫|x|^2|u|^2 >= c (∫|u|^2)^2
     HYUP = "hyup"                    # ∫|∇u|^2 ∫|u|^2 >= c (∫|u|^2/|x|)^2
     HUP2 = "hup2"                    # ∫|Δu|^2 ∫|x|^2|∇u|^2 >= c (∫|∇u|^2)^2

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the base of its name
+enums, whose unknown names are usage errors."""
+
+from enum import Enum
 
 
 class UpsharpError(Exception):
@@ -36,3 +39,12 @@ class InconclusiveScanError(UpsharpError, RuntimeError):
 
 class SolverError(UpsharpError, RuntimeError):
     """Variational minimization failed (non-convergence or degenerate collapse)."""
+
+
+class _NameEnum(str, Enum):
+    """A str enum of names; looking up an unknown name is a UsageError. The
+    hook runs only for values that are not members."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError(f"{value!r} is not a valid {cls.__name__}")

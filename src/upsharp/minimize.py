@@ -17,14 +17,16 @@ Discretization. Rayleigh–Ritz on cubic B-splines in s = ln r, with the grid
 nodes as breakpoints: the space of ``profiles.SampledProfile``, on its
 Gauss rule. Since r v' = v_s and r² v'' = v_ss − v_s, each row is
 ∫ e^{(p+1−2d)s} |D_d v|² ds with D_0 = 1, D_1 = ∂_s, D_2 = ∂_ss − ∂_s. The
-forms are assembled straight into LAPACK upper band storage from a table of
-D_0, D_1 and D_2 of the four splines nonzero on each interval, at its Gauss
-points in s, which the sampled profiles' rule evaluates from the splines'
-Hermite data, their closed-form values and slopes at the nodes: a form sums
-its rows' weights per order d and contracts each sum once with the products
-D_d B_m D_d B_n of the table. Table, products and node data depend on the
-grid alone and are built once per grid (``_grid_tables``). The right
-end is clamped (v = v' = 0). Below r_min the function continues as the
+forms are assembled in LAPACK upper band storage from a table of D_0, D_1
+and D_2 of the four splines nonzero on each interval, at its Gauss points in
+s, which the sampled profiles' rule evaluates from the splines' Hermite
+data, their closed-form values and slopes at the nodes: a form sums its
+rows' weights per order d and contracts each sum once with the products
+D_d B_m D_d B_n of the table, on all nodes + 2 splines of the clamped knot
+vector. Table, products and node data depend on the grid alone and are
+built once per grid (``_grid_tables``). The end conditions below then
+restrict each full band once to the free coefficients (``DiscreteQuotient``).
+The right end is clamped (v = v' = 0). Below r_min the function continues as the
 constant v(r_min), with v'(r_min) = 0 when a row has a second derivative,
 and each zero-order row gains its exact integral over (0, r_min). When a
 zero-order weight is not integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned
@@ -69,7 +71,6 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -86,12 +87,12 @@ from .constants import (
     scan_infimum,
     sharp_constant,
 )
-from .errors import SolverError, UsageError
+from .errors import SolverError, UsageError, _NameEnum
 from .profiles import Mode, Profile, SampledProfile, _grid_rule, _GridRule, make_mode
 from .seminorms import BOTH_FORMS, HARDY_FUNCTIONALS, PRINCIPLE_FUNCTIONALS, Form, _term_table
 
 
-class QuotientKind(str, Enum):
+class QuotientKind(_NameEnum):
     PRODUCT_HUP2 = "product_hup2"        # one-dim reduction behind the hup2 constant
     PRODUCT_HYUP2 = "product_hyup2"      # one-dim reduction behind the hyup2 constant
     CLASSIC_HUP = "classic_hup"          # first-order Heisenberg quotient, one mode
@@ -130,6 +131,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not 0 < self.r_min < self.r_max < math.inf:
             raise UsageError("need 0 < r_min < r_max < inf")
+        if isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer)):
+            raise UsageError(f"the grid size must be an integer, got {self.size!r}")
         if self.size < 64:
             raise UsageError("grids below 64 nodes are too coarse to be meaningful")
 
@@ -205,7 +208,7 @@ _BANDS = 3
 
 #: The pairs m <= n of an interval's four splines, in the order of
 #: ``_GridTables.products``.
-_PAIRS = np.triu_indices(_BANDS + 1)
+_PAIRS = [(m, n) for m in range(_BANDS + 1) for n in range(m, _BANDS + 1)]
 
 
 def _cholesky(band: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
@@ -222,7 +225,7 @@ class _GridTables(NamedTuple):
     rule: _GridRule        # the sampled profiles' rule: nodes, Gauss rule in s, weights
     table: np.ndarray      # D_0, D_1, D_2 at the Gauss points: (3, spline, interval, point)
     # D_d B_m * D_d B_n of each interval's splines m <= n (pair e of
-    # ``_PAIRS``) at the Gauss points, the forms' integrands: (3, point, interval, 10)
+    # ``_PAIRS``) at the Gauss points, the forms' integrands: (3, point, pair, interval)
     products: np.ndarray
     knot_data: np.ndarray  # v and v_s of the three splines nonzero at each node: (2, 3, node)
 
@@ -249,52 +252,12 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     ends = np.pad(knot_data, ((0, 0), (1, 1), (0, 0)))
     data = rule.hermite_data(ends[:, 1:, :-1], ends[:, :-1, 1:])
     table = np.ascontiguousarray(np.moveaxis(rule.derivatives(data), 1, -1))
-    products = np.ascontiguousarray(
-        (table[:, _PAIRS[0]] * table[:, _PAIRS[1]]).transpose(0, 3, 2, 1))
+    first, second = np.transpose(_PAIRS)
+    products = np.ascontiguousarray((table[:, first] * table[:, second]).transpose(0, 3, 1, 2))
     tables = _GridTables(rule, table, products, knot_data)
     for array in tables[1:]:
         array.flags.writeable = False
     return tables
-
-
-class _IndexMaps(NamedTuple):
-    """Where the coefficients of one node count and end conditions go
-    (read-only arrays; see ``DiscreteQuotient``)."""
-
-    free: np.ndarray   # free coefficient of each spline, −1 where it is 0: (spline,)
-    local: np.ndarray  # ``free`` of each interval's four splines: (interval, 4)
-    size: int          # number of free coefficients
-    pick: np.ndarray   # the pairs of ``_PAIRS`` per interval that the band gains
-    slot: np.ndarray   # the band entry each picked pair adds to
-
-
-@lru_cache(maxsize=16)
-def _index_maps(nodes: int, pin: bool, second: bool) -> _IndexMaps:
-    """The index maps of ``nodes`` nodes under the end conditions (a pinned
-    v(r_min), a second-order row), built once per such key and shared.
-
-    The clamped knot vector makes v(end) the end coefficient and v_s(end) a
-    multiple of the difference of the two end coefficients, so the last two
-    of the nodes + 2 splines are 0; a pin sets the first to 0, and
-    v_s(s_0) = 0 makes the first two agree. Entry (a, b) of the band gains
-    pair (m, n) of each interval whose splines have free coefficients
-    a <= b, twice when two splines share one coefficient (the pair stands
-    for (n, m) too).
-    """
-    free = np.arange(nodes + 2) - int(pin or second)
-    free[0] = -1 if pin else 0
-    free[-2:] = -1
-    local = free[np.arange(nodes - 1)[:, None] + np.arange(4)]
-    size = int(free.max()) + 1
-    a, b = local[:, _PAIRS[0]], local[:, _PAIRS[1]]
-    upper = (a >= 0) & (a <= b)
-    twice = upper & (a == b) & (_PAIRS[0] != _PAIRS[1])
-    pick = np.concatenate([np.flatnonzero(upper), np.flatnonzero(twice)])
-    slot = ((_BANDS + a - b) * size + b).ravel()[pick]
-    maps = _IndexMaps(free, local, size, pick, slot)
-    for array in (free, local, pick, slot):
-        array.flags.writeable = False
-    return maps
 
 
 def _quotient(a: float, b: float, c: float) -> float:
@@ -308,18 +271,20 @@ class DiscreteQuotient:
     """Rayleigh–Ritz realization of one quotient on cubic B-splines in ln r,
     on the clamped knot vector of the nodes.
 
-    ``x`` holds the coefficients of the free splines (see the module
-    docstring for the end conditions). ``_free`` maps each spline to its
-    free coefficient (−1 where an end condition sets it to 0), and
-    ``_local`` does so for each interval's four splines. ``A``, ``B`` and
-    ``C`` are accumulated straight into the upper band storage the pencil
-    works on, from the per-interval products of D_0, D_1 and D_2 of pairs of
+    Every form is first assembled on all nodes + 2 splines, in upper band
+    storage, from the per-interval products of D_0, D_1 and D_2 of pairs of
     splines at the sampled profiles' Gauss points in s, weighted by that
-    rule's weights. ``to_profile`` hands the spline of ``x`` over as a sampled
-    profile, and ``parts`` is that profile's forms. The table, its products
-    and the node data depend on the grid alone, the index maps on the node
-    count and the end conditions alone; they are shared (``_grid_tables``,
-    ``_index_maps``).
+    rule's weights. The end conditions then restrict it once to the
+    coefficients ``x`` of the free splines: Pᵀ G P, where P extends x to
+    all coefficients (see the module docstring). The clamped knot vector
+    makes v(end) the end coefficient and v_s(end) a multiple of the
+    difference of the two end coefficients, so the clamp at r_max drops the
+    last two splines, a pin drops the first, and v_s(s_0) = 0 makes the
+    first two one coefficient. ``A``, ``B`` and ``C`` are those restricted
+    bands, which the pencil works on. ``to_profile`` hands the spline of
+    ``x`` over as a sampled profile, and ``parts`` is that profile's forms.
+    The table, its products and the node data depend on the grid alone and
+    are shared (``_grid_tables``).
     """
 
     def __init__(self, problem: VariationalProblem):
@@ -328,10 +293,8 @@ class DiscreteQuotient:
         self.r = r = grid.rule.grid
         forms, self.target, self.solved_in = _kind_lookup(problem.kind, problem.mode)
         rows = [row for form in forms for row in form]
-        second = any(d == 2 for _, d, _ in rows)
-        pin = any(d == 0 and p <= -1 for _, d, p in rows)
-        self._free, self._local, self._size, self._pick, self._slot = _index_maps(
-            len(r), pin, second)
+        self._fold = any(d == 2 for _, d, _ in rows)
+        self._pin = pin = any(d == 0 and p <= -1 for _, d, p in rows)
 
         # Each form is its (coef, deriv, power) rows and the weight of
         # v(r_min)^2 that adds the exact integral of its zero-order rows
@@ -343,17 +306,35 @@ class DiscreteQuotient:
         self.A, self.B, self.C = (self._band(*form) for form in self._forms)
 
     def _band(self, rows, edge: float = 0.0) -> np.ndarray:
-        """Upper band storage of the Gram matrix of (coef, deriv, power) rows:
-        the rows' weights summed per derivative order, each order's sum
-        contracted once with the grid's spline products."""
+        """Upper band storage of the Gram matrix of (coef, deriv, power) rows
+        on the free splines: the rows' weights summed per derivative order,
+        each order's sum contracted once with the grid's spline products,
+        accumulated on all splines and restricted once."""
         weights: dict[int, np.ndarray] = {}
         for c, d, p in rows:
             weights[d] = weights.get(d, 0.0) + c * self._grid.rule.weights(p - 2 * d)[0]
-        block = sum(np.einsum("qi,qie->ie", w, self._grid.products[d])
+        block = sum(np.einsum("qi,qei->ei", w, self._grid.products[d])
                     for d, w in weights.items())
-        band = np.bincount(self._slot, block.ravel()[self._pick], (_BANDS + 1) * self._size)
-        band[_BANDS * self._size] += edge
-        return band.reshape(_BANDS + 1, self._size)
+        intervals = block.shape[1]
+        band = np.zeros((_BANDS + 1, intervals + 3))
+        # Pair (m, n) of interval i is entry (i + m, i + n), stored at row
+        # _BANDS - (n - m), column i + n. In reverse pair order each entry
+        # sums its intervals in ascending order.
+        for (m, n), products in zip(reversed(_PAIRS), block[::-1]):
+            band[_BANDS - n + m, n:n + intervals] += products
+        band[_BANDS, 0] += edge
+        if self._fold:
+            # Row and column 0 fold into 1: A'00 = A00 + 2 A01 + A11 and
+            # A'0j = A0,j+1 + A1,j+1.
+            band[_BANDS, 1] = band[_BANDS, 0] + 2.0 * band[_BANDS - 1, 1] + band[_BANDS, 1]
+            band[_BANDS - 1, 2] += band[_BANDS - 2, 2]
+            band[_BANDS - 2, 3] += band[_BANDS - 3, 3]
+        first = int(self._fold or self._pin)  # the first free spline
+        band = band[:, first:-2]
+        if first:
+            # The dropped spline's entries, now above the restricted matrix.
+            band[_BANDS - 1 - np.arange(_BANDS), np.arange(_BANDS)] = 0.0
+        return band
 
     def parts(self, x: np.ndarray) -> tuple[float, float, float]:
         """A, B and C of the spline with coefficients x: the forms of
@@ -381,9 +362,13 @@ class DiscreteQuotient:
         if factor is None:
             raise SolverError("spline Gram matrix is not positive definite")
         f = rule.weights(-1)[0] * np.asarray(profile.value(rule.radii, 0), dtype=float)
-        free = self._local >= 0
-        rhs = np.einsum("qi,aiq->ia", f, self._grid.table[0])[free]
-        return dpbtrs(factor, np.bincount(self._local[free], rhs, self._size))[0]
+        local = np.einsum("qi,aiq->ai", f, self._grid.table[0])
+        rhs = np.zeros(len(self.r) + 2)
+        for m in reversed(range(_BANDS + 1)):  # each entry sums its intervals in order
+            rhs[m:m + local.shape[1]] += local[m]
+        if self._fold:  # Pᵀ, as on the bands
+            rhs[1] += rhs[0]
+        return dpbtrs(factor, rhs[int(self._fold or self._pin):-2])[0]
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
         """The spline with coefficients x (w = v' for reduced rows) itself, as
@@ -393,7 +378,9 @@ class DiscreteQuotient:
         c * r_min^(p+1) / (p+1) * f(r_min)^2 to every zero-order row (c, 0, p)
         of ``integrate`` on this profile; ``parts`` is exactly that.
         """
-        c = np.append(x, 0.0)[self._free]  # index −1 reads the appended 0
+        # P x: the coefficients of all splines, the clamped two at the end 0.
+        head = x[:1] if self._fold else [0.0] if self._pin else []
+        c = np.concatenate([head, x, [0.0, 0.0]])
         values, slopes = (k[0] * c[:-2] + k[1] * c[1:-1] + k[2] * c[2:]
                           for k in self._grid.knot_data)
         return SampledProfile._from_slopes(self._grid.rule, values, slopes)

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (DegenerateProfileError, DivergentIntegralError,
-                     QuadratureConvergenceError, UsageError)
+                     QuadratureConvergenceError, UsageError, _NameEnum)
 from .profiles import (
     GAUSS_KERNEL,
     _TINY,
@@ -68,15 +67,11 @@ _GRADING_EPS = 1e-30
 _CANCEL_TOL = 1e-12
 
 
-class QuadratureRule(str, Enum):
+class QuadratureRule(_NameEnum):
     """The route ``integrate`` takes for analytic profiles."""
 
     CLOSED_FORM = "closed_form_gamma"
     PANELS = "gauss_legendre_panels"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise UsageError(f"unknown quadrature rule {value!r}")
 
 
 #: The closed-form and default rules by the names perfbench/workloads.py uses.

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .constants import PrincipleId
-from .errors import DivergentIntegralError, FormUnavailableError, SingularWeightError, UsageError
+from .errors import (DivergentIntegralError, FormUnavailableError, SingularWeightError,
+                     UsageError, _NameEnum)
 from .profiles import (
     AnalyticProfile,
     MixtureProfile,
@@ -41,7 +41,7 @@ from .quadrature import (
 )
 
 
-class FunctionalId(str, Enum):
+class FunctionalId(_NameEnum):
     GRAD_ENERGY = "grad_energy"                          # ∫ |∇u|^2
     WEIGHTED_GRAD_ENERGY = "weighted_grad_energy"        # ∫ |x|^2 |∇u|^2
     COULOMB_GRAD_ENERGY = "coulomb_grad_energy"          # ∫ |∇u|^2 / |x|
@@ -55,7 +55,7 @@ class FunctionalId(str, Enum):
     COULOMB_L2 = "coulomb_l2"                            # ∫ |u|^2 / |x| (raw form only)
 
 
-class Form(str, Enum):
+class Form(_NameEnum):
     RAW = "raw"          # integrals of the coefficient u_k
     REDUCED = "reduced"  # integrals of v_k = u_k / r^k
 

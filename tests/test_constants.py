@@ -141,3 +141,10 @@ def test_scan_validation_and_json():
     assert len(blob["values"]) == 11
     assert blob["values"][1] == {"num": 9, "den": 2, "float": 4.5}
     assert blob["certified_from"] == 1
+
+
+def test_unknown_principle_name_is_a_usage_error():
+    # UsageError is a ValueError, so callers that catch ValueError still do.
+    with pytest.raises(UsageError, match="'x' is not a valid PrincipleId"):
+        sharp_constant("x", 3)
+    assert issubclass(UsageError, ValueError)

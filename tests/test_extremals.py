@@ -178,3 +178,8 @@ def test_sphere_area_values():
     assert_allclose(sphere_area(1), 2.0, rtol=1e-14)
     assert_allclose(sphere_area(2), 2 * math.pi, rtol=1e-14)
     assert_allclose(sphere_area(3), 4 * math.pi, rtol=1e-14)
+
+
+def test_unknown_principle_name_is_a_usage_error():
+    with pytest.raises(UsageError, match="'x' is not a valid PrincipleId"):
+        extremal_quotient("x", 3)

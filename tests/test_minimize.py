@@ -375,43 +375,6 @@ def test_grid_tables_are_shared_and_read_only():
     assert all(band.flags.f_contiguous for band in bands)
 
 
-@pytest.mark.parametrize("pin", [False, True])
-@pytest.mark.parametrize("second", [False, True])
-def test_index_maps_are_shared_and_match_a_fresh_build(pin, second):
-    # The coefficient maps depend on the node count and the end conditions
-    # alone; the shared ones equal the ones built here from the splines'
-    # end conditions, and they are read-only.
-    nodes = 128
-    free = np.arange(nodes + 2) - int(pin or second)
-    free[0] = -1 if pin else 0
-    free[-2:] = -1
-    local = free[np.arange(nodes - 1)[:, None] + np.arange(4)]
-    size = free.max() + 1
-    pairs = np.triu_indices(_BANDS + 1)
-    a, b = local[:, pairs[0]], local[:, pairs[1]]
-    upper = (a >= 0) & (a <= b)
-    twice = upper & (a == b) & (pairs[0] != pairs[1])
-    pick = np.concatenate([np.flatnonzero(upper), np.flatnonzero(twice)])
-    slot = ((_BANDS + a - b) * size + b).ravel()[pick]
-    maps = minimize._index_maps(nodes, pin, second)
-    assert maps is minimize._index_maps(nodes, pin, second)
-    assert maps.size == size
-    for got, want in zip((maps.free, maps.local, maps.pick, maps.slot), (free, local, pick, slot)):
-        assert_array_equal(got, want)
-        with pytest.raises(ValueError):
-            got[(0,) * got.ndim] = 0
-
-
-def test_discrete_quotients_read_the_shared_index_maps():
-    for kind, n in (("product_hup2", 2), ("classic_hup", 3), ("mode_hyup2_full", 5)):
-        dq = problem(kind, n, 0, size=128).assemble()
-        forms, _, _ = _kind_lookup(kind, make_mode(n, 0))
-        rows = [row for form in forms for row in form]
-        pin = any(d == 0 and p <= -1 for _, d, p in rows)
-        maps = minimize._index_maps(128, pin, any(d == 2 for _, d, _ in rows))
-        assert dq._free is maps.free and dq._local is maps.local and dq._slot is maps.slot
-
-
 def test_shift_ladder_never_factors_its_certified_shift_again(monkeypatch):
     # After two rejected shifts the gap reaches 1, so the next shift is the
     # certified one, lo (here 0, K itself), whose factor is at hand. No solve
@@ -556,33 +519,66 @@ def test_banded_solve_matches_dense_eigh(kind):
             assert banded == pytest.approx(dense, rel=5e-12), (n, t)
 
 
+def _left_end(rows):
+    """What the end conditions make of the first spline: "fold" where a row
+    is second order (v'(r_min) = 0 joins the first two coefficients), "pin"
+    where a zero-order weight is not integrable at 0 (v(r_min) = 0), else
+    "free"."""
+    if any(d == 2 for _, d, _ in rows):
+        return "fold"
+    return "pin" if any(d == 0 and p <= -1 for _, d, p in rows) else "free"
+
+
+def _extension(nodes, left):
+    """P: the coefficients of all nodes + 2 splines from the free ones, the
+    last two 0 (v = v' = 0 at r_max)."""
+    shift = int(left != "free")
+    extension = np.eye(nodes + 2, nodes - shift, -shift)
+    if left == "fold":
+        extension[0, 0] = 1.0
+    return extension
+
+
+def _dense_to_band(matrix):
+    band = np.zeros((_BANDS + 1, len(matrix)))
+    for k in range(_BANDS + 1):
+        band[_BANDS - k, k:] = np.diag(matrix, k)
+    return band
+
+
+_BAND_CASES = [(size, n, k) for size in (96, 512) for n in (2, 3, 5) for k in (0, 1, 2)]
+
+
 @pytest.mark.parametrize("kind", list(QuotientKind))
 def test_band_matches_per_row_assembly(kind):
-    # The oracle assembles row by row, one three-operand contraction of the
-    # splines' D_d at the Gauss points per row, over every ordered pair of an
-    # interval's splines whose free coefficients a <= b; _band sums the
-    # weights per order and contracts them with the grid's pair products.
-    # Each entry agrees to 1e-14 of the same sum taken in absolute values.
-    for size in (96, 512):
-        for n in (2, 3, 5):
-            for k in (0, 1, 2):
-                dq = problem(kind, n, k, size=size).assemble()
-                table, weights = dq._grid.table, dq._grid.rule.weights
-                a, b = dq._local[:, :, None], dq._local[:, None, :]
-                upper = (a >= 0) & (a <= b)
-                slot = ((_BANDS + a - b) * dq._size + b)[upper]
-                for rows, edge in dq._forms:
-                    def oracle(f):
-                        block = sum(f(c) * np.einsum("qi,aiq,biq->iab", weights(p - 2 * d)[0],
-                                                     f(table[d]), f(table[d]))
-                                    for c, d, p in rows)
-                        band = np.bincount(slot, block[upper], (_BANDS + 1) * dq._size)
-                        band[_BANDS * dq._size] += f(edge)
-                        return band.reshape(_BANDS + 1, dq._size)
+    # The oracle is dense: the Gram matrix G of all nodes + 2 splines,
+    # assembled row by row and interval by interval from the splines' D_d at
+    # the Gauss points, with the edge weight at G_00, then restricted to the
+    # free coefficients as P^T G P. _band sums the weights per order,
+    # contracts them with the grid's pair products on the full band and
+    # restricts it once. Each band entry agrees to 1e-14 of the same sum
+    # taken in absolute values. The case list meets every left end.
+    ends = {_left_end([row for form in _kind_lookup(other, make_mode(n, k))[0] for row in form])
+            for other in QuotientKind for _, n, k in _BAND_CASES}
+    assert ends == {"free", "pin", "fold"}
+    for size, n, k in _BAND_CASES:
+        dq = problem(kind, n, k, size=size).assemble()
+        table, weights = dq._grid.table, dq._grid.rule.weights
+        splines = np.arange(size - 1)[:, None] + np.arange(_BANDS + 1)
+        extension = _extension(size, _left_end([row for rows, _ in dq._forms for row in rows]))
+        for rows, edge in dq._forms:
+            def oracle(f):
+                gram = np.zeros((size + 2, size + 2))
+                for c, d, p in rows:
+                    local = f(c) * np.einsum("qi,aiq,biq->iab", weights(p - 2 * d)[0],
+                                             f(table[d]), f(table[d]))
+                    np.add.at(gram, (splines[:, :, None], splines[:, None, :]), local)
+                gram[0, 0] += f(edge)
+                return _dense_to_band(extension.T @ gram @ extension)
 
-                    scale = oracle(np.abs)
-                    error = np.abs(dq._band(rows, edge) - oracle(lambda x: x))
-                    assert (error <= 1e-14 * scale).all(), (size, n, k)
+            scale = oracle(np.abs)
+            error = np.abs(dq._band(rows, edge) - oracle(lambda x: x))
+            assert (error <= 1e-14 * scale).all(), (size, n, k)
 
 
 def test_pencil_solves_factor_within_budget(monkeypatch):
@@ -660,8 +656,9 @@ def test_to_profile_matches_scipy_bspline(rng):
 
     dq = problem("mode_hyup2_full", 3, 1, size=512).assemble()
     x = rng.standard_normal(dq.A.shape[1])
-    local = np.append(x, 0.0)[dq._local]
-    coefficients = np.concatenate([local[:, 0], local[-1, 1:]])
+    # All nodes + 2 coefficients: the second-order row's v'(r_min) = 0 makes
+    # the first two x_0, and the clamp at r_max makes the last two 0.
+    coefficients = np.concatenate([x[:1], x, [0.0, 0.0]])
     spline = BSpline(_clamped_knots(np.log(dq.r)), coefficients, 3)
     profile = dq.to_profile(x)
     expected = spline(np.log(dq.r))
@@ -858,3 +855,15 @@ def test_mode_mixtures_never_beat_best_single_mode(rng):
         a, b, c = (math.fsum(column) for column in zip(*parts))
         best = min(pa * pb / (pc * pc) for pa, pb, pc in parts)
         assert a * b / (c * c) >= best * (1 - 1e-12)
+
+
+def test_unknown_kind_name_is_a_usage_error():
+    with pytest.raises(UsageError, match="'x' is not a valid QuotientKind"):
+        VariationalProblem.for_mode("x", 3)
+
+
+def test_grid_size_must_be_an_integer():
+    for size in (100.5, 128.0, True, "128"):
+        with pytest.raises(UsageError, match="grid size must be an integer"):
+            VariationalProblem.for_mode("product_hup2", 3, size=size)
+    assert len(GridSpec(size=np.int64(128)).nodes()) == 128

@@ -433,3 +433,11 @@ def test_mode_functional_json():
     assert blob["id"] == "grad_energy"
     assert set(blob) == {"mode", "id", "form", "terms", "value"}
     assert_allclose(sum(blob["terms"].values()), blob["value"], rtol=1e-12)
+
+
+def test_unknown_functional_or_form_name_is_a_usage_error():
+    mode, profile = make_mode(3, 0), AnalyticProfile("gaussian", 1.0, 1.0)
+    with pytest.raises(UsageError, match="'x' is not a valid FunctionalId"):
+        eval_mode_functional("x", mode, profile)
+    with pytest.raises(UsageError, match="'x' is not a valid Form"):
+        eval_mode_functional("l2_norm", mode, profile, form="x")
