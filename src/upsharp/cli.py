@@ -57,13 +57,15 @@ def parse_float_list(text: str) -> list[float]:
     return _parse_list(text, float)
 
 
-def _emit(args: argparse.Namespace, parameters: dict, payload: dict, header: list[str],
-          rows) -> None:
+def _emit(args: argparse.Namespace, payload: dict, header: list[str], rows) -> None:
     """Write the command's report: JSON (its run manifest plus ``payload``) or,
-    with ``--format csv``, ``header`` and the rows that ``rows()`` builds."""
+    with ``--format csv``, ``header`` and the rows that ``rows()`` builds. The
+    manifest's parameters are every option the command ran with that is set."""
     if args.format == "csv":
         text = render_csv(header, rows())
     else:
+        parameters = {key: value for key, value in vars(args).items() if value is not None
+                      and key not in ("command", "fn", "config", "seed", "out", "format")}
         manifest = RunManifest.create(args.command, parameters, args.seed)
         text = render_json({"manifest": manifest, **payload})
     write_report(text, args.out)
@@ -71,11 +73,12 @@ def _emit(args: argparse.Namespace, parameters: dict, payload: dict, header: lis
 
 def cmd_verify(args: argparse.Namespace) -> int:
     principle = PrincipleId(args.principle)
-    dims = args.n if args.n is not None else f"{PRINCIPLES[principle].least_dimension}..10"
+    if args.n is None:  # the default the manifest records
+        args.n = f"{PRINCIPLES[principle].least_dimension}..10"
     modes = ("closed_form", "quadrature") if args.mode == "both" else (args.mode,)
     reports = [
         extremal_quotient(principle, n, beta, mode=mode)
-        for n in parse_int_range(dims)
+        for n in parse_int_range(args.n)
         for beta in parse_float_list(args.beta)
         for mode in modes
     ]
@@ -87,7 +90,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures.append(rep)
     _emit(
         args,
-        {"principle": principle.value, "n": dims, "beta": args.beta, "mode": args.mode},
         {"reports": reports, "failures": len(failures)},
         ["principle", "N", "beta", "quotient", "predicted", "rel_gap"],
         lambda: [[rep.principle.value, rep.dimension, rep.rate, rep.quotient, rep.predicted,
@@ -121,7 +123,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     _emit(
         args,
-        {"formula": formula, "n": args.n, "k_max": args.k_max},
         {"results": results, "annotations": annotated,
          "mismatches": len(mismatches)},
         ["formula", "N", "k", "num", "den", "value"],
@@ -145,7 +146,6 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     result = minimize_quotient(problem)
     _emit(
         args,
-        {"quotient": kind.value, "n": args.n, "k": args.k, "m": args.m},
         {"result": result, "eigen_crosscheck": result.pencil_value,
          "tolerance_band": band},
         ["kind", "N", "k", "size", "min_value", "pencil_value", "pencil_lower", "t_star",
@@ -176,7 +176,6 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     report = explore_conjecture(args.n, k_max=args.k_max, resolutions=resolutions)
     _emit(
         args,
-        {"n": args.n, "k_max": args.k_max, "ladder": list(resolutions)},
         {"report": report},
         ["k", "resolution", "min_value"],
         lambda: [[entry["degree"], entry["size"], entry["min_value"]] for entry in report.ladder],
@@ -230,7 +229,6 @@ def cmd_decompose_check(args: argparse.Namespace) -> int:
     failures = [row for row in rows if row["rel_error"] >= DECOMPOSE_GATE]
     _emit(
         args,
-        {"n": n, "beta": beta, "mode_k": k, "amplitude": amplitude},
         {"rows": rows, "failures": len(failures)},
         ["check", "lhs", "rhs", "rel_error"],
         lambda: [[row["check"], row["lhs"], row["rhs"], row["rel_error"]] for row in rows],

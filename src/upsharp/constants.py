@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import InconclusiveScanError, UsageError, _NameEnum
+from .errors import InconclusiveScanError, UsageError, _integer, _NameEnum
 
 
 class PrincipleId(_NameEnum):
@@ -68,7 +68,7 @@ def sharp_constant(principle: PrincipleId | str, dimension: int) -> SharpConstan
     """Sharp constant (N + shift)^2/4 of a principle in a given dimension, with
     proof status; UsageError below the principle's least dimension."""
     p = PrincipleId(principle)
-    n = int(dimension)
+    n = _integer(dimension, "dimension")
     spec = PRINCIPLES[p]
     if n < spec.least_dimension:
         raise UsageError(f"{p.value} requires dimension >= {spec.least_dimension}")
@@ -135,7 +135,7 @@ def hyup2_mode_bound(dimension: int, degree: int) -> Fraction:
 
 
 def _check_nk(dimension: int, degree: int) -> tuple[int, int]:
-    n, k = int(dimension), int(degree)
+    n, k = _integer(dimension, "dimension"), _integer(degree, "degree")
     if n < 2:
         raise UsageError("mode bounds need dimension >= 2")
     if k < 0:
@@ -149,7 +149,7 @@ def growth_certificate(dimension: int, t: int) -> int:
     h is nondecreasing in t for t >= N >= 2, and h >= 0 at t = N+2k implies
     the hup2 mode bound is nondecreasing from degree k on.
     """
-    n = int(dimension)
+    n, t = _integer(dimension, "dimension"), _integer(t, "t")
     return t**4 - 8 * (n - 1) * t - 16 * n
 
 
@@ -174,7 +174,7 @@ def scan_infimum(formula: str, dimension: int, k_max: int = 64) -> ScanResult:
     ``hyup2_mode``). A scan whose minimum could move beyond k_max raises.
     """
     principle = mode_principle(formula)
-    if k_max < 8:
+    if _integer(k_max, "k_max") < 8:
         raise UsageError("k_max must be at least 8")
     n, _ = _check_nk(dimension, 0)
     values = tuple(mode_bound(principle, n, k) for k in range(k_max + 1))

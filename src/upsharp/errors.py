@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package, and the base of its name
-enums, whose unknown names are usage errors."""
+"""Exception hierarchy shared across the package, the base of its name
+enums, whose unknown names are usage errors, and its one integer check."""
 
 from enum import Enum
+from numbers import Integral
 
 
 class UpsharpError(Exception):
@@ -48,3 +49,11 @@ class _NameEnum(str, Enum):
     @classmethod
     def _missing_(cls, value):
         raise UsageError(f"{value!r} is not a valid {cls.__name__}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; UsageError for a bool or a non-integer, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}; "
+                         "non-integers are not truncated")
+    return int(value)

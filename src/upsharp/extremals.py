@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONJECTURAL, PrincipleId, sharp_constant
-from .errors import UsageError
+from .errors import UsageError, _integer
 from .profiles import AnalyticProfile, MixtureProfile, Mode, Profile, make_mode
 from .quadrature import CLOSED_FORM, QuadratureRule, positive_normal
 from .seminorms import PRINCIPLE_FUNCTIONALS, Form, eval_mode_functional
@@ -94,7 +94,7 @@ def extremal_quotient(
     radial operators reduce to on radial profiles; their reports say so.
     """
     p = PrincipleId(principle)
-    n = int(dimension)
+    n = _integer(dimension, "dimension")
     if mode not in ("closed_form", "quadrature"):
         raise UsageError(f"unknown evaluation mode {mode!r}")
     if beta <= 0:

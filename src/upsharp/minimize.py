@@ -87,7 +87,7 @@ from .constants import (
     scan_infimum,
     sharp_constant,
 )
-from .errors import SolverError, UsageError, _NameEnum
+from .errors import SolverError, UsageError, _integer, _NameEnum
 from .profiles import Mode, Profile, SampledProfile, _grid_rule, _GridRule, make_mode
 from .seminorms import BOTH_FORMS, HARDY_FUNCTIONALS, PRINCIPLE_FUNCTIONALS, Form, _term_table
 
@@ -131,9 +131,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not 0 < self.r_min < self.r_max < math.inf:
             raise UsageError("need 0 < r_min < r_max < inf")
-        if isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer)):
-            raise UsageError(f"the grid size must be an integer, got {self.size!r}")
-        if self.size < 64:
+        if _integer(self.size, "the grid size") < 64:
             raise UsageError("grids below 64 nodes are too coarse to be meaningful")
 
     def nodes(self) -> np.ndarray:
@@ -284,7 +282,8 @@ class DiscreteQuotient:
     bands, which the pencil works on. ``to_profile`` hands the spline of
     ``x`` over as a sampled profile, and ``parts`` is that profile's forms.
     The table, its products and the node data depend on the grid alone and
-    are shared (``_grid_tables``).
+    are shared (``_grid_tables``). SolverError unless every entry of the
+    forms, assembled without floating-point checks, is finite.
     """
 
     def __init__(self, problem: VariationalProblem):
@@ -299,11 +298,14 @@ class DiscreteQuotient:
         # Each form is its (coef, deriv, power) rows and the weight of
         # v(r_min)^2 that adds the exact integral of its zero-order rows
         # over (0, r_min).
-        self._forms = [
-            (form, sum(c * r[0] ** (p + 1) / (p + 1) for c, d, p in form if d == 0 and not pin))
-            for form in forms
-        ]
-        self.A, self.B, self.C = (self._band(*form) for form in self._forms)
+        with np.errstate(all="ignore"):  # judged once, below
+            self._forms = [
+                (form, sum(c * r[0] ** (p + 1) / (p + 1) for c, d, p in form if d == 0 and not pin))
+                for form in forms
+            ]
+            self.A, self.B, self.C = (self._band(*form) for form in self._forms)
+        if not all(np.isfinite(band).all() for band in (self.A, self.B, self.C)):
+            raise SolverError("the forms are not finite on this grid")
 
     def _band(self, rows, edge: float = 0.0) -> np.ndarray:
         """Upper band storage of the Gram matrix of (coef, deriv, power) rows
@@ -541,30 +543,29 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
     succeeds is a certified lower bound of lambda_min(t) and shifts the next
     inverse step; the ladder ends when that bound and the Rayleigh quotient
     agree to 1e-12, or when the quotient stops falling and a higher shift
-    fails close to the bound. lambda(t) is then read
-    as the Rayleigh quotient of the eigenvector in the factored forms, an
-    upper bound; SolverError when K does not factor, or before any solve
-    when a form's diagonal underflows to 0 or overflows, which leaves no
-    finite t range (extreme r_min or r_max). t* is found by
+    fails close to the bound. lambda(t) is then read as the Rayleigh
+    quotient of the eigenvector in the factored forms, an upper bound;
+    SolverError when K does not factor, or before any solve for every form,
+    scaled form or ln t range that is not finite (extreme r_min or r_max
+    leave weights or diagonals out of the float range). t* is found by
     bisection in ln t on the sign of the slope (t a - b/t)/c of lambda(t),
     read from the same eigenvector, until |t a - b/t| times the updated
     bracket's width is 1e-12 of (t a + b/t), or the width is 1e-4; ``exit``
     says which ("flat", "bracketed", or "range_end" when t* was not
-    bracketed). The range spans
-    the local scales of the splines, widened upward by ln(size) for profiles
-    much wider than one spline. The best evaluation gives every reported value;
+    bracketed). The range spans the local scales of the splines, widened
+    upward by ln(size) for profiles much wider than one spline. The best
+    evaluation gives every reported value;
     a later probe replaces it only when its lambda is lower by more than
     lambda's rounding (``_TIE_ULPS``), so that ties at the rounding level keep
     the earlier probe whether or not the bisection stopped where it was flat.
     """
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        try:
-            dq = problem.assemble()
-            scale, A, B, C = _scaled_bands(dq)
-            local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
-        except FloatingPointError as exc:
-            raise SolverError(f"the forms are not finite on this grid ({exc})") from None
+    dq = problem.assemble()
+    with np.errstate(all="ignore"):  # judged once, below
+        scale, A, B, C = _scaled_bands(dq)
+        local = 0.5 * np.log(B[_BANDS] / A[_BANDS])
     ends = [local.min(), local.max() + math.log(problem.grid.size)]
+    if not all(np.isfinite(x).all() for x in (scale, A, B, C, ends)):
+        raise SolverError("the scaled forms or their t range are not finite on this grid")
     moved = [False, False]
     # Inverse iteration starts from the previous eigenvector (ones at first),
     # so every run of the same problem takes the same path.
@@ -676,7 +677,7 @@ def mode_combined_bound(
     value for comparison.
     """
     principle = mode_principle(quotient)
-    if k_max < 4:
+    if _integer(k_max, "k_max") < 4:
         raise UsageError("k_max must be at least 4")
     kind = next(kind for kind, spec in KINDS.items()
                 if spec.degree_zero and spec.principle is principle)
@@ -755,10 +756,10 @@ def explore_conjecture(
     bound's degree-0 product_hyup2 row has the rows and grid of the finest
     degree-0 rung, and takes that rung's result.
     """
-    n = int(dimension)
+    n = _integer(dimension, "dimension")
     conjectured = float(sharp_constant(PrincipleId.HYUP2, n))  # UsageError below N = 2
     resolutions = tuple(sorted(set(resolutions)))
-    if k_max < 0 or not resolutions:
+    if _integer(k_max, "k_max") < 0 or not resolutions:
         raise UsageError("the conjecture explorer needs k_max >= 0 and at least one resolution")
     solves = []  # (size, degree, result) in ladder order
     token = _SOLVED.set({})

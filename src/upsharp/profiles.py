@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DegenerateProfileError, UsageError
+from .errors import DegenerateProfileError, UsageError, _integer
 
 GAUSS_KERNEL = "gauss"  # decay factor e^{-rate * r^2}
 EXP_KERNEL = "exp"      # decay factor e^{-rate * r}
@@ -86,15 +86,14 @@ def make_mode(dimension: int, degree: int) -> Mode:
 
     Dimension 1 admits only degree 0 (no spherical decomposition on the line).
     """
-    if not isinstance(dimension, (int, np.integer)) or not isinstance(degree, (int, np.integer)):
-        raise UsageError("dimension and degree must be integers")
+    dimension, degree = _integer(dimension, "dimension"), _integer(degree, "degree")
     if dimension < 1:
         raise UsageError(f"dimension must be >= 1, got {dimension}")
     if degree < 0:
         raise UsageError(f"degree must be >= 0, got {degree}")
     if dimension == 1 and degree != 0:
         raise UsageError("dimension 1 only supports degree 0")
-    return Mode(int(dimension), int(degree), int(degree) * (int(degree) + int(dimension) - 2))
+    return Mode(dimension, degree, degree * (degree + dimension - 2))
 
 
 def _coefficient(x: float, y: float) -> float:
@@ -307,7 +306,9 @@ class SampledProfile:
         orders at once (see :meth:`_GridRule.squares`), and each (deriv,
         power) is integrated once: its value is kept for every later call.
 
-        DegenerateProfileError when the integral overflows. That is tested
+        DegenerateProfileError when the integral is inf or nan, the one
+        verdict on squares and weights out of the float range, so an order
+        whose squares overflow fails only its own integrals. That is tested
         only where the largest square times the largest weight times their
         number could overflow; elsewhere no sum of them can.
         """
@@ -315,23 +316,19 @@ class SampledProfile:
             return self._integrals[deriv, power]
         except KeyError:
             pass
+        _check_deriv(deriv)
         if self._squares is None:
             self._squares, self._peaks = self._rule.squares(self.values, self._slopes)
-        try:
-            peak = self._peaks[deriv]  # keyed by order, so an unknown order is a KeyError
-        except KeyError:
-            _check_deriv(deriv)
-            raise
         weights, bound = self._rule.weights(power - 2 * deriv)
         # One dot per Gauss point, each as long as the grid has intervals.
         # OpenBLAS runs a ddot of up to 10 000 elements on the calling thread,
         # so rows keep grids of up to 10 001 nodes off the BLAS thread pool;
         # one dot over all four rows would reach it from 2 502 nodes on.
-        if peak * bound < _HALF_MAX:
+        if self._peaks[deriv] * bound < _HALF_MAX:
             total = math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
         else:
             try:
-                with np.errstate(over="ignore"):
+                with np.errstate(over="ignore", invalid="ignore"):
                     total = math.fsum(np.vecdot(self._squares[deriv], weights).tolist())
             except OverflowError:  # fsum's own partial sums
                 total = math.inf
@@ -476,31 +473,24 @@ class _GridRule:
         """|D_0 v|^2, |D_1 v|^2 and |D_2 v|^2 at the Gauss nodes, shape (3,
         points, intervals), and the largest of each, for the spline with node
         values y and node slopes ``slopes`` in s: :meth:`derivatives`, squared
-        in place. DegenerateProfileError when a value or a square overflows
-        (steep data or huge values), which would make its integrals inf or nan.
+        in place. A value or a square out of the float range (steep data or
+        huge values) is left inf or nan, for ``integral`` to judge.
         """
-        try:
-            with np.errstate(over="raise"):
-                f = self.derivatives(self.hermite_data((y[:-1], slopes[:-1]), (y[1:], slopes[1:])))
-                f *= f
-        except FloatingPointError:
-            raise DegenerateProfileError("|D_d v|^2 overflows at the Gauss nodes") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = self.derivatives(self.hermite_data((y[:-1], slopes[:-1]), (y[1:], slopes[1:])))
+            f *= f
         f.flags.writeable = False
         return f, dict(enumerate(f.max(axis=(1, 2)).tolist()))
 
     def weights(self, power: int) -> tuple[np.ndarray, float]:
         """The Gauss weights of r^power dr = r^(power+1) ds, and the largest
-        weight times their number (the bound ``integral`` takes it by);
-        DegenerateProfileError when r^(power+1) overflows at a node."""
+        weight times their number (the bound ``integral`` takes it by); an
+        r^(power+1) that overflows is left inf, for ``integral`` to judge."""
         try:
             return self._by_power[power]
         except KeyError:
-            try:
-                with np.errstate(over="raise"):
-                    table = self._weights * self.radii ** float(power + 1)
-            except FloatingPointError:
-                raise DegenerateProfileError(
-                    f"r^{power + 1} overflows at the Gauss nodes") from None
+            with np.errstate(over="ignore"):
+                table = self._weights * self.radii ** float(power + 1)
             table.flags.writeable = False
             self._by_power[power] = table, float(table.max()) * table.size
             return self._by_power[power]

@@ -441,6 +441,31 @@ def test_manifest_embedded(capsys):
     assert re.match(r"\d{4}-\d{2}-\d{2}T", manifest["timestamp"])
 
 
+def test_manifest_records_every_option_of_the_run(capsys):
+    # Two runs that differ only in --r-min report different minima, so
+    # their manifests must tell them apart.
+    argv = ["minimize", "product_hup2", "--n", "3", "--m", "64"]
+    runs = [json.loads(run_cli(capsys, argv + ["--r-min", r_min])[1]) for r_min in ("1e-3", "1e-5")]
+    assert runs[0]["result"]["min_value"] != runs[1]["result"]["min_value"]
+    assert [run["manifest"]["parameters"] for run in runs] == [
+        {"quotient": "product_hup2", "n": 3, "k": 0, "m": 64, "r_min": r_min, "band": 0.02}
+        for r_min in (1e-3, 1e-5)
+    ]
+    # The other commands keep the keys and values they always recorded; the
+    # seed, the output and the format are not parameters of the run.
+    expected = {
+        ("verify", "hup2", "--mode", "closed_form", "--seed", "3"):
+            {"principle": "hup2", "n": "1..10", "beta": "0.25,1,4", "mode": "closed_form"},
+        ("scan", "hup2_mode", "--n", "2..3", "--k-max", "8"):
+            {"formula": "hup2_mode", "n": "2..3", "k_max": 8},
+        ("decompose-check", "--n", "3", "--mode-k", "1"):
+            {"n": 3, "beta": 1.0, "mode_k": 1, "amplitude": 1.0},
+    }
+    for argv, parameters in expected.items():
+        rc, out = run_cli(capsys, list(argv))
+        assert rc == 0 and json.loads(out)["manifest"]["parameters"] == parameters, argv
+
+
 def test_render_json_rejects_unknown_objects():
     with pytest.raises(TypeError):
         render_json({"x": object()})

@@ -1,11 +1,14 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from upsharp.constants import (
     CONJECTURAL,
+    MODE_BOUNDS,
     PROVED,
+    ModeBoundSpec,
     PrincipleId,
     growth_certificate,
     hup2_mode_bound,
@@ -13,7 +16,7 @@ from upsharp.constants import (
     scan_infimum,
     sharp_constant,
 )
-from upsharp.errors import UsageError
+from upsharp.errors import InconclusiveScanError, UsageError
 from upsharp.reports import render_json
 
 
@@ -86,6 +89,30 @@ def test_mode_bound_rejects():
         hyup2_mode_bound(2, -1)
 
 
+@pytest.mark.parametrize("bad", [2.7, 3.0, True, "3"])
+def test_non_integer_dimension_or_degree_is_a_usage_error(bad):
+    # Nothing truncates: 2.7 is not N = 2, and True is not 1.
+    calls = [
+        lambda: sharp_constant("hup2", bad),
+        lambda: hup2_mode_bound(bad, 1),
+        lambda: hup2_mode_bound(3, bad),
+        lambda: hyup2_mode_bound(bad, 1),
+        lambda: hyup2_mode_bound(3, bad),
+        lambda: scan_infimum("hup2_mode", bad, 8),
+        lambda: scan_infimum("hup2_mode", 3, bad),
+        lambda: growth_certificate(bad, 5),
+        lambda: growth_certificate(3, bad),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError, match="must be an integer"):
+            call()
+
+
+def test_integer_types_of_numpy_are_integers():
+    assert sharp_constant("hup2", np.int64(2)).value == 4
+    assert hup2_mode_bound(np.int32(3), np.int64(1)) == hup2_mode_bound(3, 1)
+
+
 def test_growth_certificate_signs():
     # nonnegative from degree 1 in low dimensions, from degree 0 once N >= 4
     assert growth_certificate(2, 2) < 0 and growth_certificate(2, 4) > 0
@@ -126,6 +153,23 @@ def test_scan_hyup2_low_dimensions_documented():
         assert res.argmin == 1
         assert res.infimum == expected[n] == oracle(n, 1)
         assert res.infimum < Fraction((n + 1) ** 2, 4)
+
+
+def test_scan_without_a_certified_tail_is_inconclusive(monkeypatch):
+    # Reachable only through a bound whose tail certificate fails: one that
+    # never certifies, and one that a later decrease contradicts (the real
+    # hyup2 bound falls from 9/4 at k = 0 to 1/4 at k = 1 in N = 2).
+    spec = MODE_BOUNDS[PrincipleId.HYUP2]
+    monkeypatch.setitem(MODE_BOUNDS, PrincipleId.HYUP2,
+                        ModeBoundSpec(spec.correction, lambda n, k_max: None))
+    with pytest.raises(InconclusiveScanError, match="not certified"):
+        scan_infimum("hyup2_mode", 2, 8)
+    monkeypatch.setitem(MODE_BOUNDS, PrincipleId.HYUP2,
+                        ModeBoundSpec(spec.correction, lambda n, k_max: 0))
+    with pytest.raises(InconclusiveScanError, match="observed decrease"):
+        scan_infimum("hyup2_mode", 2, 8)
+    monkeypatch.undo()
+    assert scan_infimum("hyup2_mode", 2, 8).certified_from == 3
 
 
 def test_scan_validation_and_json():

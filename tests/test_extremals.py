@@ -174,6 +174,12 @@ def test_rejections():
         extremal_quotient("hup2", 3, 1.0, mode="montecarlo")
 
 
+@pytest.mark.parametrize("bad", [2.7, 3.0, True])
+def test_non_integer_dimension_is_a_usage_error(bad):
+    with pytest.raises(UsageError, match="must be an integer"):
+        extremal_quotient("hup2", bad)
+
+
 def test_sphere_area_values():
     assert_allclose(sphere_area(1), 2.0, rtol=1e-14)
     assert_allclose(sphere_area(2), 2 * math.pi, rtol=1e-14)

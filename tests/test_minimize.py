@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -336,6 +337,18 @@ def test_explore_conjecture_calibration_quick():
     assert "evidence" in report.status
 
 
+@pytest.mark.parametrize("bad", [5.9, 5.0, True])
+def test_explore_conjecture_needs_an_integer_dimension(bad):
+    # 5.9 is not N = 5: the explorer rejects it before any solve, and a
+    # highest degree that is not an integer too.
+    with pytest.raises(UsageError, match="must be an integer"):
+        explore_conjecture(bad, k_max=0, resolutions=(96,))
+    with pytest.raises(UsageError, match="must be an integer"):
+        explore_conjecture(5, k_max=bad, resolutions=(96,))
+    with pytest.raises(UsageError, match="must be an integer"):
+        mode_combined_bound("hup2", 3, k_max=bad, size=64)
+
+
 def test_explore_conjecture_solves_each_problem_once(monkeypatch):
     # The combined bound's degree-0 product_hyup2 row has the rows and grid
     # of the finest degree-0 rung and takes its result: 12 rungs and 5
@@ -608,6 +621,55 @@ def test_pencil_brackets_stay_tight():
                     assert res.pencil_value - res.pencil_lower <= 2e-8 * res.pencil_value, case
                     if res.pencil_lower > res.pencil_value * (1 + 1e-9):
                         assert kind is QuotientKind.MODE_HYUP2_FULL and k >= 1, case
+
+
+#: Grid ends at which weights r^(p+1) or form diagonals leave the float range.
+_EXTREME_ENDS = [(1e-300, 24.0), (1e-150, 24.0), (1e-60, 24.0), (1e-3, 1e150),
+                 (1e-3, 1e300), (1e-200, 1e200), (1e-30, 1e30)]
+
+
+def test_extreme_grids_fail_as_solver_errors():
+    # The forms are judged once by value, in assembly and before the first
+    # solve: every failure is a SolverError, and no floating-point warning
+    # escapes on the way (the suite turns warnings into errors). Of these
+    # 168 problems, 68 fail in assembly (a direct assemble() included), 53
+    # more on their scaled forms or t range, and 47 solve.
+    unassembled = failed = 0
+    for kind, n, k, (r_min, r_max) in itertools.product(QuotientKind, (2, 5), (0, 2),
+                                                         _EXTREME_ENDS):
+        p = VariationalProblem.for_mode(kind, n, k, size=96, r_min=r_min, r_max=r_max)
+        try:
+            p.assemble()
+        except SolverError:
+            unassembled += 1
+        try:
+            res = minimize_quotient(p)
+        except SolverError:
+            failed += 1
+        else:
+            assert 0.0 < res.min_value < math.inf
+    assert (unassembled, failed) == (68, 121)
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan, 1e308])
+def test_scaled_forms_are_judged_before_any_solve(monkeypatch, entry):
+    # An off-diagonal entry leaves the diagonals, and so the t range, finite;
+    # the verdict on the scaled forms still stops it before the first solve
+    # (1e308 overflows once scaled).
+    p = problem("product_hup2", 3, 0, size=96)
+    dq = p.assemble()
+    dq.A[_BANDS - 1, 5] = entry
+    monkeypatch.setattr(VariationalProblem, "assemble", lambda self: dq)
+    monkeypatch.setattr(minimize, "_lowest_eigenpair", None)  # never reached
+    with pytest.raises(SolverError, match="scaled forms"):
+        minimize_quotient(p)
+
+
+def test_shift_ladder_cap_is_a_solver_error(monkeypatch):
+    # One shift cannot close a bracket of 1e-12 from a first gap of 1e-2.
+    monkeypatch.setattr(minimize, "_LADDER_CAP", 1)
+    with pytest.raises(SolverError, match="shift ladder"):
+        minimize_quotient(problem("product_hup2", 3, 0, size=96))
 
 
 def test_pencil_errors_are_typed(monkeypatch):

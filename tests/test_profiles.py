@@ -42,6 +42,13 @@ def test_mode_rejects(dim, deg):
         make_mode(dim, deg)
 
 
+@pytest.mark.parametrize("dim,deg", [(True, False), (3, True), (2.0, 0), (3, 1.5), (3, "1")])
+def test_mode_needs_integer_dimension_and_degree(dim, deg):
+    with pytest.raises(UsageError, match="must be an integer"):
+        make_mode(dim, deg)
+    assert make_mode(np.int64(3), np.int8(1)) == make_mode(3, 1)
+
+
 def test_gaussian_value():
     g = AnalyticProfile("gaussian", 1.0, 1.0)
     assert_allclose(eval_profile(g, 0.5), math.exp(-0.25), rtol=1e-15)
@@ -504,6 +511,22 @@ def test_sampled_integral_that_overflows_is_degenerate():
                 p.integral(0, power)
         for power in (5, 9):
             assert 0.0 < p.integral(0, power) < math.inf
+
+
+def test_an_order_whose_squares_overflow_fails_only_its_own_integrals():
+    # Alternating values of 1e152: the squares of v stay finite (up to
+    # 2.1e304) and so does their integral, while the slopes in s, up to
+    # 2.4e154, square beyond the float range in both derivative orders.
+    grid = np.geomspace(1e-3, 10.0, 256)
+    p = SampledProfile(grid, 1e152 * (-1.0) ** np.arange(256))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for deriv in (1, 2):
+            with pytest.raises(DegenerateProfileError, match="overflows"):
+                p.integral(deriv, -1)
+        value = p.integral(0, -1)
+    assert value == pytest.approx(4.528e304, rel=1e-3)
+    assert np.finfo(float).tiny <= value < math.inf
 
 
 def test_sampled_integrals_are_kept_and_failures_are_not():

@@ -21,6 +21,13 @@ from upsharp.quadrature import (
 PANELS = QuadratureRule.PANELS
 
 
+@pytest.mark.parametrize("deriv,power", [(-1, 0), (3, 0), (0, -6)])
+def test_weighted_seminorm_rejects_orders_and_powers_out_of_range(deriv, power):
+    with pytest.raises(UsageError):
+        WeightedSeminorm(deriv, power)
+    WeightedSeminorm(2, -5)
+
+
 def test_integrate_closed_form_examples():
     # Gaussian L2 with weight r^{N-1}: Gamma(N/2) / (2 (2 beta)^{N/2})
     for n in (1, 2, 3, 7):
