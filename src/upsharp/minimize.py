@@ -24,15 +24,26 @@ data, their closed-form values and slopes at the nodes: a form sums its
 rows' weights per order d and contracts each sum once with the products
 D_d B_m D_d B_n of the table, on all nodes + 2 splines of the clamped knot
 vector. Table, products and node data depend on the grid alone and are
-built once per grid (``_grid_tables``). The end conditions below then
-restrict each full band once to the free coefficients (``DiscreteQuotient``).
-The right end is clamped (v = v' = 0). Below r_min the function continues as the
-constant v(r_min), with v'(r_min) = 0 when a row has a second derivative,
-and each zero-order row gains its exact integral over (0, r_min). When a
-zero-order weight is not integrable at 0 (p ≤ −1), v(r_min) = 0 is pinned
-instead (no such kind has a second-order row). Every discrete function is
-therefore an admissible function on (0, ∞), so a discrete minimum can never
-sit below a proved constant.
+built once per grid (``_grid_tables``).
+
+Ends. Beyond the grid the function continues by power pieces taken from the
+asymptotics (``_end_exponents``). Below r_min it is sum_j alpha_j r^{e_j},
+with e_0 the order at which the solved function of a smooth mode vanishes
+and e_0 + 1 beside it for the hydrogen kinds and second-order rows; two
+terms are matched to the end node's value and slope in s (C^1), one term to
+its value. Above r_max, mode_hyup2_full at k >= 1 continues as
+beta_0 r^sigma + beta_1 r^{sigma-1}, sigma = 2 - N - 2k, matched C^1; every
+other kind is clamped there (v = v' = 0). The rows' exact integrals over a
+piece are a 2 x 2 form in the end node's value and slope (``_end_block``),
+added through that node's three splines to the full band, which the clamp
+then restricts once to the free coefficients (``DiscreteQuotient``). Every
+discrete function is therefore an admissible function on (0, ∞), so a
+discrete minimum can never sit below a proved constant. Since the pieces
+follow the extremal's own power laws, the quotient is nearly invariant
+under a dilation r -> a r, as in the continuum: lambda(t) below is
+nearly flat, the ends no longer limit the accuracy (every proved kind is
+within 1e-10 of its constant on its default 512-node grid), and the
+t-search mostly stops at its first probe.
 
 Solver. The numerator is a product of two quadratic forms, so this is not an
 eigenproblem as it stands, but by AM–GM
@@ -63,11 +74,12 @@ t* is the argmin, handed over as the sampled profile of that very spline
 the bracket's lower end at t* as the pencil's lower bound.
 
 The conjecture explorer solves each distinct discrete problem (the kind's
-rows and the grid) once per call.
+rows, its end pieces and the grid) once per call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -167,6 +179,64 @@ def _kind_lookup(kind: QuotientKind, mode: Mode):
         forms = tuple(tuple((c, d - 1, p) for c, d, p in rows) for rows in forms)
         return forms, target, "w"
     return forms, target, "v"
+
+
+def _end_exponents(kind: QuotientKind, mode: Mode) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exponents e_j of the end pieces sum_j alpha_j r^{e_j} of the function
+    the kind is solved in (``_kind_lookup``): below r_min, and above r_max,
+    where () keeps the clamp v = v' = 0.
+
+    Below r_min e_0 is the order at which that function of a smooth degree-k
+    mode vanishes: 1 for w = v', k for the raw rows of the classic kinds
+    (u = r^k v), 0 otherwise. e_0 + 1 joins it for the hydrogen kinds, whose
+    Coulomb row gives a cusp a + b r, and wherever a row is second order.
+    Above r_max, mode_hyup2_full at k >= 1 decays as r^sigma with
+    sigma = 2 - N - 2k, since its B row r^{N+2k-1} |v'|^2 dominates there;
+    every other kind's extremal decays exponentially and keeps the clamp.
+    """
+    forms, _, solved_in = _kind_lookup(kind, mode)
+    principle = KINDS[kind].principle
+    if solved_in == "w":
+        first = 1
+    elif principle in (PrincipleId.HUP, PrincipleId.HYUP):  # raw rows: u = r^k v
+        first = mode.degree
+    else:
+        first = 0
+    head = (first,)
+    if principle in (PrincipleId.HYUP, PrincipleId.HYUP2) or any(
+            d == 2 for rows in forms for _, d, _ in rows):
+        head = (first, first + 1)
+    if kind is QuotientKind.MODE_HYUP2_FULL and mode.degree >= 1:
+        sigma = 2 - mode.dimension - 2 * mode.degree
+        return head, (sigma, sigma - 1)
+    return head, ()
+
+
+def _end_block(rows, exponents: tuple[int, ...], r_end: float, sign: int) -> np.ndarray:
+    """The exact integrals of the rows over the end piece sum_j A_j (r/r_end)^{e_j},
+    as a 2 x 2 form in the value v and slope v_s in s at r_end: over (0, r_end)
+    for sign 1, (r_end, inf) for sign -1. Row (c, d, p) adds
+    c A_j A_l phi_d(e_j) phi_d(e_l) r_end^{p+1-2d} / |q_jl| with
+    q_jl = p + 1 - 2d + e_j + e_l and phi_0 = 1, phi_1 = e, phi_2 = e(e - 1).
+    Two terms are matched to v and v_s (v = A_0 + A_1, v_s = e_0 A_0 + e_1 A_1),
+    one to v alone. SolverError where a term's integral diverges."""
+    phi = np.array([[1, e, e * (e - 1)] for e in exponents], dtype=float)
+    block = np.zeros((len(exponents),) * 2)
+    for c, d, p in rows:
+        for j, l in itertools.product(range(len(exponents)), repeat=2):
+            weight = c * phi[j, d] * phi[l, d]
+            if weight == 0.0:
+                continue
+            q = p + 1 - 2 * d + exponents[j] + exponents[l]
+            if sign * q <= 0:
+                raise SolverError(f"the end piece r^{exponents[j]} of a row r^{p} |f^({d})|^2 "
+                                  "is not integrable")
+            block[j, l] += weight * r_end ** (p + 1 - 2 * d) / abs(q)
+    if len(exponents) == 1:
+        return np.array([[block[0, 0], 0.0], [0.0, 0.0]])
+    e0, e1 = exponents
+    to_terms = np.array([[e1, -1.0], [-e0, 1.0]]) / (e1 - e0)  # (v, v_s) -> (A_0, A_1)
+    return to_terms.T @ block @ to_terms
 
 
 @dataclass(frozen=True)
@@ -272,15 +342,17 @@ class DiscreteQuotient:
     Every form is first assembled on all nodes + 2 splines, in upper band
     storage, from the per-interval products of D_0, D_1 and D_2 of pairs of
     splines at the sampled profiles' Gauss points in s, weighted by that
-    rule's weights. The end conditions then restrict it once to the
-    coefficients ``x`` of the free splines: Pᵀ G P, where P extends x to
-    all coefficients (see the module docstring). The clamped knot vector
-    makes v(end) the end coefficient and v_s(end) a multiple of the
-    difference of the two end coefficients, so the clamp at r_max drops the
-    last two splines, a pin drops the first, and v_s(s_0) = 0 makes the
-    first two one coefficient. ``A``, ``B`` and ``C`` are those restricted
+    rule's weights. Each end piece adds its exact 2 x 2 block in the value
+    and slope in s at its end node (``_end_block``), which are that node's
+    knot data times its three splines' coefficients. The clamp at r_max, where
+    there is no tail, then restricts it once to the coefficients ``x`` of
+    the free splines: Pᵀ G P, where P extends x to all coefficients by two
+    zeros (the clamped knot vector makes v(end) the end coefficient and
+    v_s(end) a multiple of the difference of the two end coefficients); the
+    left end restricts nothing. ``A``, ``B`` and ``C`` are those restricted
     bands, which the pencil works on. ``to_profile`` hands the spline of
-    ``x`` over as a sampled profile, and ``parts`` is that profile's forms.
+    ``x`` over as a sampled profile, and ``parts`` is that profile's forms
+    plus the same end blocks at its end values and slopes.
     The table, its products and the node data depend on the grid alone and
     are shared (``_grid_tables``). SolverError unless every entry of the
     forms, assembled without floating-point checks, is finite.
@@ -291,27 +363,27 @@ class DiscreteQuotient:
         self._grid = grid = _grid_tables(problem.grid)
         self.r = r = grid.rule.grid
         forms, self.target, self.solved_in = _kind_lookup(problem.kind, problem.mode)
-        rows = [row for form in forms for row in form]
-        self._fold = any(d == 2 for _, d, _ in rows)
-        self._pin = pin = any(d == 0 and p <= -1 for _, d, p in rows)
+        head, tail = _end_exponents(problem.kind, problem.mode)
+        # The clamp at r_max drops the last two splines; a tail keeps them.
+        self._free = len(r) + 2 if tail else len(r)
 
-        # Each form is its (coef, deriv, power) rows and the weight of
-        # v(r_min)^2 that adds the exact integral of its zero-order rows
-        # over (0, r_min).
+        # Each form is its (coef, deriv, power) rows and its end blocks: the
+        # node and the 2 x 2 form in (v, v_s) there of each end piece.
         with np.errstate(all="ignore"):  # judged once, below
             self._forms = [
-                (form, sum(c * r[0] ** (p + 1) / (p + 1) for c, d, p in form if d == 0 and not pin))
-                for form in forms
+                (rows, [(0, _end_block(rows, head, r[0], 1))]
+                 + ([(len(r) - 1, _end_block(rows, tail, r[-1], -1))] if tail else []))
+                for rows in forms
             ]
             self.A, self.B, self.C = (self._band(*form) for form in self._forms)
         if not all(np.isfinite(band).all() for band in (self.A, self.B, self.C)):
             raise SolverError("the forms are not finite on this grid")
 
-    def _band(self, rows, edge: float = 0.0) -> np.ndarray:
+    def _band(self, rows, ends=()) -> np.ndarray:
         """Upper band storage of the Gram matrix of (coef, deriv, power) rows
         on the free splines: the rows' weights summed per derivative order,
         each order's sum contracted once with the grid's spline products,
-        accumulated on all splines and restricted once."""
+        accumulated on all splines with the end blocks and restricted once."""
         weights: dict[int, np.ndarray] = {}
         for c, d, p in rows:
             weights[d] = weights.get(d, 0.0) + c * self._grid.rule.weights(p - 2 * d)[0]
@@ -324,33 +396,29 @@ class DiscreteQuotient:
         # sums its intervals in ascending order.
         for (m, n), products in zip(reversed(_PAIRS), block[::-1]):
             band[_BANDS - n + m, n:n + intervals] += products
-        band[_BANDS, 0] += edge
-        if self._fold:
-            # Row and column 0 fold into 1: A'00 = A00 + 2 A01 + A11 and
-            # A'0j = A0,j+1 + A1,j+1.
-            band[_BANDS, 1] = band[_BANDS, 0] + 2.0 * band[_BANDS - 1, 1] + band[_BANDS, 1]
-            band[_BANDS - 1, 2] += band[_BANDS - 2, 2]
-            band[_BANDS - 2, 3] += band[_BANDS - 3, 3]
-        first = int(self._fold or self._pin)  # the first free spline
-        band = band[:, first:-2]
-        if first:
-            # The dropped spline's entries, now above the restricted matrix.
-            band[_BANDS - 1 - np.arange(_BANDS), np.arange(_BANDS)] = 0.0
-        return band
+        for node, end in ends:
+            # v and v_s at the node are the knot data of its three splines.
+            knots = self._grid.knot_data[:, :, node]
+            local = knots.T @ end @ knots
+            for k in range(3):  # diagonal k of the block is row _BANDS - k
+                band[_BANDS - k, node + k:node + 3] += np.diagonal(local, k)
+        return band[:, :self._free]
 
     def parts(self, x: np.ndarray) -> tuple[float, float, float]:
         """A, B and C of the spline with coefficients x: the forms of
-        ``to_profile(x)``, each zero-order row with its integral below r_min."""
+        ``to_profile(x)``, each with its end blocks at the profile's end
+        values and slopes."""
         # Sums of squares, not x·A·x from the bands: where x is nearly in the
         # kernel of a form's derivative rows (mode_hyup2_full at k >= 1),
         # Σ A_ij x_i x_j cancels, so the rounding of the assembled entries
         # moves it far more than that of these integrals (A by 2.0e-6
         # relative at N = 2, k = 1 on 2048 nodes, even summed exactly).
         v = self.to_profile(x)
-        head = v.values[0] ** 2
+        data = np.array([v.values, v._slopes])
         return tuple(
-            math.fsum([c * v.integral(d, p) for c, d, p in rows] + [edge * head])
-            for rows, edge in self._forms
+            math.fsum([c * v.integral(d, p) for c, d, p in rows]
+                      + [float(data[:, node] @ end @ data[:, node]) for node, end in ends])
+            for rows, ends in self._forms
         )
 
     def value(self, x: np.ndarray) -> float:
@@ -368,21 +436,18 @@ class DiscreteQuotient:
         rhs = np.zeros(len(self.r) + 2)
         for m in reversed(range(_BANDS + 1)):  # each entry sums its intervals in order
             rhs[m:m + local.shape[1]] += local[m]
-        if self._fold:  # Pᵀ, as on the bands
-            rhs[1] += rhs[0]
-        return dpbtrs(factor, rhs[int(self._fold or self._pin):-2])[0]
+        return dpbtrs(factor, rhs[:self._free])[0]
 
     def to_profile(self, x: np.ndarray) -> SampledProfile:
         """The spline with coefficients x (w = v' for reduced rows) itself, as
         a sampled profile from its node values and node slopes in s, zero
-        outside the grid. The discrete function continues below r_min as its
-        value f(r_min) (unless pinned to 0), so its quotient adds
-        c * r_min^(p+1) / (p+1) * f(r_min)^2 to every zero-order row (c, 0, p)
-        of ``integrate`` on this profile; ``parts`` is exactly that.
+        outside the grid. The discrete function continues beyond the grid by
+        its end pieces (``_end_exponents``), whose integrals ``parts`` adds
+        to those of this profile from its end values and slopes.
         """
         # P x: the coefficients of all splines, the clamped two at the end 0.
-        head = x[:1] if self._fold else [0.0] if self._pin else []
-        c = np.concatenate([head, x, [0.0, 0.0]])
+        c = np.zeros(len(self.r) + 2)
+        c[:self._free] = x
         values, slopes = (k[0] * c[:-2] + k[1] * c[1:-1] + k[2] * c[2:]
                           for k in self._grid.knot_data)
         return SampledProfile._from_slopes(self._grid.rule, values, slopes)
@@ -394,9 +459,12 @@ class MinimizationResult:
 
     ``kind``, ``mode`` and ``grid`` are the problem's; ``target`` is the
     kind's continuum target (``_kind_lookup``). ``argmin`` is the
-    minimizer's own spline, whose quotient is ``min_value``
-    (``DiscreteQuotient.to_profile``), in the function ``solved_in`` names:
-    "v", or "w" for w = v' where no row of the kind is zero-order.
+    minimizer's own spline (``DiscreteQuotient.to_profile``), in the function
+    ``solved_in`` names: "v", or "w" for w = v' where no row of the kind is
+    zero-order. ``min_value`` is its quotient with the end pieces beyond the
+    grid (``_end_exponents``), whose integrals follow from the argmin's end
+    values and slopes in s (``DiscreteQuotient.parts``); the argmin itself
+    carries no end pieces and vanishes outside its grid.
 
     ``pencil_value`` is (lambda(t*)/2)^2 with lambda(t*) = (t* a + b/t*)/c
     from the argmin's A, B and C (``DiscreteQuotient.parts``), so
@@ -410,8 +478,8 @@ class MinimizationResult:
     minimum over t, nor on ``pencil_value``: the bands' entries carry
     rounding, which the cancellation in x·A·x amplifies on mode_hyup2_full at
     k >= 1 (see ``parts``). There the bands' lambda(t*) lies above the
-    argmin's (1.0e-6 relative at N = 2, k = 1 on 2048 nodes, 6.9e-10 on 512
-    nodes), and ``pencil_lower`` above ``pencil_value`` (1.6e-6 and 1.2e-9).
+    argmin's (1.3e-6 relative at N = 2, k = 1 on 2048 nodes, 5.6e-10 on 512
+    nodes), and ``pencil_lower`` above ``pencil_value`` (2.5e-6 and 1.5e-9).
     A verified factorization of the same bands cannot close that gap.
     """
 
@@ -615,7 +683,7 @@ def minimize_quotient(problem: VariationalProblem) -> MinimizationResult:
 
 
 #: The results of one explore_conjecture call by discrete problem (the
-#: kind's rows and the grid), so that it solves each problem once; None
+#: kind's rows, its end pieces and the grid), so that it solves each problem once; None
 #: outside such a call.
 _SOLVED: ContextVar[dict | None] = ContextVar("_SOLVED", default=None)
 
@@ -629,7 +697,7 @@ def _solve(problem: VariationalProblem) -> MinimizationResult:
     if solved is None:
         return minimize_quotient(problem)
     forms, target, solved_in = _kind_lookup(problem.kind, problem.mode)
-    key = (forms, solved_in, problem.grid)
+    key = (forms, solved_in, _end_exponents(problem.kind, problem.mode), problem.grid)
     if key not in solved:
         solved[key] = minimize_quotient(problem)
     return replace(solved[key], kind=problem.kind, mode=problem.mode, target=target)
@@ -753,8 +821,8 @@ def explore_conjecture(
     so no mode mixture goes below the best single mode.
 
     Each distinct discrete problem is solved once per call: the combined
-    bound's degree-0 product_hyup2 row has the rows and grid of the finest
-    degree-0 rung, and takes that rung's result.
+    bound's degree-0 product_hyup2 row has the rows, end pieces and grid of
+    the finest degree-0 rung, and takes that rung's result.
     """
     n = _integer(dimension, "dimension")
     conjectured = float(sharp_constant(PrincipleId.HYUP2, n))  # UsageError below N = 2

@@ -515,11 +515,11 @@ Profile = Union[AnalyticProfile, MixtureProfile, SampledProfile]
 
 
 def eval_profile(p: Profile, r, deriv: int = 0):
-    """Evaluate f, f' or f'' at r > 0; sampled profiles vanish outside their grid."""
+    """Evaluate f, f' or f'' at finite r > 0; sampled profiles vanish outside their grid."""
     _check_deriv(deriv)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise UsageError("profiles are defined for r > 0 only")
+    if not np.all((r_arr > 0.0) & (r_arr < math.inf)):  # nan fails both
+        raise UsageError("profiles are defined for finite r > 0 only")
     return p.value(r, deriv)
 
 

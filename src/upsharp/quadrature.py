@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DegenerateProfileError, DivergentIntegralError,
-                     QuadratureConvergenceError, UsageError, _NameEnum)
+                     QuadratureConvergenceError, UsageError, _integer, _NameEnum)
 from .profiles import (
     GAUSS_KERNEL,
     _TINY,
@@ -87,7 +87,8 @@ class WeightedSeminorm:
     power: int
 
     def __post_init__(self) -> None:
-        if self.deriv not in (0, 1, 2):
+        # The order is an integer; the power stays real, as closed forms take real exponents.
+        if _integer(self.deriv, "the seminorm derivative order") not in (0, 1, 2):
             raise UsageError("seminorm derivative order must be 0, 1 or 2")
         if self.power < -5:
             raise UsageError("radial powers below r^-5 are not used anywhere")

@@ -118,6 +118,16 @@ def test_eval_rejects_bad_inputs():
         AnalyticProfile("no_such_family", 1.0, 1.0)
 
 
+def test_eval_rejects_radii_that_are_not_finite():
+    # nan passed the r <= 0 test and came back as nan; an analytic profile at
+    # inf raised numpy's inf * 0 warning.
+    sampled = SampledProfile(np.geomspace(1e-3, 10.0, 64), np.exp(-np.geomspace(1e-3, 10.0, 64)))
+    for p in (AnalyticProfile("gaussian", 1.0, 1.0), sampled):
+        for r in (math.nan, math.inf, -math.inf, [1.0, math.nan], np.array([0.5, math.inf])):
+            with pytest.raises(UsageError, match="finite"):
+                eval_profile(p, r)
+
+
 @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
 def test_sampled_polynomial_differentiation_exact(spacing):
     # The not-a-knot spline in s = ln r reproduces a cubic in s, so its node

@@ -28,6 +28,13 @@ def test_weighted_seminorm_rejects_orders_and_powers_out_of_range(deriv, power):
     WeightedSeminorm(2, -5)
 
 
+@pytest.mark.parametrize("deriv", [1.0, True])
+def test_weighted_seminorm_order_must_be_an_integer(deriv):
+    # 1.0 failed later in integrate's range(), and True integrated as order 1.
+    with pytest.raises(UsageError, match="must be an integer"):
+        WeightedSeminorm(deriv, 2)
+
+
 def test_integrate_closed_form_examples():
     # Gaussian L2 with weight r^{N-1}: Gamma(N/2) / (2 (2 beta)^{N/2})
     for n in (1, 2, 3, 7):
