@@ -464,7 +464,10 @@ class MinimizationResult:
     zero-order. ``min_value`` is its quotient with the end pieces beyond the
     grid (``_end_exponents``), whose integrals follow from the argmin's end
     values and slopes in s (``DiscreteQuotient.parts``); the argmin itself
-    carries no end pieces and vanishes outside its grid.
+    carries no end pieces and vanishes outside its grid. The report writes
+    the argmin's grid, node values and slopes as their float64 bytes
+    (``profile_to_json``), so ``profile_from_json`` reads back this very
+    spline.
 
     ``pencil_value`` is (lambda(t*)/2)^2 with lambda(t*) = (t* a + b/t*)/c
     from the argmin's A, B and C (``DiscreteQuotient.parts``), so

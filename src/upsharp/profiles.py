@@ -27,6 +27,7 @@ a scalar multiple of a real profile.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, replace
@@ -348,6 +349,18 @@ def _per_node(grid: np.ndarray, column, name: str) -> np.ndarray:
     return column
 
 
+def _column(column):
+    """A sampled profile's column read from JSON: the float64 array of a typed
+    column ``{"dtype": "<f8", "base64": ...}``, any other (a list of numbers)
+    as it is. Unknown dtypes are a UsageError; text that is not base64 or
+    whose byte count is not a multiple of 8 raises ValueError."""
+    if not isinstance(column, dict):
+        return column
+    if column["dtype"] != "<f8":
+        raise UsageError(f"unknown column dtype {column['dtype']!r}")
+    return np.frombuffer(base64.b64decode(column["base64"], validate=True), "<f8")
+
+
 def _hermite_table(t: np.ndarray) -> np.ndarray:
     """Row d * len(t) + j: h^d times the d-th derivative at t[j] in [0, 1] of
     the cubic piece y_i + Δy H01 + h s_i H10 + h s_{i+1} H11 (Hermite basis),
@@ -566,9 +579,13 @@ def shift_power(p: AnalyticProfile | MixtureProfile, delta: float):
 
 
 def profile_to_json(p: Profile) -> dict:
-    """A sampled profile is its grid, node values and node slopes in s."""
+    """A sampled profile is its grid, node values and node slopes in s, each
+    column written exactly as ``{"dtype": "<f8", "base64": ...}``: standard
+    base64 of its little-endian float64 bytes."""
     if isinstance(p, SampledProfile):
-        return {"grid": p.grid.tolist(), "values": p.values.tolist(), "slopes": p._slopes.tolist()}
+        columns = {"grid": p.grid, "values": p.values, "slopes": p._slopes}
+        return {name: {"dtype": "<f8", "base64": base64.b64encode(np.asarray(c, "<f8").tobytes()).decode()}
+                for name, c in columns.items()}
     if isinstance(p, MixtureProfile):
         return {"mixture": [profile_to_json(c) for c in p.components]}
     params: dict[str, float] = {"amplitude": p.amplitude, "rate": p.rate}
@@ -579,21 +596,24 @@ def profile_to_json(p: Profile) -> dict:
 
 def profile_from_json(obj: dict | str) -> Profile:
     """The profile ``profile_to_json`` wrote: a sampled one from its node
-    slopes as written, or by interpolation when it has none."""
+    slopes as written, or by interpolation when it has none. A sampled
+    column is read in the typed form ``profile_to_json`` writes or as a list
+    of numbers (hand-written profiles, older reports)."""
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
         if "slopes" in obj:
-            grid = np.asarray(obj["grid"], dtype=float)
-            values, slopes = (_per_node(grid, obj[name], name) for name in ("values", "slopes"))
+            grid = np.asarray(_column(obj["grid"]), dtype=float)
+            values, slopes = (_per_node(grid, _column(obj[name]), name) for name in ("values", "slopes"))
             return SampledProfile._from_slopes(_grid_rule(grid.tobytes()), values, slopes)
         if "grid" in obj:
-            return SampledProfile(obj["grid"], obj["values"])
+            return SampledProfile(_column(obj["grid"]), _column(obj["values"]))
         if "mixture" in obj:
             return MixtureProfile(tuple(profile_from_json(c) for c in obj["mixture"]))
         return AnalyticProfile(obj["family"], **obj.get("params", {}))
     except UsageError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers unreadable JSON text and non-numeric grid or values.
+        # ValueError covers unreadable JSON text, non-numeric grid or values,
+        # and a typed column that is not base64 or not whole float64s.
         raise UsageError(f"malformed profile object: {exc!r}") from None

@@ -5,8 +5,10 @@ seed the numeric payload is bit-identical between runs (only the timestamp
 differs). ``render_json`` is the one place that knows the JSON format: a
 dataclass is written as its fields, a ``Fraction`` as ``{num, den, float}``,
 a mode as ``{N, k}`` and a profile as ``profile_to_json`` writes it; enums
-are written as their values. Keys are sorted, floats shortest-roundtrip, and
-a report is one line: without indentation ``json`` uses its C encoder.
+are written as their values. Keys are sorted, floats shortest-roundtrip
+except a sampled profile's columns, which ``profile_to_json`` writes as base64
+of their float64 bytes, and a report is one line: without indentation
+``json`` uses its C encoder.
 """
 
 from __future__ import annotations

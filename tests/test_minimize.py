@@ -10,6 +10,7 @@ from scipy.linalg.blas import dsbmv
 
 from upsharp import minimize
 from upsharp.constants import MODE_BOUNDS, PrincipleId, mode_principle, sharp_constant
+from upsharp.cli import main
 from upsharp.errors import SolverError, UsageError
 from upsharp.minimize import (
     GridSpec,
@@ -423,8 +424,13 @@ def test_explore_conjecture_flags_low_dimension_candidate():
     assert report.counterexample is not None
     assert report.counterexample["degree"] == 1
     assert report.counterexample["min_value"] < report.conjectured
-    assert isinstance(report.counterexample["profile"], SampledProfile)
-    assert "grid" in json.loads(render_json(report))["counterexample"]["profile"]
+    profile = report.counterexample["profile"]
+    assert isinstance(profile, SampledProfile)
+    # The report's counterexample reads back as that very spline.
+    read_back = profile_from_json(json.loads(render_json(report))["counterexample"]["profile"])
+    assert read_back.grid.tobytes() == profile.grid.tobytes()
+    assert read_back.values.tobytes() == profile.values.tobytes()
+    assert read_back._slopes.tobytes() == profile._slopes.tobytes()
     assert report.estimated_infimum < report.conjectured
 
 
@@ -466,6 +472,18 @@ def test_minimization_result_json():
     assert 0 < blob["pencil_lower"] <= blob["pencil_value"] * (1 + 1e-9)
     assert blob["exit"] in ("flat", "bracketed") and blob["converged"]
     assert blob["solved_in"] == res.solved_in == "w"
+
+
+def test_minimize_report_file_argmin_reads_back_bit_for_bit(tmp_path):
+    # The path users take: a minimize report written by the CLI to a file,
+    # its argmin read back from that file alone.
+    out = tmp_path / "min.json"
+    assert main(["minimize", "product_hup2", "--n", "3", "--m", "128", "--out", str(out)]) == 0
+    read_back = profile_from_json(json.loads(out.read_text())["result"]["argmin"])
+    argmin = minimize_quotient(problem("product_hup2", 3, 0, size=128)).argmin
+    assert read_back.grid.tobytes() == argmin.grid.tobytes()
+    assert read_back.values.tobytes() == argmin.values.tobytes()
+    assert read_back._slopes.tobytes() == argmin._slopes.tobytes()
 
 
 #: Every kind with a proved continuum infimum, at the degrees where it holds.

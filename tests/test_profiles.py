@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import warnings
@@ -460,6 +461,29 @@ def test_sampled_profile_json_keeps_its_node_slopes():
     assert_array_equal(profile_from_json(blob)._slopes, SampledProfile(grid, sp.values)._slopes)
 
 
+def _typed(column):
+    """A column as ``profile_to_json`` writes it."""
+    return {"dtype": "<f8", "base64": base64.b64encode(np.asarray(column, "<f8").tobytes()).decode()}
+
+
+def test_list_form_blob_reads_back_as_its_typed_twin():
+    # A profile written as lists of numbers (hand-written, or an older
+    # report) reads back to the same bytes as the typed columns of the same
+    # profile.
+    grid = np.geomspace(0.01, 10.0, 64)
+    sp = SampledProfile(grid, np.exp(-grid**2) * (1.0 + 0.1 * np.sin(7 * grid)))
+    listed = {"grid": sp.grid.tolist(), "values": sp.values.tolist(), "slopes": sp._slopes.tolist()}
+    typed = profile_to_json(sp)
+    assert typed == {name: _typed(column) for name, column in listed.items()}
+    back, twin = (profile_from_json(json.dumps(blob)) for blob in (listed, typed))
+    for name in ("grid", "values", "_slopes"):
+        assert getattr(back, name).tobytes() == getattr(twin, name).tobytes() \
+            == getattr(sp, name).tobytes()
+
+
+_NODES = list(range(1, 9))
+
+
 @pytest.mark.parametrize("obj", [
     {},
     {"grid": [1, 2]},
@@ -470,6 +494,20 @@ def test_sampled_profile_json_keeps_its_node_slopes():
     {"grid": list(range(1, 9)), "values": [1] * 8, "slopes": [0] * 7},
     {"grid": list(range(1, 9)), "values": [1] * 8, "slopes": [0] * 7 + [math.nan]},
     {"grid": list(range(1, 9)), "values": [1] * 8, "slopes": None},
+    # Typed columns: an unknown dtype, a missing base64 key, text outside the
+    # base64 alphabet, 12 bytes (not a multiple of 8), a decoded length other
+    # than the grid's, a decoded NaN. The first and third would read as eight
+    # ones if the dtype were ignored or the stray character skipped.
+    {"grid": _typed(_NODES), "values": {**_typed([1] * 8), "dtype": "<f4"},
+     "slopes": _typed([0] * 8)},
+    {"grid": _typed(_NODES), "values": {"dtype": "<f8"}, "slopes": _typed([0] * 8)},
+    {"grid": _typed(_NODES), "values": {"dtype": "<f8", "base64": "*" + _typed([1] * 8)["base64"]},
+     "slopes": _typed([0] * 8)},
+    {"grid": _typed(_NODES), "values": _typed([1] * 8),
+     "slopes": {"dtype": "<f8", "base64": base64.b64encode(bytes(12)).decode()}},
+    {"grid": _typed(_NODES), "values": _typed([1] * 8), "slopes": _typed([0] * 7)},
+    {"grid": _typed(_NODES), "values": _typed([1] * 8), "slopes": _typed([0] * 7 + [math.nan])},
+    {"grid": _typed(_NODES), "values": _typed([1] * 7 + [math.nan])},
 ])
 def test_profile_from_json_rejects_malformed_objects(obj):
     with pytest.raises(UsageError):
